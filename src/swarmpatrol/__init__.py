@@ -31,9 +31,9 @@ from .metrics import (
     CommGraph,
     ConfusionCounts,
     ConsensusReport,
+    ConsensusTracker,
     algebraic_connectivity,
     classify,
-    consensus_report,
     f_score,
     jacobi_eigenvalues,
     pearson,
@@ -71,9 +71,9 @@ __all__ = [
     "CommGraph",
     "ConfusionCounts",
     "ConsensusReport",
+    "ConsensusTracker",
     "algebraic_connectivity",
     "classify",
-    "consensus_report",
     "f_score",
     "jacobi_eigenvalues",
     "pearson",

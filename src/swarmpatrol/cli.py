@@ -100,6 +100,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_genmap(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     g = generate_default_map(args.seed)
     text = serialize_map(g, header=f"patrol map, generator seed {args.seed}")
     Path(args.out).write_text(text)

@@ -10,15 +10,14 @@ the results of earlier fusions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .beliefs import fuse_vectors
+from .beliefs import Belief, fuse_vectors
 from .world import RobotState
 
 __all__ = [
     "CommConfig",
-    "ContactLog",
     "CommState",
     "eligible_pairs",
     "exchange",
@@ -40,21 +39,11 @@ class CommConfig:
             raise ValueError(f"timeout_s must be non-negative, got {self.timeout_s}")
 
 
-@dataclass
-class ContactLog:
-    """Time-ordered record of executed exchanges as (t, i, j) with i < j."""
-
-    events: list[tuple[float, int, int]] = field(default_factory=list)
-
-    def append(self, t: float, i: int, j: int) -> None:
-        self.events.append((t, i, j))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
 class CommState:
-    """Per-pair last exchange times plus the contact log for one run."""
+    """Per-pair last exchange times plus the contact log for one run.
+
+    log lists every executed exchange in time order as (t, i, j) with i < j.
+    """
 
     __slots__ = ("last_exchange", "log")
 
@@ -64,7 +53,7 @@ class CommState:
             for i in range(n_robots)
             for j in range(i + 1, n_robots)
         }
-        self.log = ContactLog()
+        self.log: list[tuple[float, int, int]] = []
 
 
 def eligible_pairs(
@@ -98,14 +87,18 @@ def eligible_pairs(
     return out
 
 
-def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> None:
-    """Fuse the two belief vectors and hand each robot its own copy."""
+def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list[Belief]:
+    """Fuse the two belief vectors and hand each robot its own copy.
+
+    Returns the fused vector; it is the list `ri` now holds.
+    """
     fused = fuse_vectors(ri.beliefs, rj.beliefs)
     ri.beliefs = fused
     rj.beliefs = fused.copy()
     i, j = (ri.id, rj.id) if ri.id < rj.id else (rj.id, ri.id)
     state.last_exchange[(i, j)] = t
-    state.log.append(t, i, j)
+    state.log.append((t, i, j))
+    return fused
 
 
 def tick_comms(
@@ -113,14 +106,14 @@ def tick_comms(
     state: CommState,
     t: float,
     cfg: CommConfig,
-) -> list[tuple[int, int]]:
-    """Run all eligible exchanges for this tick; returns the executed pairs.
+) -> list[tuple[int, int, list[Belief]]]:
+    """Run all eligible exchanges for this tick; returns (i, j, fused) triples.
 
     Eligibility is evaluated once against positions at time t, then the
-    exchanges apply sequentially in ascending pair order.
+    exchanges apply sequentially in ascending pair order. Each triple holds
+    the vector that exchange fused; a later exchange in the same tick may
+    have changed what robots i and j hold since.
     """
     positions = [(r.x, r.y) for r in robots]
     pairs = eligible_pairs(positions, state.last_exchange, t, cfg)
-    for i, j in pairs:
-        exchange(robots[i], robots[j], t, state)
-    return pairs
+    return [(i, j, exchange(robots[i], robots[j], t, state)) for i, j in pairs]

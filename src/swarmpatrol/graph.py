@@ -20,7 +20,6 @@ __all__ = [
     "Route",
     "parse_map",
     "serialize_map",
-    "shortest_path",
     "build_cyclic_route",
     "generate_default_map",
 ]
@@ -175,11 +174,6 @@ class PatrolGraph:
 
     def shortest_distance(self, a: int, b: int) -> float:
         return self._single_source(a)[b][0]
-
-
-def shortest_path(g: PatrolGraph, a: int, b: int) -> tuple[list[int], float]:
-    """Module-level alias for PatrolGraph.shortest_path."""
-    return g.shortest_path(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ from typing import Optional, Sequence
 
 from .beliefs import digest, format_belief
 from .comms import CommConfig, CommState, tick_comms
-from .graph import PatrolGraph, generate_default_map, parse_map
+from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
     CommGraph,
+    ConsensusTracker,
     algebraic_connectivity,
     classify,
     f_score,
     pearson,
-    scan_run,
     system_error,
 )
 from .strategies import (
@@ -121,6 +121,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.map_file is not None and self.map_seed is not None:
             raise ConfigError("give either map_file or map_seed, not both")
+        if self.map_seed is not None and self.map_seed < 0:
+            raise ConfigError(f"map_seed must be >= 0, got {self.map_seed}")
         if self.n_robots < 1:
             raise ConfigError(f"n_robots must be >= 1, got {self.n_robots}")
         if not (self.speed > 0.0):
@@ -129,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.duration < 0.0:
             raise ConfigError(f"duration must be >= 0, got {self.duration}")
+        if not (self.comm_range > 0.0):
+            raise ConfigError(f"comm_range must be positive, got {self.comm_range}")
+        if not (self.comm_timeout >= 0.0):
+            raise ConfigError(f"comm_timeout must be >= 0, got {self.comm_timeout}")
         if not (0.0 < self.quorum <= 1.0):
             raise ConfigError(f"quorum must be in (0, 1], got {self.quorum}")
         for p in self.noise_levels:
@@ -140,6 +146,19 @@ class ExperimentConfig:
             raise ConfigError("strategies must not be empty")
         if not self.noise_levels:
             raise ConfigError("noise_levels must not be empty")
+        # a repeated cell would run twice and be summarized as one group
+        for label, values in (
+            ("strategy", [kind.value for kind in self.strategies]),
+            ("noise level", list(self.noise_levels)),
+        ):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"duplicate {label} {value}")
+        if StrategyKind.DTAP in self.strategies and round(self.params.dtap_period_s / self.dt) == 0:
+            raise ConfigError(
+                f"dtap_period {self.params.dtap_period_s} is under half a tick of "
+                f"dt {self.dt}, so DTAP would never hold an auction"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -151,7 +170,10 @@ class ExperimentConfig:
         """
         kwargs: dict = {}
         params_kwargs: dict = {}
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -235,9 +257,15 @@ def _apply_config_key(kwargs: dict, params_kwargs: dict, key: str, value: str) -
 
 
 def load_map(cfg: ExperimentConfig) -> PatrolGraph:
-    """Resolve the configured map: explicit file, generator seed, or bundled."""
+    """Resolve the configured map: explicit file, generator seed, or bundled.
+
+    A map file that cannot be read or is not a valid map raises ConfigError.
+    """
     if cfg.map_file is not None:
-        return parse_map(Path(cfg.map_file).read_text())
+        try:
+            return parse_map(Path(cfg.map_file).read_text())
+        except (OSError, UnicodeDecodeError, MapFormatError) as exc:
+            raise ConfigError(f"map {cfg.map_file}: {exc}") from None
     if cfg.map_seed is not None:
         return generate_default_map(cfg.map_seed)
     text = resources.files("swarmpatrol").joinpath("data/default_map.txt").read_text()
@@ -310,8 +338,9 @@ def run_one(
     run_seed = cell_seed(cfg.master_seed, kind.value, noise, rep)
     m = g.node_count
     n = cfg.n_robots
-    if not (0 <= cfg.start_node < m):
-        raise ConfigError(f"start_node {cfg.start_node} outside 0..{m - 1}")
+    for label, node in (("start_node", cfg.start_node), ("anomaly_node", cfg.anomaly_node)):
+        if not (0 <= node < m):
+            raise ConfigError(f"{label} {node} outside the map's nodes 0..{m - 1}")
     world = WorldState.single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
     board, memories = init_strategy(kind, g, n, cfg.params)
@@ -326,7 +355,7 @@ def run_one(
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     board_arg = board if kind in BOARD_KINDS else None
     params = cfg.params
-    history: list[tuple] = []
+    consensus = ConsensusTracker(world.truth, n, cfg.quorum)
     log_lines: Optional[list[str]] = [] if out_dir is not None else None
 
     dt = cfg.dt
@@ -340,7 +369,6 @@ def run_one(
 
     for k in range(1, ticks + 1):
         t = k * dt
-        world.clock = t
         if auction_every and any(mem.get("claim") is None for mem in memories):
             idl = [t - lv for lv in last_visit]
             group_round = k % auction_every == 0
@@ -355,8 +383,9 @@ def run_one(
             if arrived is None:
                 continue
             idleness_before = t - last_visit[arrived]
-            b = visit(r, tracker, world, arrived, noise, sense_rngs[r.id])
-            history.append(("v", t, r.id, arrived, int(b)))
+            old = r.beliefs[arrived]
+            b = visit(r, tracker, world, arrived, t, noise, sense_rngs[r.id])
+            consensus.visited(t, r.id, arrived, old, b)
             if log_lines is not None:
                 log_lines.append(
                     f"{t:.3f} visit robot={r.id} node={arrived} belief={format_belief(b)}"
@@ -380,8 +409,9 @@ def run_one(
                 r.path = g.shortest_path(arrived, goal)[0][1:]
                 if log_lines is not None:
                     log_lines.append(f"{t:.3f} goal robot={r.id} node={goal}")
-        for i, j in tick_comms(robots, comm, t, comm_cfg):
-            history.append(("x", t, i, j))
+        # every exchange of the tick has run, so the digest is end-of-tick state
+        for i, j, fused in tick_comms(robots, comm, t, comm_cfg):
+            consensus.exchanged(t, i, j, fused)
             if log_lines is not None:
                 log_lines.append(
                     f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs)}"
@@ -392,8 +422,8 @@ def run_one(
     vectors = [r.beliefs for r in robots]
     error = system_error(vectors, world.truth)
     score = f_score(classify(vectors, world.truth))
-    report, misinformed = scan_run(m, n, world.truth, history, cfg.quorum)
-    lam2 = algebraic_connectivity(CommGraph.from_contacts(n, comm.log.events))
+    report = consensus.report(vectors)
+    lam2 = algebraic_connectivity(CommGraph.from_contacts(n, comm.log))
     record = RunRecord(
         strategy=kind.value,
         noise=float(noise),
@@ -406,7 +436,7 @@ def run_one(
         tp_consensus=report.tp_consensus,
         fp_consensus_count=report.fp_consensus_count,
         rep=rep,
-        misinformed=misinformed,
+        misinformed=consensus.misinformed,
         n_exchanges=len(comm.log),
     )
     if out_dir is not None:
@@ -539,20 +569,23 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != RUN_COLUMNS:
             raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
-            records.append(
-                RunRecord(
-                    strategy=row["strategy"],
-                    noise=float(row["noise"]),
-                    seed=int(row["seed"]),
-                    avg_graph_idleness=float(row["avg_graph_idleness"]),
-                    final_error=float(row["final_error"]),
-                    f_score=float(row["f_score"]),
-                    lambda2=float(row["lambda2"]),
-                    t_consensus=float(row["t_consensus"]) if row["t_consensus"] else None,
-                    tp_consensus=bool(int(row["tp_consensus"])),
-                    fp_consensus_count=int(row["fp_consensus_count"]),
+            try:
+                records.append(
+                    RunRecord(
+                        strategy=row["strategy"],
+                        noise=float(row["noise"]),
+                        seed=int(row["seed"]),
+                        avg_graph_idleness=float(row["avg_graph_idleness"]),
+                        final_error=float(row["final_error"]),
+                        f_score=float(row["f_score"]),
+                        lambda2=float(row["lambda2"]),
+                        t_consensus=float(row["t_consensus"]) if row["t_consensus"] else None,
+                        tp_consensus=bool(int(row["tp_consensus"])),
+                        fp_consensus_count=int(row["fp_consensus_count"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: bad row: {exc}") from None
     return records
 
 

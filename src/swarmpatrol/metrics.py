@@ -2,8 +2,8 @@
 
 Covers the mean absolute belief error, the confusion-count score with an
 uncertainty penalty (both in exact rational arithmetic), quorum consensus
-extracted by replaying the belief-change history, the communication graph
-spectrum (hand-rolled cyclic Jacobi), and Pearson correlation with a
+and misinformation tracked as the run's beliefs change, the communication
+graph spectrum (hand-rolled cyclic Jacobi), and Pearson correlation with a
 two-sided p-value computed from the t distribution.
 """
 
@@ -16,8 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .beliefs import Belief, fuse_vectors
-
 __all__ = [
     "ConfusionCounts",
     "classify",
@@ -28,9 +26,7 @@ __all__ = [
     "algebraic_connectivity",
     "required_quorum",
     "ConsensusReport",
-    "consensus_report",
-    "misinformation_ever",
-    "scan_run",
+    "ConsensusTracker",
     "pearson",
 ]
 
@@ -202,14 +198,8 @@ def algebraic_connectivity(graph: CommGraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# consensus over the belief-change history
+# quorum consensus, tracked as beliefs change
 # ---------------------------------------------------------------------------
-#
-# History events are tuples, in execution order:
-#   ("v", t, robot, node, belief_half_units)   belief change from a visit
-#   ("x", t, i, j)                             pairwise exchange (i < j)
-# Replaying them through the same fusion op reproduces every robot's belief
-# trajectory, so consensus milestones are a pure function of the history.
 
 
 def required_quorum(n_robots: int, quorum: float) -> int:
@@ -233,130 +223,86 @@ class ConsensusReport:
         return len(self.fp_consensus_nodes)
 
 
-def _scan_history(
-    m: int,
-    n_robots: int,
-    truth: Sequence[bool],
-    history: Iterable[tuple],
-    required: int,
-) -> tuple[Optional[float], list[list[int]], bool]:
-    """Replay every event once; return (t at quorum, final vectors, misinfo).
+class ConsensusTracker:
+    """Quorum consensus and misinformation, updated as each belief changes.
 
-    Tracks each robot's mismatch count against the truth incrementally:
-    visit events change one entry, exchange events rebuild two rows from one
-    shared fused vector. misinfo reports whether any robot ever held a
-    certain belief contradicting the truth; beliefs only change through
-    events, so checking touched entries catches every such state.
+    Feed it every belief change of a run in execution order: `visited` after
+    each node visit and `exchanged` after each pairwise exchange, with the
+    fused vector that exchange produced (exchanges within one tick chain, so
+    a quorum reached after one can be lost by the next). Each robot's count
+    of entries that differ from the truth is kept incrementally.
+
+    t_full is the time of the first change after which at least `required`
+    robots hold a belief vector exactly equal to the truth, or None.
+    misinformed is whether any robot ever held a certain belief that
+    contradicts the truth.
     """
-    truth_vec = [2 if v else 0 for v in truth]
-    vectors: list[list[int]] = [[int(Belief.UNCERTAIN)] * m for _ in range(n_robots)]
-    mismatches = [m] * n_robots  # all-uncertain differs from truth everywhere
-    exact = 0
-    t_full: Optional[float] = None
-    misinformed = False
-    for event in history:
-        tag = event[0]
-        if tag == "v":
-            _, t, robot, node, value = event
-            row = vectors[robot]
-            tv = truth_vec[node]
-            old = row[node]
-            row[node] = value
-            if value != 1 and value != tv:
-                misinformed = True
-            delta = (1 if value != tv else 0) - (1 if old != tv else 0)
-            if delta:
-                was_exact = mismatches[robot] == 0
-                mismatches[robot] += delta
-                if mismatches[robot] == 0:
-                    exact += 1
-                elif was_exact:
-                    exact -= 1
-        elif tag == "x":
-            _, t, i, j = event
-            fused = fuse_vectors(vectors[i], vectors[j])
-            mism = 0
-            for b, tv in zip(fused, truth_vec):
-                if b != tv:
-                    mism += 1
-                    if b != 1:
-                        misinformed = True
-            fused_ints = [int(b) for b in fused]
-            for r in (i, j):
-                was_exact = mismatches[r] == 0
-                mismatches[r] = mism
-                if mism == 0 and not was_exact:
-                    exact += 1
-                elif mism != 0 and was_exact:
-                    exact -= 1
-            vectors[i] = fused_ints
-            vectors[j] = fused_ints.copy()
-        else:
-            raise ValueError(f"unknown history event tag {tag!r}")
-        if t_full is None and exact >= required:
-            t_full = t
-    return t_full, vectors, misinformed
 
+    __slots__ = ("required", "t_full", "misinformed", "_truth", "_mismatches", "_exact")
 
-def scan_run(
-    m: int,
-    n_robots: int,
-    truth: Sequence[bool],
-    history: Iterable[tuple],
-    quorum: float,
-) -> tuple[ConsensusReport, bool]:
-    """Consensus report plus the misinformation flag in a single replay."""
-    required = required_quorum(n_robots, quorum)
-    t_full, final, misinformed = _scan_history(m, n_robots, truth, history, required)
-    certain_true_counts = [0] * m
-    for row in final:
-        for node, b in enumerate(row):
-            if b == 2:
-                certain_true_counts[node] += 1
-    fp_nodes = tuple(
-        node
-        for node, count in enumerate(certain_true_counts)
-        if count >= required and not truth[node]
-    )
-    anomaly_nodes = [node for node, v in enumerate(truth) if v]
-    tp = bool(anomaly_nodes) and all(
-        certain_true_counts[node] >= required for node in anomaly_nodes
-    )
-    report = ConsensusReport(
-        required=required,
-        t_full_consensus=t_full,
-        tp_consensus=tp,
-        fp_consensus_nodes=fp_nodes,
-    )
-    return report, misinformed
+    def __init__(self, truth: Sequence[bool], n_robots: int, quorum: float):
+        self.required = required_quorum(n_robots, quorum)
+        self.t_full: Optional[float] = None
+        self.misinformed = False
+        self._truth = [2 if v else 0 for v in truth]
+        # the all-uncertain start differs from the truth everywhere
+        self._mismatches = [len(truth)] * n_robots
+        self._exact = 0
 
+    def _set_mismatches(self, t: float, robot: int, count: int) -> None:
+        was_exact = self._mismatches[robot] == 0
+        self._mismatches[robot] = count
+        if count == 0:
+            # only a robot becoming exact can complete a quorum
+            if not was_exact:
+                self._exact += 1
+                if self.t_full is None and self._exact >= self.required:
+                    self.t_full = t
+        elif was_exact:
+            self._exact -= 1
 
-def consensus_report(
-    m: int,
-    n_robots: int,
-    truth: Sequence[bool],
-    history: Iterable[tuple],
-    quorum: float,
-) -> ConsensusReport:
-    """Replay the history and extract quorum consensus milestones.
+    def visited(self, t: float, robot: int, node: int, old: int, new: int) -> None:
+        """Robot `robot` changed its belief about `node` from `old` to `new`."""
+        tv = self._truth[node]
+        if new != 1 and new != tv:
+            self.misinformed = True
+        delta = (new != tv) - (old != tv)
+        if delta:
+            self._set_mismatches(t, robot, self._mismatches[robot] + delta)
 
-    t_full_consensus is the time of the first event after which at least the
-    required number of robots hold a belief vector exactly equal to the
-    truth; None if that never happens. tp/fp consensus are judged on the
-    final vectors: nodes where at least the required number of robots hold
-    certain-true, split by whether the node is actually true.
-    """
-    return scan_run(m, n_robots, truth, history, quorum)[0]
+    def exchanged(self, t: float, i: int, j: int, fused: Sequence[int]) -> None:
+        """Robots i and j both now hold `fused`."""
+        mismatches = 0
+        for b, tv in zip(fused, self._truth):
+            if b != tv:
+                mismatches += 1
+                if b != 1:
+                    self.misinformed = True
+        self._set_mismatches(t, i, mismatches)
+        self._set_mismatches(t, j, mismatches)
 
+    def report(self, vectors: Sequence[Sequence[int]]) -> ConsensusReport:
+        """Milestones of the run, with tp/fp consensus judged on the final vectors.
 
-def misinformation_ever(
-    m: int,
-    n_robots: int,
-    truth: Sequence[bool],
-    history: Iterable[tuple],
-) -> bool:
-    """Whether any robot ever held a certain belief contradicting the truth."""
-    return scan_run(m, n_robots, truth, history, 1.0)[1]
+        A node is in consensus when at least `required` robots hold it
+        certain-true; tp means every anomaly node is, fp lists the non-anomaly
+        nodes that are.
+        """
+        certain_true = [0] * len(self._truth)
+        for row in vectors:
+            for node, b in enumerate(row):
+                if b == 2:
+                    certain_true[node] += 1
+        agreed = [count >= self.required for count in certain_true]
+        anomalies = [node for node, tv in enumerate(self._truth) if tv == 2]
+        return ConsensusReport(
+            required=self.required,
+            t_full_consensus=self.t_full,
+            tp_consensus=bool(anomalies) and all(agreed[node] for node in anomalies),
+            fp_consensus_nodes=tuple(
+                node for node, tv in enumerate(self._truth) if agreed[node] and tv != 2
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "sense",
     "advance",
     "visit",
-    "graph_idleness",
 ]
 
 _ARRIVAL_SLACK = 1e-9  # meters; absorbs float drift in accumulated offsets
@@ -62,11 +61,10 @@ class RngStream:
 
 @dataclass
 class WorldState:
-    """Ground truth over the nodes plus the global clock."""
+    """Ground truth over the nodes."""
 
     truth: list[bool]
     anomaly_node: int
-    clock: float = 0.0
 
     @classmethod
     def single_anomaly(cls, m: int, anomaly_node: int) -> "WorldState":
@@ -216,21 +214,16 @@ def visit(
     tracker: IdlenessTracker,
     world: WorldState,
     node: int,
+    t: float,
     noise_p: float,
     rng: RngStream,
 ) -> Belief:
-    """Handle a node arrival: sense, update belief, reset idleness.
+    """Handle an arrival at node at time t: sense, update belief, reset idleness.
 
     Returns the robot's belief about the node after the update.
     """
     observation = sense(world, node, noise_p, rng)
     updated = measurement_update(robot.beliefs[node], observation)
     robot.beliefs[node] = updated
-    tracker.record_visit(node, world.clock)
+    tracker.record_visit(node, t)
     return updated
-
-
-def graph_idleness(tracker: IdlenessTracker, clock: float) -> float:
-    """Instantaneous mean idleness over all nodes."""
-    lv = tracker.last_visit
-    return (clock * len(lv) - sum(lv)) / len(lv)

@@ -55,3 +55,33 @@ def brute_f_score(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> Fr
     if tp + tn == 0:
         return Fraction(0)
     return Fraction(2 * (tp + tn)) / (2 * (tp + tn) + fp + fn + Fraction(u, 2))
+
+
+def brute_consensus_replay(m: int, n_robots: int, truth: Sequence[bool], events, required: int):
+    """Replay belief events from all-uncertain; return (t_full, tp, fp_nodes, misinformed).
+
+    events, in execution order, are ("visit", t, robot, node, belief) for a
+    robot's new belief about one node and ("comm", t, i, j) for an exchange,
+    with beliefs in half-units. Fusion is clamp(a + b - 1, 0, 2). After every
+    event the whole state is checked again: how many robots hold exactly the
+    truth, and whether any certain belief contradicts it.
+    """
+    want = [2 if v else 0 for v in truth]
+    vectors = [[1] * m for _ in range(n_robots)]
+    t_full = None
+    misinformed = False
+    for kind, t, a, b, *rest in events:
+        if kind == "visit":
+            vectors[a][b] = rest[0]
+        else:
+            fused = [min(max(x + y - 1, 0), 2) for x, y in zip(vectors[a], vectors[b])]
+            vectors[a] = fused
+            vectors[b] = list(fused)
+        if any(x != 1 and x != w for row in vectors for x, w in zip(row, want)):
+            misinformed = True
+        if t_full is None and sum(row == want for row in vectors) >= required:
+            t_full = t
+    holders = [sum(row[v] == 2 for row in vectors) for v in range(m)]
+    tp = any(truth) and all(holders[v] >= required for v in range(m) if truth[v])
+    fp_nodes = tuple(v for v in range(m) if holders[v] >= required and not truth[v])
+    return t_full, tp, fp_nodes, misinformed

@@ -3,7 +3,7 @@
 import pytest
 
 from swarmpatrol.beliefs import Belief
-from swarmpatrol.comms import CommConfig, CommState, ContactLog, eligible_pairs, exchange, tick_comms
+from swarmpatrol.comms import CommConfig, CommState, eligible_pairs, exchange, tick_comms
 from swarmpatrol.graph import parse_map
 from swarmpatrol.world import RobotState
 
@@ -65,13 +65,14 @@ def test_exchange_fuses_both_ways_without_aliasing():
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = [T, F, U]
     rj.beliefs = [U, T, U]
-    exchange(ri, rj, 42.0, state)
+    fused = exchange(ri, rj, 42.0, state)
+    assert fused is ri.beliefs
     assert ri.beliefs == [T, U, U]
     assert rj.beliefs == [T, U, U]
     ri.beliefs[0] = F
     assert rj.beliefs[0] is T
     assert state.last_exchange[(0, 1)] == 42.0
-    assert state.log.events == [(42.0, 0, 1)]
+    assert state.log == [(42.0, 0, 1)]
 
 
 def test_tick_comms_chains_fusion_through_pair_order():
@@ -84,24 +85,33 @@ def test_tick_comms_chains_fusion_through_pair_order():
     robots[1].beliefs = [U]
     robots[2].beliefs = [U]
     done = tick_comms(robots, state, 5.0, cfg)
-    assert done == [(0, 1), (0, 2), (1, 2)]
+    assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
+    assert [fused for _, _, fused in done] == [[T], [T], [T]]
     assert [r.beliefs for r in robots] == [[T], [T], [T]]
     assert len(state.log) == 3
+
+
+def test_tick_comms_reports_each_exchange_own_fused_vector():
+    # (0,1) fuses [T] with [U] to [T]; (0,2) then meets robot 2's contrary
+    # [F] and both fall back to [U]. The first triple keeps the [T] that
+    # (0,1) produced, though robot 0 ends the tick holding [U].
+    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
+    state = CommState(3)
+    robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    robots[0].beliefs = [T]
+    robots[1].beliefs = [U]
+    robots[2].beliefs = [F]
+    done = tick_comms(robots, state, 5.0, cfg)
+    assert done == [(0, 1, [T]), (0, 2, [U]), (1, 2, [T])]
+    assert [r.beliefs for r in robots] == [[U], [T], [T]]
 
 
 def test_tick_comms_respects_cooldown_next_tick():
     cfg = CommConfig(range_m=5.0, timeout_s=30.0)
     state = CommState(2)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0))
-    assert tick_comms(robots, state, 5.0, cfg) == [(0, 1)]
+    assert [(i, j) for i, j, _ in tick_comms(robots, state, 5.0, cfg)] == [(0, 1)]
     assert tick_comms(robots, state, 5.1, cfg) == []
     assert tick_comms(robots, state, 34.9, cfg) == []
-    assert tick_comms(robots, state, 35.0, cfg) == [(0, 1)]
-
-
-def test_contact_log_append_and_len():
-    log = ContactLog()
-    log.append(1.0, 0, 1)
-    log.append(2.0, 1, 2)
-    assert len(log) == 2
-    assert log.events[1] == (2.0, 1, 2)
+    assert [(i, j) for i, j, _ in tick_comms(robots, state, 35.0, cfg)] == [(0, 1)]
+    assert state.log == [(5.0, 0, 1), (35.0, 0, 1)]

@@ -17,7 +17,6 @@ from swarmpatrol.graph import (
     parse_map,
     route_is_valid,
     serialize_map,
-    shortest_path,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -191,12 +190,7 @@ def test_shortest_path_unknown_node():
     with pytest.raises(KeyError):
         g.shortest_path(0, 99)
     with pytest.raises(KeyError):
-        shortest_path(g, -1, 2)
-
-
-def test_module_level_shortest_path_delegates():
-    g = _diamond()
-    assert shortest_path(g, 0, 3) == g.shortest_path(0, 3)
+        g.shortest_path(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Experiment harness: config files, seeding, runs, CSV round-trips, analysis."""
 
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from _oracles import brute_consensus_replay
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.graph import parse_map
 from swarmpatrol.harness import (
@@ -253,6 +255,52 @@ def test_run_one_writes_parseable_log(tmp_path):
     assert any(" comm " in line for line in lines)
 
 
+_LOG_BELIEF = {"0": 0, "0.5": 1, "1": 2}
+
+
+def _belief_events(log_path):
+    """Visit and comm lines of a run log as brute-force replay events."""
+    events = []
+    for line in log_path.read_text().splitlines():
+        t, kind, robot, other, value = (line.split() + [""])[:5]
+        robot = int(robot.removeprefix("robot="))
+        if kind == "visit":
+            node = int(other.removeprefix("node="))
+            events.append(("visit", t, robot, node, _LOG_BELIEF[value.removeprefix("belief=")]))
+        elif kind == "comm":
+            events.append(("comm", t, robot, int(other.removeprefix("peer="))))
+    return events
+
+
+@pytest.mark.parametrize(
+    "bundled, rep, overrides",
+    [
+        # the quorum is reached, then lost again before the end
+        (False, 0, dict(n_robots=2, duration=120.0, anomaly_node=1, quorum=1.0)),
+        # every pair exchanges on every tick, so exchanges chain within a tick
+        (False, 2, dict(n_robots=4, duration=60.0, anomaly_node=1, quorum=1.0,
+                        comm_range=70.0, comm_timeout=0.0)),
+        # no quorum on the 40-node map, but false-positive consensus
+        (True, 0, dict(n_robots=8, duration=600.0, anomaly_node=30, quorum=0.25)),
+    ],
+)
+def test_run_consensus_matches_replay_of_its_log(tmp_path, default_graph, bundled, rep, overrides):
+    g = default_graph if bundled else parse_map(PATH3)
+    cfg = replace(ExperimentConfig(), **overrides)
+    rec = run_one(cfg, g, StrategyKind.CR, 0.2, rep, out_dir=tmp_path)
+    events = _belief_events(tmp_path / f"CR_0p2_r{rep}.log")
+    truth = [v == cfg.anomaly_node for v in range(g.node_count)]
+    required = math.ceil(cfg.quorum * cfg.n_robots)
+    t_full, tp, fp_nodes, misinformed = brute_consensus_replay(
+        g.node_count, cfg.n_robots, truth, events, required
+    )
+    assert t_full == (None if rec.t_consensus is None else f"{rec.t_consensus:.3f}")
+    assert tp == rec.tp_consensus
+    assert len(fp_nodes) == rec.fp_consensus_count
+    assert misinformed is rec.misinformed is True
+    assert sum(1 for e in events if e[0] == "comm") == rec.n_exchanges
+
+
 # ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------
@@ -301,6 +349,11 @@ def test_read_runs_csv_rejects_foreign_columns(tmp_path):
     path.write_text("strategy,noise\nCR,0.0\n")
     with pytest.raises(ConfigError):
         read_runs_csv(path)
+    header = ",".join(RUN_COLUMNS)
+    for row in ("CR,x,1,1,1,1,1,,0,0", "CR,0.0,1"):
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ConfigError):
+            read_runs_csv(path)
 
 
 def test_summarize_recomputes_group_statistics(micro_matrix):
@@ -404,6 +457,48 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     bad.write_text("robots = banana\n")
     assert cli_main(["simulate", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe robots = 2\n")
+    assert cli_main(["simulate", "--config", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cli_main(["simulate", "--config", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cli_main(["genmap", "--seed", "-1", "--out", str(tmp_path / "m.map")]) == 2
+    assert "error:" in capsys.readouterr().err
+    (tmp_path / "runs.csv").write_text(",".join(RUN_COLUMNS) + "\nCR,x,1,1,1,1,1,,0,0\n")
+    for command in ("summarize", "analyze"):
+        assert cli_main([command, "--runs", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, names",
+    [
+        ("strategies = CR, CR", "duplicate strategy CR"),
+        ("noises = 0, 0.0", "duplicate noise level 0.0"),
+        ("comm_range = 0", "comm_range"),
+        ("comm_timeout = -1", "comm_timeout"),
+        ("anomaly = 99", "anomaly_node 99"),
+        ("strategies = DTAP\ndtap_period = 0.04", "dtap_period"),
+        ("map = {tmp}/split.map", "connected"),
+        ("map = {tmp}/garbled.map", "line 2"),
+        ("map = {tmp}/binary.map", "decode"),
+        ("map_seed = -1", "map_seed"),
+    ],
+)
+def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
+    (tmp_path / "split.map").write_text(PATH3 + "node 3 9 9\n")
+    (tmp_path / "garbled.map").write_text("node 0 0 0\nnode 1 x 0\n")
+    (tmp_path / "binary.map").write_bytes(b"\xff\xfe node")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "duration = 10\nreps = 1\nstrategies = cr\nnoises = 0\n"
+        + lines.format(tmp=tmp_path) + "\n"
+    )
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert names in err
+    assert "Traceback" not in err
 
 
 def test_cli_strategy_and_noise_overrides(tmp_path):

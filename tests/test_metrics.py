@@ -5,27 +5,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
     brute_confusion,
+    brute_consensus_replay,
     brute_f_score,
     brute_system_error,
     eigenvalues_by_charpoly,
 )
+from swarmpatrol.beliefs import fuse_vectors, new_belief_vector
 from swarmpatrol.metrics import (
     CommGraph,
     ConfusionCounts,
+    ConsensusTracker,
     algebraic_connectivity,
     classify,
-    consensus_report,
     f_score,
     jacobi_eigenvalues,
-    misinformation_ever,
     pearson,
     required_quorum,
-    scan_run,
     system_error,
 )
 
@@ -224,7 +224,7 @@ def test_adding_contact_weight_never_lowers_connectivity(n, data):
 
 
 # ---------------------------------------------------------------------------
-# quorum and consensus replay
+# quorum consensus tracking
 # ---------------------------------------------------------------------------
 
 
@@ -243,48 +243,68 @@ def test_required_quorum_rejects_bad_fraction():
             required_quorum(8, q)
 
 
-def _seed_history():
+def _track(m, n_robots, truth, events, quorum):
+    """Feed a ConsensusTracker the way run_one does; return (report, misinformed).
+
+    events are ("visit", t, robot, node, belief) and ("comm", t, i, j), as
+    the brute-force replay reads them.
+    """
+    tracker = ConsensusTracker(truth, n_robots, quorum)
+    vectors = [new_belief_vector(m) for _ in range(n_robots)]
+    for kind, t, a, b, *rest in events:
+        if kind == "visit":
+            old = vectors[a][b]
+            vectors[a][b] = rest[0]
+            tracker.visited(t, a, b, old, rest[0])
+        else:
+            fused = fuse_vectors(vectors[a], vectors[b])
+            vectors[a], vectors[b] = fused, fused.copy()
+            tracker.exchanged(t, a, b, fused)
+    return tracker.report(vectors), tracker.misinformed
+
+
+def _seed_events():
     # robot 0 learns the whole truth, then gossip spreads it to 1 and 2
     return [
-        ("v", 1.0, 0, 1, 2),
-        ("v", 2.0, 0, 0, 0),
-        ("v", 3.0, 0, 2, 0),
-        ("x", 4.0, 0, 1),
-        ("x", 5.0, 1, 2),
+        ("visit", 1.0, 0, 1, 2),
+        ("visit", 2.0, 0, 0, 0),
+        ("visit", 3.0, 0, 2, 0),
+        ("comm", 4.0, 0, 1),
+        ("comm", 5.0, 1, 2),
     ]
 
 
 def test_consensus_replay_frozen_scenario():
     truth = [False, True, False]
-    report = consensus_report(3, 3, truth, _seed_history(), 1.0)
+    report, misinformed = _track(3, 3, truth, _seed_events(), 1.0)
     assert report.required == 3
     assert report.t_full_consensus == 5.0
     assert report.tp_consensus is True
     assert report.fp_consensus_nodes == ()
     assert report.fp_consensus_count == 0
-    assert misinformation_ever(3, 3, truth, _seed_history()) is False
+    assert misinformed is False
 
 
 def test_consensus_time_respects_quorum_size():
     truth = [False, True, False]
     # 2 of 3 robots exact already after the first exchange
-    report = consensus_report(3, 3, truth, _seed_history(), 0.6)
+    report, _ = _track(3, 3, truth, _seed_events(), 0.6)
     assert report.required == 2
     assert report.t_full_consensus == 4.0
 
 
 def test_consensus_never_reached_is_none():
     truth = [False, True, False]
-    history = [("v", 1.0, 0, 1, 2)]
-    report = consensus_report(3, 3, truth, history, 1.0)
+    events = [("visit", 1.0, 0, 1, 2)]
+    report, _ = _track(3, 3, truth, events, 1.0)
     assert report.t_full_consensus is None
     assert report.tp_consensus is False
 
 
 def test_false_positive_consensus_detected():
     truth = [False, True, False]
-    history = [("v", float(r + 1), r, 0, 2) for r in range(3)]
-    report, misinformed = scan_run(3, 3, truth, history, 0.85)
+    events = [("visit", float(r + 1), r, 0, 2) for r in range(3)]
+    report, misinformed = _track(3, 3, truth, events, 0.85)
     assert report.fp_consensus_nodes == (0,)
     assert report.fp_consensus_count == 1
     assert report.tp_consensus is False
@@ -294,22 +314,73 @@ def test_false_positive_consensus_detected():
 def test_misinformation_spreads_through_exchange():
     truth = [False, True, False]
     # a false reading at the anomaly, then gossiped onward
-    history = [("v", 1.0, 0, 1, 0), ("x", 2.0, 0, 1)]
-    assert misinformation_ever(3, 3, truth, history) is True
+    events = [("visit", 1.0, 0, 1, 0), ("comm", 2.0, 0, 1)]
+    assert _track(3, 3, truth, events, 1.0)[1] is True
 
 
 def test_uncertainty_is_not_misinformation():
     truth = [False, True, False]
     # correct readings and an exchange leave plenty of uncertain entries,
     # none of which count as misinformation
-    history = [("v", 1.0, 0, 0, 0), ("v", 2.0, 1, 1, 2), ("x", 3.0, 0, 1)]
-    assert misinformation_ever(3, 2, truth, history) is False
-    assert misinformation_ever(3, 2, truth, []) is False
+    events = [("visit", 1.0, 0, 0, 0), ("visit", 2.0, 1, 1, 2), ("comm", 3.0, 0, 1)]
+    assert _track(3, 2, truth, events, 1.0)[1] is False
+    assert _track(3, 2, truth, [], 1.0)[1] is False
 
 
-def test_scan_rejects_unknown_event_tag():
-    with pytest.raises(ValueError):
-        consensus_report(2, 2, [True, False], [("z", 1.0, 0)], 1.0)
+@st.composite
+def _belief_event_streams(draw):
+    m = draw(st.integers(1, 4))
+    n_robots = draw(st.integers(2, 4))
+    truth = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    required = draw(st.integers(1, n_robots))
+    events = []
+    t = 0.0
+    for _ in range(draw(st.integers(0, 30))):
+        # mostly the same tick, so exchanges chain as they do within one tick
+        t += draw(st.sampled_from((0.0, 0.0, 0.5)))
+        if draw(st.booleans()):
+            robot = draw(st.integers(0, n_robots - 1))
+            node = draw(st.integers(0, m - 1))
+            events.append(("visit", t, robot, node, draw(st.integers(0, 2))))
+        else:
+            i = draw(st.integers(0, n_robots - 2))
+            j = draw(st.integers(i + 1, n_robots - 1))
+            events.append(("comm", t, i, j))
+    return m, n_robots, truth, required, events
+
+
+# robots 0 and 1 reach the quorum of 2 at the first exchange of tick 2.0;
+# the second exchange of that tick fuses robot 0 with robot 2's false
+# certainty and breaks it again
+_QUORUM_LOST_IN_TICK = (
+    2,
+    3,
+    [False, True],
+    2,
+    [
+        ("visit", 1.0, 0, 0, 0),
+        ("visit", 1.0, 0, 1, 2),
+        ("visit", 1.0, 2, 0, 2),
+        ("visit", 1.0, 2, 1, 2),
+        ("comm", 2.0, 0, 1),
+        ("comm", 2.0, 0, 2),
+    ],
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=_QUORUM_LOST_IN_TICK)
+@given(case=_belief_event_streams())
+def test_tracker_matches_brute_force_replay(case):
+    m, n_robots, truth, required, events = case
+    report, misinformed = _track(m, n_robots, truth, events, required / n_robots)
+    assert report.required == required
+    assert (
+        report.t_full_consensus,
+        report.tp_consensus,
+        report.fp_consensus_nodes,
+        misinformed,
+    ) == brute_consensus_replay(m, n_robots, truth, events, required)
 
 
 # ---------------------------------------------------------------------------

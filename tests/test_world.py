@@ -10,7 +10,6 @@ from swarmpatrol.world import (
     RobotState,
     WorldState,
     advance,
-    graph_idleness,
     sense,
     visit,
 )
@@ -58,7 +57,6 @@ def test_single_anomaly_truth_vector():
     w = WorldState.single_anomaly(5, 3)
     assert w.truth == [False, False, False, True, False]
     assert w.anomaly_node == 3
-    assert w.clock == 0.0
 
 
 def test_single_anomaly_rejects_bad_node():
@@ -197,7 +195,8 @@ def test_idleness_tracker_average_empty_is_zero():
 def test_graph_idleness_mean():
     tr = IdlenessTracker(4)
     tr.record_visit(2, 6.0)
-    assert graph_idleness(tr, 8.0) == pytest.approx((8.0 + 8.0 + 2.0 + 8.0) / 4)
+    tr.sample(8.0)
+    assert tr.average() == pytest.approx((8.0 + 8.0 + 2.0 + 8.0) / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +207,13 @@ def test_graph_idleness_mean():
 def test_visit_updates_belief_and_idleness():
     g = _line_graph()
     w = WorldState.single_anomaly(3, 1)
-    w.clock = 7.0
     tr = IdlenessTracker(3)
     r = RobotState.at_node(0, g, 1, speed=1.0)
     rng = RngStream(3, "sense", 0)
-    assert visit(r, tr, w, 1, 0.0, rng) is T
+    assert visit(r, tr, w, 1, 7.0, 0.0, rng) is T
     assert r.beliefs[1] is T
     assert tr.idleness(1, 7.0) == 0.0
-    assert visit(r, tr, w, 0, 0.0, rng) is F
+    assert visit(r, tr, w, 0, 7.0, 0.0, rng) is F
     assert r.beliefs == [F, T, U]
 
 
@@ -226,4 +224,4 @@ def test_visit_contrary_reading_softens_belief():
     r = RobotState.at_node(0, g, 1, speed=1.0)
     rng = RngStream(3, "sense", 0)
     r.beliefs[1] = F  # previously misled
-    assert visit(r, tr, w, 1, 0.0, rng) is U  # true reading against false prior
+    assert visit(r, tr, w, 1, 0.0, 0.0, rng) is U  # true reading against false prior
