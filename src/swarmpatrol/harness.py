@@ -29,17 +29,7 @@ from .metrics import (
     pearson,
     system_error,
 )
-from .strategies import (
-    BOARD_KINDS,
-    DecisionContext,
-    StrategyKind,
-    StrategyParams,
-    decide_next,
-    dtap_auction,
-    init_strategy,
-    notify_visit,
-    retarget,
-)
+from .strategies import POLICIES, StrategyKind, StrategyParams, decide_next, retarget
 from .world import IdlenessTracker, RobotState, RngStream, WorldState, advance, visit
 
 __all__ = [
@@ -129,8 +119,10 @@ class ExperimentConfig:
             raise ConfigError(f"speed must be positive, got {self.speed}")
         if not (self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.duration < 0.0:
-            raise ConfigError(f"duration must be >= 0, got {self.duration}")
+        if not (0.0 <= self.duration < math.inf):
+            raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
+        if math.isinf(self.duration / self.dt):
+            raise ConfigError(f"duration {self.duration} is too many ticks of dt {self.dt}")
         if not (self.comm_range > 0.0):
             raise ConfigError(f"comm_range must be positive, got {self.comm_range}")
         if not (self.comm_timeout >= 0.0):
@@ -154,11 +146,17 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"duplicate {label} {value}")
-        if StrategyKind.DTAP in self.strategies and round(self.params.dtap_period_s / self.dt) == 0:
-            raise ConfigError(
-                f"dtap_period {self.params.dtap_period_s} is under half a tick of "
-                f"dt {self.dt}, so DTAP would never hold an auction"
-            )
+        if StrategyKind.DTAP in self.strategies:
+            period_ticks = self.params.dtap_period_s / self.dt
+            if math.isinf(period_ticks):
+                raise ConfigError(
+                    f"dtap_period {self.params.dtap_period_s} is too many ticks of dt {self.dt}"
+                )
+            if round(period_ticks) == 0:
+                raise ConfigError(
+                    f"dtap_period {self.params.dtap_period_s} is under half a tick of "
+                    f"dt {self.dt}, so DTAP would never hold an auction"
+                )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -189,9 +187,9 @@ class ExperimentConfig:
                 raise
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
-        if params_kwargs:
-            kwargs["params"] = StrategyParams(**params_kwargs)
         try:
+            if params_kwargs:
+                kwargs["params"] = StrategyParams(**params_kwargs)
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
@@ -341,70 +339,52 @@ def run_one(
     for label, node in (("start_node", cfg.start_node), ("anomaly_node", cfg.anomaly_node)):
         if not (0 <= node < m):
             raise ConfigError(f"{label} {node} outside the map's nodes 0..{m - 1}")
+    # advance makes at most one arrival a tick and drops the overshoot, so a
+    # step longer than an edge would silently slow the robots down
+    step = cfg.speed * cfg.dt
+    shortest_edge = min(d for _, _, d in g.edges)
+    if step > shortest_edge:
+        raise ConfigError(
+            f"speed {cfg.speed} x dt {cfg.dt} = {step} m a tick is longer than "
+            f"the map's shortest edge of {shortest_edge} m"
+        )
     world = WorldState.single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
-    board, memories = init_strategy(kind, g, n, cfg.params)
-    robots = []
-    for i in range(n):
-        r = RobotState.at_node(i, g, cfg.start_node, cfg.speed)
-        r.memory = memories[i]
-        robots.append(r)
+    policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt)
+    robots = [RobotState.at_node(i, g, cfg.start_node, cfg.speed) for i in range(n)]
     comm_cfg = CommConfig(range_m=cfg.comm_range, timeout_s=cfg.comm_timeout)
     comm = CommState(n)
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
-    board_arg = board if kind in BOARD_KINDS else None
-    params = cfg.params
     consensus = ConsensusTracker(world.truth, n, cfg.quorum)
     log_lines: Optional[list[str]] = [] if out_dir is not None else None
 
     dt = cfg.dt
     ticks = int(round(cfg.duration / dt))
     sample_every = max(1, int(round(1.0 / dt)))
-    auction_every = (
-        int(round(params.dtap_period_s / dt)) if kind is StrategyKind.DTAP else 0
-    )
     last_visit = tracker.last_visit
-    is_cbls = kind is StrategyKind.CBLS
 
     for k in range(1, ticks + 1):
         t = k * dt
-        if auction_every and any(mem.get("claim") is None for mem in memories):
-            idl = [t - lv for lv in last_visit]
-            group_round = k % auction_every == 0
-            for rid, v in dtap_auction(
-                robots, g, idl, board, memories, cfg.comm_range, params, group_round
-            ):
-                retarget(robots[rid], g, v)
-                if log_lines is not None:
-                    log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
+        for rid, v in policy.tick(k, t, robots, last_visit):
+            retarget(robots[rid], g, v)
+            if log_lines is not None:
+                log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
         for r in robots:
             arrived = advance(r, g, dt)
             if arrived is None:
                 continue
             idleness_before = t - last_visit[arrived]
-            old = r.beliefs[arrived]
             b = visit(r, tracker, world, arrived, t, noise, sense_rngs[r.id])
-            consensus.visited(t, r.id, arrived, old, b)
+            consensus.visited(t, r.id, arrived, r.beliefs)
             if log_lines is not None:
                 log_lines.append(
                     f"{t:.3f} visit robot={r.id} node={arrived} belief={format_belief(b)}"
                 )
-            if is_cbls:
-                notify_visit(kind, r.memory, arrived, idleness_before, params)
+            policy.visited(r.id, arrived, idleness_before)
             if arrived == r.goal:
-                ctx = DecisionContext(
-                    robot_id=r.id,
-                    node=arrived,
-                    idleness=[t - lv for lv in last_visit],
-                    graph=g,
-                    board=board_arg,
-                    memory=r.memory,
-                    rng=strat_rngs[r.id],
-                    n_robots=n,
-                    params=params,
-                )
-                goal = decide_next(kind, ctx)
+                idleness = [t - lv for lv in last_visit]
+                goal = decide_next(policy, r.id, arrived, idleness, strat_rngs[r.id])
                 r.goal = goal
                 r.path = g.shortest_path(arrived, goal)[0][1:]
                 if log_lines is not None:

@@ -229,8 +229,8 @@ class ConsensusTracker:
     Feed it every belief change of a run in execution order: `visited` after
     each node visit and `exchanged` after each pairwise exchange, with the
     fused vector that exchange produced (exchanges within one tick chain, so
-    a quorum reached after one can be lost by the next). Each robot's count
-    of entries that differ from the truth is kept incrementally.
+    a quorum reached after one can be lost by the next). Whether each robot's
+    vector equals the truth is kept as one flag per robot.
 
     t_full is the time of the first change after which at least `required`
     robots hold a belief vector exactly equal to the truth, or None.
@@ -238,7 +238,7 @@ class ConsensusTracker:
     contradicts the truth.
     """
 
-    __slots__ = ("required", "t_full", "misinformed", "_truth", "_mismatches", "_exact")
+    __slots__ = ("required", "t_full", "misinformed", "_truth", "_is_exact", "_exact")
 
     def __init__(self, truth: Sequence[bool], n_robots: int, quorum: float):
         self.required = required_quorum(n_robots, quorum)
@@ -246,40 +246,39 @@ class ConsensusTracker:
         self.misinformed = False
         self._truth = [2 if v else 0 for v in truth]
         # the all-uncertain start differs from the truth everywhere
-        self._mismatches = [len(truth)] * n_robots
+        self._is_exact = [False] * n_robots
         self._exact = 0
 
-    def _set_mismatches(self, t: float, robot: int, count: int) -> None:
-        was_exact = self._mismatches[robot] == 0
-        self._mismatches[robot] = count
-        if count == 0:
+    def _set_exact(self, t: float, robot: int, exact: bool) -> None:
+        if exact == self._is_exact[robot]:
+            return
+        self._is_exact[robot] = exact
+        if exact:
             # only a robot becoming exact can complete a quorum
-            if not was_exact:
-                self._exact += 1
-                if self.t_full is None and self._exact >= self.required:
-                    self.t_full = t
-        elif was_exact:
+            self._exact += 1
+            if self.t_full is None and self._exact >= self.required:
+                self.t_full = t
+        else:
             self._exact -= 1
 
-    def visited(self, t: float, robot: int, node: int, old: int, new: int) -> None:
-        """Robot `robot` changed its belief about `node` from `old` to `new`."""
-        tv = self._truth[node]
-        if new != 1 and new != tv:
+    def visited(self, t: float, robot: int, node: int, beliefs: list[int]) -> None:
+        """Robot `robot` visited `node` and now holds the vector `beliefs`."""
+        b = beliefs[node]
+        if b != 1 and b != self._truth[node]:
             self.misinformed = True
-        delta = (new != tv) - (old != tv)
-        if delta:
-            self._set_mismatches(t, robot, self._mismatches[robot] + delta)
+        self._set_exact(t, robot, beliefs == self._truth)
 
-    def exchanged(self, t: float, i: int, j: int, fused: Sequence[int]) -> None:
-        """Robots i and j both now hold `fused`."""
-        mismatches = 0
-        for b, tv in zip(fused, self._truth):
-            if b != tv:
-                mismatches += 1
-                if b != 1:
-                    self.misinformed = True
-        self._set_mismatches(t, i, mismatches)
-        self._set_mismatches(t, j, mismatches)
+    def exchanged(self, t: float, i: int, j: int, fused: list[int]) -> None:
+        """Robots i and j both now hold `fused`.
+
+        An exchange never misinforms: fusion yields 2 only if one input was
+        2, and 0 only if one input was 0. So a certain belief in `fused` that
+        contradicts the truth was already held by robot i or j, and the visit
+        that set it was flagged by `visited`.
+        """
+        exact = fused == self._truth
+        self._set_exact(t, i, exact)
+        self._set_exact(t, j, exact)
 
     def report(self, vectors: Sequence[Sequence[int]]) -> ConsensusReport:
         """Milestones of the run, with tp/fp consensus judged on the final vectors.

@@ -1,19 +1,22 @@
-"""Ten patrol policies behind one arrival-time decision interface.
+"""Ten patrol policies, one class each, behind three hooks.
 
-A policy picks the next goal node whenever a robot reaches its current goal.
-Policies differ in what they may read: the reactive family (RAND, CR, HCR,
-HPCC, GBS) sees only the graph and per-node idleness; the coordinated family
-additionally shares a board carrying travel intentions (SEBS, CBLS), a fixed
-cyclic route (CGG), or a claim table (DTAG, DTAP). No policy ever reads
-another robot's beliefs.
+`harness.run_one` drives a policy without knowing which one it runs:
+`tick` at the start of every tick may move goals (only DTAP's auction does),
+`visited` follows every arrival (only CBLS learns from it), and `decide`,
+through `decide_next`, picks the next goal when a robot reaches its current
+one. The base class `Policy` is Conscientious Reactive (CR). The other
+reactive policies (RAND, HCR, HPCC, GBS) read only the graph and per-node
+idleness; the coordinated ones also keep run-wide state: announced travel
+intentions (SEBS, CBLS), a fixed cyclic route (CGG) or a claim table (DTAG,
+DTAP). No policy ever reads a robot's beliefs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import PatrolGraph, Route, build_cyclic_route
 from .world import RngStream, RobotState
@@ -21,12 +24,9 @@ from .world import RngStream, RobotState
 __all__ = [
     "StrategyKind",
     "StrategyParams",
-    "SharedBoard",
-    "DecisionContext",
-    "BOARD_KINDS",
-    "init_strategy",
+    "Policy",
+    "POLICIES",
     "decide_next",
-    "notify_visit",
     "dtap_auction",
     "retarget",
     "travel_distance",
@@ -48,20 +48,6 @@ class StrategyKind(Enum):
     SEBS = "SEBS"
 
 
-# Policies that receive the shared board (the rest run on local state plus
-# the environmental idleness signal only).
-BOARD_KINDS = frozenset(
-    {
-        StrategyKind.CBLS,
-        StrategyKind.CGG,
-        StrategyKind.DTAG,
-        StrategyKind.DTAP,
-        StrategyKind.GBS,
-        StrategyKind.SEBS,
-    }
-)
-
-
 @dataclass(frozen=True)
 class StrategyParams:
     """Tunables shared by the learning and auction policies."""
@@ -76,66 +62,124 @@ class StrategyParams:
             raise ValueError(f"cbls_alpha must be in (0, 1], got {self.cbls_alpha}")
         if not (0.0 <= self.cbls_epsilon <= 1.0):
             raise ValueError(f"cbls_epsilon must be in [0, 1], got {self.cbls_epsilon}")
-        if not (self.dtap_period_s > 0.0):
-            raise ValueError(f"dtap_period_s must be positive, got {self.dtap_period_s}")
-        if not (self.task_distance_weight > 0.0):
+        if not (0.0 < self.dtap_period_s < math.inf):
             raise ValueError(
-                f"task_distance_weight must be positive, got {self.task_distance_weight}"
+                f"dtap_period_s must be positive and finite, got {self.dtap_period_s}"
+            )
+        # an infinite weight makes every task worth -inf, so DTAG would fall
+        # back to CR on every decision
+        if not (0.0 < self.task_distance_weight < math.inf):
+            raise ValueError(
+                f"task_distance_weight must be positive and finite, "
+                f"got {self.task_distance_weight}"
             )
 
 
-@dataclass
-class SharedBoard:
-    """Run-wide shared state for the coordinated policies.
+def _argmax(scored: Iterable[tuple[int, float]]) -> int:
+    """Node of the first highest score, or -1 when nothing is scored."""
+    best_v = -1
+    best = -math.inf
+    for v, score in scored:
+        if score > best:
+            best = score
+            best_v = v
+    return best_v
 
-    intentions[r] is robot r's currently announced goal (None before its
-    first decision); claims maps node -> claiming robot; route/entry_index
-    carry the fixed cyclic tour and each robot's entry position on it.
+
+class Policy:
+    """Conscientious Reactive (CR): go to the most idle neighbor.
+
+    Also the interface of every policy: a subclass overrides `decide` and,
+    if it needs them, `visited` and `tick`, and keeps its own run-wide state.
     """
 
-    intentions: list[Optional[int]]
-    claims: dict[int, int] = field(default_factory=dict)
-    route: Optional[Route] = None
-    entry_index: Optional[list[int]] = None
+    def __init__(
+        self,
+        g: PatrolGraph,
+        n_robots: int,
+        params: StrategyParams,
+        comm_range: float,
+        dt: float,
+    ):
+        self.g = g
+        self.params = params
+
+    def decide(
+        self, robot_id: int, node: int, idleness: Sequence[float], rng: RngStream
+    ) -> int:
+        """Next goal of robot `robot_id`, which has just reached its goal `node`."""
+        # neighbors come in ascending id, so ties go to the lowest node id
+        return _argmax((v, idleness[v]) for v, _ in self.g.neighbors(node))
+
+    def visited(self, robot_id: int, node: int, idleness_before: float) -> None:
+        """Robot `robot_id` arrived at `node`, which had been idle `idleness_before` s."""
+
+    def tick(
+        self, k: int, t: float, robots: Sequence[RobotState], last_visit: Sequence[float]
+    ) -> list[tuple[int, int]]:
+        """(robot_id, node) goal changes at the start of tick `k` (time `t`)."""
+        return []
 
 
-@dataclass
-class DecisionContext:
-    """Everything one goal decision may look at."""
+class RAND(Policy):
+    """A uniformly random neighbor."""
 
-    robot_id: int
-    node: int
-    idleness: Sequence[float]
-    graph: PatrolGraph
-    board: Optional[SharedBoard]
-    memory: dict
-    rng: RngStream
-    n_robots: int
-    params: StrategyParams
+    def decide(self, robot_id, node, idleness, rng):
+        nbrs = self.g.neighbors(node)
+        return nbrs[rng.index(len(nbrs))][0]
 
 
-def init_strategy(
-    kind: StrategyKind,
-    g: PatrolGraph,
-    n_robots: int,
-    params: StrategyParams,
-) -> tuple[Optional[SharedBoard], list[dict]]:
-    """Build the shared board (if the policy uses one) and per-robot memory."""
-    memories: list[dict] = [{} for _ in range(n_robots)]
-    if kind not in BOARD_KINDS:
-        return None, memories
-    board = SharedBoard(intentions=[None] * n_robots)
-    if kind is StrategyKind.CGG:
-        route = build_cyclic_route(g)
-        board.route = route
-        board.entry_index = _entry_indices(route, g, n_robots)
-    if kind is StrategyKind.CBLS:
-        for mem in memories:
-            mem["learned"] = [0.0] * g.node_count
-    if kind in (StrategyKind.DTAG, StrategyKind.DTAP):
-        for mem in memories:
-            mem["claim"] = None
-    return board, memories
+class HCR(Policy):
+    """Neighbors scored half on relative idleness, half on closeness."""
+
+    def decide(self, robot_id, node, idleness, rng):
+        nbrs = self.g.neighbors(node)
+        max_idl = max(idleness[v] for v, _ in nbrs)
+        max_d = max(d for _, d in nbrs)
+        return _argmax(
+            (v, 0.5 * (idleness[v] / max_idl if max_idl > 0.0 else 1.0) + 0.5 * (1.0 - d / max_d))
+            for v, d in nbrs
+        )
+
+
+class HPCC(Policy):
+    """HCR's scoring widened to every node, over shortest-path distances."""
+
+    def decide(self, robot_id, node, idleness, rng):
+        g = self.g
+        candidates = [v for v in range(g.node_count) if v != node]
+        max_idl = max(idleness[v] for v in candidates)
+        max_d = max(g.shortest_distance(node, v) for v in candidates)
+        return _argmax(
+            (
+                v,
+                0.5 * (idleness[v] / max_idl if max_idl > 0.0 else 1.0)
+                + 0.5 * (1.0 - g.shortest_distance(node, v) / max_d),
+            )
+            for v in candidates
+        )
+
+
+class CGG(Policy):
+    """Walk one fixed cyclic route, robots entering it evenly spaced."""
+
+    def __init__(self, g, n_robots, params, comm_range, dt):
+        super().__init__(g, n_robots, params, comm_range, dt)
+        self.route = build_cyclic_route(g)
+        self.entry_index = _entry_indices(self.route, g, n_robots)
+        # position on the route; None until the robot first reaches its entry
+        self.route_idx: list[Optional[int]] = [None] * n_robots
+
+    def decide(self, robot_id, node, idleness, rng):
+        nodes = self.route.nodes
+        idx = self.route_idx[robot_id]
+        if idx is None:
+            idx = self.entry_index[robot_id]
+            if node != nodes[idx]:
+                return nodes[idx]
+        idx = (idx + 1) % len(nodes)
+        self.route_idx[robot_id] = idx
+        return nodes[idx]
 
 
 def _entry_indices(route: Route, g: PatrolGraph, n_robots: int) -> list[int]:
@@ -161,218 +205,160 @@ def _entry_indices(route: Route, g: PatrolGraph, n_robots: int) -> list[int]:
     return indices
 
 
-# ---------------------------------------------------------------------------
-# per-policy decision rules
-# ---------------------------------------------------------------------------
+class GBS(Policy):
+    """Idleness discounted by 2^(-edge length / mean edge length)."""
+
+    def _scores(self, node: int, idleness: Sequence[float]) -> list[tuple[int, float]]:
+        mean_edge = self.g.mean_edge_length
+        return [(v, idleness[v] * 2.0 ** (-d / mean_edge)) for v, d in self.g.neighbors(node)]
+
+    def decide(self, robot_id, node, idleness, rng):
+        return _argmax(self._scores(node, idleness))
 
 
-def _decide_rand(ctx: DecisionContext) -> int:
-    nbrs = ctx.graph.neighbors(ctx.node)
-    return nbrs[ctx.rng.index(len(nbrs))][0]
+class SEBS(GBS):
+    """GBS halved once per other robot that announced the same goal."""
+
+    def __init__(self, g, n_robots, params, comm_range, dt):
+        super().__init__(g, n_robots, params, comm_range, dt)
+        # each robot's announced goal; None before its first decision
+        self.intentions: list[Optional[int]] = [None] * n_robots
+
+    def _announce(self, robot_id: int, scored: list[tuple[int, float]]) -> int:
+        intentions = self.intentions
+        goal = _argmax(
+            (v, score / 2.0 ** sum(1 for r, i in enumerate(intentions) if r != robot_id and i == v))
+            for v, score in scored
+        )
+        intentions[robot_id] = goal
+        return goal
+
+    def decide(self, robot_id, node, idleness, rng):
+        return self._announce(robot_id, self._scores(node, idleness))
 
 
-def _decide_cr(ctx: DecisionContext) -> int:
-    # most idle neighbor, ties to the lowest node id
-    idleness = ctx.idleness
-    best_v = -1
-    best = -math.inf
-    for v, _ in ctx.graph.neighbors(ctx.node):
-        idl = idleness[v]
-        if idl > best:
-            best = idl
-            best_v = v
-    return best_v
+class CBLS(SEBS):
+    """SEBS over a learned idleness floor, exploring with probability epsilon.
 
+    Each robot keeps an exponential moving average of the idleness it found
+    at each node (`learned`); a decision scores max(idleness, learned).
+    """
 
-def _decide_hcr(ctx: DecisionContext) -> int:
-    idleness = ctx.idleness
-    nbrs = ctx.graph.neighbors(ctx.node)
-    max_idl = max(idleness[v] for v, _ in nbrs)
-    max_d = max(d for _, d in nbrs)
-    best_v = -1
-    best = -math.inf
-    for v, d in nbrs:
-        gain = idleness[v] / max_idl if max_idl > 0.0 else 1.0
-        score = 0.5 * gain + 0.5 * (1.0 - d / max_d)
-        if score > best:
-            best = score
-            best_v = v
-    return best_v
+    def __init__(self, g, n_robots, params, comm_range, dt):
+        super().__init__(g, n_robots, params, comm_range, dt)
+        self.learned = [[0.0] * g.node_count for _ in range(n_robots)]
 
+    def visited(self, robot_id, node, idleness_before):
+        learned = self.learned[robot_id]
+        a = self.params.cbls_alpha
+        learned[node] = (1.0 - a) * learned[node] + a * idleness_before
 
-def _decide_hpcc(ctx: DecisionContext) -> int:
-    # HCR scoring widened to every node, over shortest-path distances
-    idleness = ctx.idleness
-    g = ctx.graph
-    here = ctx.node
-    candidates = [v for v in range(g.node_count) if v != here]
-    max_idl = max(idleness[v] for v in candidates)
-    max_d = max(g.shortest_distance(here, v) for v in candidates)
-    best_v = -1
-    best = -math.inf
-    for v in candidates:
-        gain = idleness[v] / max_idl if max_idl > 0.0 else 1.0
-        score = 0.5 * gain + 0.5 * (1.0 - g.shortest_distance(here, v) / max_d)
-        if score > best:
-            best = score
-            best_v = v
-    return best_v
-
-
-def _decide_cgg(ctx: DecisionContext) -> int:
-    board = ctx.board
-    route = board.route
-    mem = ctx.memory
-    idx = mem.get("route_idx")
-    if idx is None:
-        entry_idx = board.entry_index[ctx.robot_id]
-        entry_node = route.nodes[entry_idx]
-        if ctx.node != entry_node:
-            return entry_node
-        mem["route_idx"] = entry_idx
-        idx = entry_idx
-    nxt = (idx + 1) % len(route.nodes)
-    mem["route_idx"] = nxt
-    return route.nodes[nxt]
-
-
-def _gbs_scores(ctx: DecisionContext) -> list[tuple[int, float]]:
-    idleness = ctx.idleness
-    mean_edge = ctx.graph.mean_edge_length
-    return [
-        (v, idleness[v] * 2.0 ** (-d / mean_edge))
-        for v, d in ctx.graph.neighbors(ctx.node)
-    ]
-
-
-def _decide_gbs(ctx: DecisionContext) -> int:
-    best_v = -1
-    best = -math.inf
-    for v, score in _gbs_scores(ctx):
-        if score > best:
-            best = score
-            best_v = v
-    return best_v
-
-
-def _intention_count(board: SharedBoard, robot_id: int, v: int) -> int:
-    return sum(1 for r, goal in enumerate(board.intentions) if r != robot_id and goal == v)
-
-
-def _decide_sebs(ctx: DecisionContext) -> int:
-    board = ctx.board
-    best_v = -1
-    best = -math.inf
-    for v, score in _gbs_scores(ctx):
-        score /= 2.0 ** _intention_count(board, ctx.robot_id, v)
-        if score > best:
-            best = score
-            best_v = v
-    board.intentions[ctx.robot_id] = best_v
-    return best_v
-
-
-def _decide_cbls(ctx: DecisionContext) -> int:
-    board = ctx.board
-    nbrs = ctx.graph.neighbors(ctx.node)
-    if ctx.rng.random() < ctx.params.cbls_epsilon:
-        choice = nbrs[ctx.rng.index(len(nbrs))][0]
-        board.intentions[ctx.robot_id] = choice
-        return choice
-    learned = ctx.memory["learned"]
-    idleness = ctx.idleness
-    mean_edge = ctx.graph.mean_edge_length
-    best_v = -1
-    best = -math.inf
-    for v, d in nbrs:
+    def decide(self, robot_id, node, idleness, rng):
+        # the epsilon coin is the first draw of every decision
+        if rng.random() < self.params.cbls_epsilon:
+            nbrs = self.g.neighbors(node)
+            choice = nbrs[rng.index(len(nbrs))][0]
+            self.intentions[robot_id] = choice
+            return choice
         # the learned estimate is a floor, not a replacement: an overdue
-        # neighbor must still win, and a flat learned 0 prior would trap
-        # the robot inside its already-visited pocket
-        expected = max(idleness[v], learned[v])
-        score = expected * 2.0 ** (-d / mean_edge)
-        score /= 2.0 ** _intention_count(board, ctx.robot_id, v)
-        if score > best:
-            best = score
-            best_v = v
-    board.intentions[ctx.robot_id] = best_v
-    return best_v
+        # neighbor must still win, and a flat learned 0 prior would trap the
+        # robot inside its already-visited pocket
+        learned = self.learned[robot_id]
+        floored = [max(idl, est) for idl, est in zip(idleness, learned)]
+        return self._announce(robot_id, self._scores(node, floored))
 
 
-def _decide_dtag(ctx: DecisionContext) -> int:
-    board = ctx.board
-    mem = ctx.memory
-    claims = board.claims
-    if mem.get("claim") == ctx.node:
-        del claims[ctx.node]
-        mem["claim"] = None
-    idleness = ctx.idleness
-    w = ctx.params.task_distance_weight
-    g = ctx.graph
-    here = ctx.node
-    best_v = -1
-    best = -math.inf
-    for v in range(g.node_count):
-        if v == here or v in claims:
-            continue
-        utility = idleness[v] - w * g.shortest_distance(here, v)
-        if utility > best:
-            best = utility
-            best_v = v
-    if best_v < 0:
-        # every other node claimed; fall back to the most idle neighbor
-        return _decide_cr(ctx)
-    claims[best_v] = ctx.robot_id
-    mem["claim"] = best_v
-    return best_v
+class _ClaimPolicy(Policy):
+    """A claim table: `claims` maps node -> robot, `claim[r]` is robot r's node."""
+
+    def __init__(self, g, n_robots, params, comm_range, dt):
+        super().__init__(g, n_robots, params, comm_range, dt)
+        self.claims: dict[int, int] = {}
+        self.claim: list[Optional[int]] = [None] * n_robots
+
+    def _release(self, robot_id: int, node: int) -> None:
+        """Drop the robot's claim if it has just reached the claimed node."""
+        if self.claim[robot_id] == node:
+            del self.claims[node]
+            self.claim[robot_id] = None
 
 
-def _decide_dtap(ctx: DecisionContext) -> int:
-    board = ctx.board
-    mem = ctx.memory
-    if mem.get("claim") == ctx.node:
-        del board.claims[ctx.node]
-        mem["claim"] = None
-    return _decide_cr(ctx)
+class DTAG(_ClaimPolicy):
+    """Claim the unclaimed node of best idleness minus weighted path distance."""
+
+    def decide(self, robot_id, node, idleness, rng):
+        self._release(robot_id, node)
+        g = self.g
+        claims = self.claims
+        w = self.params.task_distance_weight
+        best_v = _argmax(
+            (v, idleness[v] - w * g.shortest_distance(node, v))
+            for v in range(g.node_count)
+            if v != node and v not in claims
+        )
+        if best_v < 0:
+            # every other node claimed; fall back to the most idle neighbor
+            return super().decide(robot_id, node, idleness, rng)
+        claims[best_v] = robot_id
+        self.claim[robot_id] = best_v
+        return best_v
 
 
-_RULES: dict[StrategyKind, Callable[[DecisionContext], int]] = {
-    StrategyKind.RAND: _decide_rand,
-    StrategyKind.CR: _decide_cr,
-    StrategyKind.HCR: _decide_hcr,
-    StrategyKind.HPCC: _decide_hpcc,
-    StrategyKind.CGG: _decide_cgg,
-    StrategyKind.GBS: _decide_gbs,
-    StrategyKind.SEBS: _decide_sebs,
-    StrategyKind.CBLS: _decide_cbls,
-    StrategyKind.DTAG: _decide_dtag,
-    StrategyKind.DTAP: _decide_dtap,
+class DTAP(_ClaimPolicy):
+    """Tasks are awarded by a periodic auction; between tasks, patrol as CR."""
+
+    def __init__(self, g, n_robots, params, comm_range, dt):
+        super().__init__(g, n_robots, params, comm_range, dt)
+        self.comm_range = comm_range
+        self.period_ticks = int(round(params.dtap_period_s / dt))
+
+    def decide(self, robot_id, node, idleness, rng):
+        self._release(robot_id, node)
+        return super().decide(robot_id, node, idleness, rng)
+
+    def tick(self, k, t, robots, last_visit):
+        if None not in self.claim:
+            return []
+        return dtap_auction(
+            robots,
+            self.g,
+            [t - lv for lv in last_visit],
+            self.claims,
+            self.claim,
+            self.comm_range,
+            self.params,
+            k % self.period_ticks == 0,
+        )
+
+
+POLICIES: dict[StrategyKind, type[Policy]] = {
+    StrategyKind.CBLS: CBLS,
+    StrategyKind.CGG: CGG,
+    StrategyKind.CR: Policy,
+    StrategyKind.DTAG: DTAG,
+    StrategyKind.DTAP: DTAP,
+    StrategyKind.GBS: GBS,
+    StrategyKind.HCR: HCR,
+    StrategyKind.HPCC: HPCC,
+    StrategyKind.RAND: RAND,
+    StrategyKind.SEBS: SEBS,
 }
 
 
-def decide_next(kind: StrategyKind, ctx: DecisionContext) -> int:
+def decide_next(
+    policy: Policy, robot_id: int, node: int, idleness: Sequence[float], rng: RngStream
+) -> int:
     """Pick the next goal; always a valid node different from the current one."""
-    goal = _RULES[kind](ctx)
-    if not (0 <= goal < ctx.graph.node_count) or goal == ctx.node:
-        raise AssertionError(f"{kind.value} chose invalid goal {goal} from node {ctx.node}")
+    goal = policy.decide(robot_id, node, idleness, rng)
+    if not (0 <= goal < policy.g.node_count) or goal == node:
+        raise AssertionError(
+            f"{type(policy).__name__} chose invalid goal {goal} from node {node}"
+        )
     return goal
 
 
-def notify_visit(
-    kind: StrategyKind,
-    memory: dict,
-    node: int,
-    idleness_before: float,
-    params: StrategyParams,
-) -> None:
-    """Per-visit learning hook; only CBLS maintains visit statistics."""
-    if kind is StrategyKind.CBLS:
-        learned = memory["learned"]
-        a = params.cbls_alpha
-        learned[node] = (1.0 - a) * learned[node] + a * idleness_before
-
-
 # ---------------------------------------------------------------------------
-# DTAP periodic auction
+# pose-aware travel and the DTAP task auction
 # ---------------------------------------------------------------------------
 
 
@@ -411,8 +397,8 @@ def dtap_auction(
     robots: Sequence[RobotState],
     g: PatrolGraph,
     idleness: Sequence[float],
-    board: SharedBoard,
-    memories: Sequence[dict],
+    claims: dict[int, int],
+    claim: list[Optional[int]],
     comm_range: float,
     params: StrategyParams,
     group_round: bool = True,
@@ -425,10 +411,10 @@ def dtap_auction(
     at least one other robot wait for a group round (the periodic auction):
     each proposes its best unclaimed node, collisions go to the lowest
     travel distance (ties to the lowest robot id), and losers re-propose
-    against the shrunken pool. Robots holding an award sit out.
+    against the shrunken pool. Robots holding an award sit out. Each award
+    is written to `claims` (node -> robot) and `claim` (robot -> node).
     """
-    claims = board.claims
-    bidders = [r for r in robots if memories[r.id].get("claim") is None]
+    bidders = [r for r in robots if claim[r.id] is None]
     if not bidders:
         return []
     unclaimed = [v for v in range(g.node_count) if v not in claims]
@@ -466,7 +452,7 @@ def dtap_auction(
             for v, rs in sorted(proposals.items()):
                 winner = min(rs, key=lambda r: (travel_distance(r, g, v), r.id))
                 claims[v] = winner.id
-                memories[winner.id]["claim"] = v
+                claim[winner.id] = v
                 awards.append((winner.id, v))
                 unclaimed.remove(v)
                 group.extend(r for r in rs if r is not winner)
@@ -482,7 +468,7 @@ def dtap_auction(
             key=lambda v: (idleness[v] - w * travel_distance(r, g, v), -v),
         )
         claims[best_v] = r.id
-        memories[r.id]["claim"] = best_v
+        claim[r.id] = best_v
         awards.append((r.id, best_v))
         unclaimed.remove(best_v)
     return awards

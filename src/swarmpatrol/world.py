@@ -94,7 +94,6 @@ class RobotState:
     edge: Optional[tuple[int, int]] = None
     offset: float = 0.0
     path: list[int] = field(default_factory=list)
-    memory: dict = field(default_factory=dict)
     _sx: float = 0.0
     _sy: float = 0.0
     _ux: float = 0.0

@@ -1,11 +1,15 @@
 """Experiment harness: config files, seeding, runs, CSV round-trips, analysis."""
 
+import contextlib
+import io
 import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import brute_consensus_replay
 from swarmpatrol.cli import main as cli_main
@@ -218,6 +222,14 @@ def test_run_one_start_node_out_of_range():
     cfg = _micro_cfg(start_node=7)
     with pytest.raises(ConfigError):
         run_one(cfg, g, StrategyKind.CR, 0.0, 0)
+
+
+def test_run_one_step_may_equal_the_shortest_edge():
+    g = parse_map(PATH3)  # every edge is 1 m
+    rec = run_one(_micro_cfg(speed=10.0, dt=0.1), g, StrategyKind.CR, 0.0, 0)
+    assert rec.final_error == 0.0
+    with pytest.raises(ConfigError, match="shortest edge"):
+        run_one(_micro_cfg(speed=10.5, dt=0.1), g, StrategyKind.CR, 0.0, 0)
 
 
 def test_run_one_is_deterministic():
@@ -470,6 +482,23 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reports_os_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("duration = 1\nreps = 1\nstrategies = cr\nnoises = 0\n")
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "runs.csv").mkdir()
+    (tmp_path / "taken").write_text("")
+    for argv in (
+        ["genmap", "--seed", "1", "--out", str(tmp_path)],
+        ["summarize", "--runs", str(tmp_path / "runs")],
+        ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "taken")],
+    ):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "lines, names",
     [
@@ -483,6 +512,14 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         ("map = {tmp}/garbled.map", "line 2"),
         ("map = {tmp}/binary.map", "decode"),
         ("map_seed = -1", "map_seed"),
+        ("duration = nan", "duration"),
+        ("duration = inf", "duration"),
+        ("duration = 1e308", "too many ticks"),
+        ("strategies = DTAP\ndtap_period = inf", "dtap_period"),
+        ("strategies = DTAP\ndtap_period = 1e308", "dtap_period"),
+        ("cbls_alpha = 0", "cbls_alpha"),
+        ("task_weight = inf", "task_distance_weight"),
+        ("speed = 1000", "shortest edge"),
     ],
 )
 def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
@@ -499,6 +536,75 @@ def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
     assert err.startswith("error:")
     assert names in err
     assert "Traceback" not in err
+
+
+# valid values of each config key; the fuzz test mixes them with _JUNK
+_VALID_VALUES = {
+    "map": ["{tmp}/tiny.map"],
+    "map_seed": ["0", "3"],
+    "speed": ["0.5", "1", "2"],
+    "dt": ["0.05", "0.1", "0.25"],
+    "comm_range": ["1", "5", "70"],
+    "comm_timeout": ["0", "30"],
+    "anomaly": ["0", "1", "30"],
+    "quorum": ["0.5", "0.85", "1"],
+    "start_node": ["0", "2", "39"],
+    "noises": ["0", "0.2", "0, 0.2"],
+    "strategies": ["all", "cr", "dtap", "cbls, cgg", "sebs, dtag, hpcc"],
+    "seed": ["0", "7"],
+    "cbls_alpha": ["0.3", "1"],
+    "cbls_epsilon": ["0", "0.2", "1"],
+    "dtap_period": ["0.5", "20"],
+    "task_weight": ["1", "7"],
+}
+_JUNK = ["nan", "inf", "-inf", "-1", "0", "1e308", "banana", "1,,2", ""]
+
+
+@st.composite
+def _fuzzed_config(draw):
+    # robots, duration and reps are always set, so every run stays short
+    lines = {
+        "robots": draw(st.sampled_from(["1", "2", "3", "4"] + _JUNK)),
+        "duration": draw(st.sampled_from(["nan", "inf", "-1", "0", "2"])),
+        "reps": draw(st.sampled_from(["1", "2"] + _JUNK)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID_VALUES)), unique=True)):
+        lines[key] = draw(st.sampled_from(_VALID_VALUES[key] + _JUNK))
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--strategy", draw(st.sampled_from(["rand", "DTAP", "nope"]))]
+    if draw(st.booleans()):
+        flags += ["--noise", draw(st.sampled_from(["0.1", "nan", "inf", "2", "x"]))]
+    if draw(st.booleans()):
+        flags += ["--seed", draw(st.sampled_from(["3", "-1", "1e308"]))]
+    return lines, flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "tiny.map").write_text(PATH3)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fuzzed_config())
+def test_cli_fuzzed_config_runs_or_fails_cleanly(fuzz_dir, case):
+    lines, flags = case
+    cfg_path = fuzz_dir / "exp.cfg"
+    cfg_path.write_text(
+        "".join(f"{key} = {value.format(tmp=fuzz_dir)}\n" for key, value in lines.items())
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(["simulate", "--config", str(cfg_path), *flags])
+        except SystemExit as exc:  # argparse rejects a malformed flag value
+            code = exc.code
+    if code != 0:
+        assert code == 2
+        assert "error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def test_cli_strategy_and_noise_overrides(tmp_path):

@@ -253,9 +253,8 @@ def _track(m, n_robots, truth, events, quorum):
     vectors = [new_belief_vector(m) for _ in range(n_robots)]
     for kind, t, a, b, *rest in events:
         if kind == "visit":
-            old = vectors[a][b]
             vectors[a][b] = rest[0]
-            tracker.visited(t, a, b, old, rest[0])
+            tracker.visited(t, a, b, vectors[a])
         else:
             fused = fuse_vectors(vectors[a], vectors[b])
             vectors[a], vectors[b] = fused, fused.copy()

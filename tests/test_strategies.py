@@ -1,20 +1,17 @@
-"""Patrol policies: decision rules, shared board effects, task auction."""
+"""Patrol policies: decision rules, per-policy state, hooks, task auction."""
 
 import math
 
 import pytest
 
+from swarmpatrol import strategies
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import (
-    BOARD_KINDS,
-    DecisionContext,
-    SharedBoard,
+    POLICIES,
     StrategyKind,
     StrategyParams,
     decide_next,
     dtap_auction,
-    init_strategy,
-    notify_visit,
     retarget,
     travel_distance,
 )
@@ -46,19 +43,23 @@ def _ring(n: int = 6) -> PatrolGraph:
     return parse_map(coords + edges)
 
 
-def _ctx(g, *, robot_id=0, node=0, idleness=None, board=None, memory=None, rng=None,
-         n_robots=2, params=None) -> DecisionContext:
-    return DecisionContext(
-        robot_id=robot_id,
-        node=node,
-        idleness=idleness if idleness is not None else [0.0] * g.node_count,
-        graph=g,
-        board=board,
-        memory=memory if memory is not None else {},
-        rng=rng if rng is not None else RngStream(0, "strategy", robot_id),
-        n_robots=n_robots,
-        params=params if params is not None else StrategyParams(),
+def _policy(kind, g, n_robots=2, params=None, comm_range=5.0, dt=0.1):
+    return POLICIES[kind](g, n_robots, params or StrategyParams(), comm_range, dt)
+
+
+def _decide(policy, *, robot_id=0, node=0, idleness=None, rng=None) -> int:
+    return decide_next(
+        policy,
+        robot_id,
+        node,
+        idleness if idleness is not None else [0.0] * policy.g.node_count,
+        rng if rng is not None else RngStream(0, "strategy", robot_id),
     )
+
+
+def _choose(kind, g, **kwargs) -> int:
+    """One decision of a fresh two-robot policy."""
+    return _decide(_policy(kind, g), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -74,44 +75,35 @@ def test_params_validate():
     with pytest.raises(ValueError):
         StrategyParams(dtap_period_s=0.0)
     with pytest.raises(ValueError):
+        StrategyParams(dtap_period_s=math.inf)
+    with pytest.raises(ValueError):
         StrategyParams(task_distance_weight=-1.0)
+    with pytest.raises(ValueError):
+        StrategyParams(task_distance_weight=math.inf)
 
 
-def test_init_strategy_board_and_memories():
+def test_policy_initial_state():
     g = _star()
-    params = StrategyParams()
-    board, mems = init_strategy(K.CR, g, 3, params)
-    assert board is None
-    assert mems == [{}, {}, {}]
+    assert set(POLICIES) == set(K)
 
-    board, mems = init_strategy(K.SEBS, g, 3, params)
-    assert board.intentions == [None, None, None]
-    assert board.route is None
+    sebs = _policy(K.SEBS, g, 3)
+    assert sebs.intentions == [None, None, None]
 
-    board, mems = init_strategy(K.CBLS, g, 2, params)
-    assert all(mem["learned"] == [0.0] * g.node_count for mem in mems)
-    assert mems[0]["learned"] is not mems[1]["learned"]
+    cbls = _policy(K.CBLS, g, 2)
+    assert cbls.learned == [[0.0] * g.node_count] * 2
+    assert cbls.learned[0] is not cbls.learned[1]
 
-    board, mems = init_strategy(K.DTAG, g, 2, params)
-    assert all(mem["claim"] is None for mem in mems)
-    assert board.claims == {}
+    dtag = _policy(K.DTAG, g, 2)
+    assert dtag.claim == [None, None]
+    assert dtag.claims == {}
 
 
-def test_init_strategy_cgg_route_and_entries():
+def test_cgg_route_and_entries():
     g = _ring()
-    board, _ = init_strategy(K.CGG, g, 2, StrategyParams())
-    assert board.route is not None
-    assert board.route.length == pytest.approx(6.0)
-    assert len(board.entry_index) == 2
-    assert board.entry_index[0] < board.entry_index[1]  # spread along the lap
-
-
-def test_board_kinds_membership():
-    assert K.CR not in BOARD_KINDS
-    assert K.RAND not in BOARD_KINDS
-    assert K.HCR not in BOARD_KINDS
-    assert K.HPCC not in BOARD_KINDS
-    assert {K.CBLS, K.CGG, K.DTAG, K.DTAP, K.GBS, K.SEBS} <= BOARD_KINDS
+    cgg = _policy(K.CGG, g, 2)
+    assert cgg.route.length == pytest.approx(6.0)
+    assert len(cgg.entry_index) == 2
+    assert cgg.entry_index[0] < cgg.entry_index[1]  # spread along the lap
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +113,12 @@ def test_board_kinds_membership():
 
 def test_rand_choices_are_neighbors_and_seeded():
     g = _star()
-    a = [decide_next(K.RAND, _ctx(g, rng=RngStream(5, "strategy"))) for _ in range(1)]
+    rand = _policy(K.RAND, g)
+    a = [_decide(rand, rng=RngStream(5, "strategy")) for _ in range(1)]
     rng1 = RngStream(5, "strategy")
     rng2 = RngStream(5, "strategy")
-    seq1 = [decide_next(K.RAND, _ctx(g, rng=rng1)) for _ in range(20)]
-    seq2 = [decide_next(K.RAND, _ctx(g, rng=rng2)) for _ in range(20)]
+    seq1 = [_decide(rand, rng=rng1) for _ in range(20)]
+    seq2 = [_decide(rand, rng=rng2) for _ in range(20)]
     assert seq1 == seq2
     assert set(seq1) <= {1, 2, 3}
     assert a[0] == seq1[0]
@@ -133,209 +126,187 @@ def test_rand_choices_are_neighbors_and_seeded():
 
 def test_cr_picks_most_idle_neighbor():
     g = _star()
-    assert decide_next(K.CR, _ctx(g, idleness=[0.0, 10.0, 30.0, 5.0])) == 2
+    assert _choose(K.CR, g, idleness=[0.0, 10.0, 30.0, 5.0]) == 2
 
 
 def test_cr_breaks_ties_to_lowest_id():
     g = _star()
-    assert decide_next(K.CR, _ctx(g, idleness=[0.0, 10.0, 30.0, 30.0])) == 2
-    assert decide_next(K.CR, _ctx(g, idleness=[0.0, 0.0, 0.0, 0.0])) == 1
+    assert _choose(K.CR, g, idleness=[0.0, 10.0, 30.0, 30.0]) == 2
+    assert _choose(K.CR, g, idleness=[0.0, 0.0, 0.0, 0.0]) == 1
 
 
 def test_hcr_discounts_distance():
     g = parse_map("node 0 0 0\nnode 1 1 0\nnode 2 10 0\nedge 0 1\nedge 0 2\n")
     idleness = [0.0, 10.0, 12.0]
-    assert decide_next(K.CR, _ctx(g, idleness=idleness)) == 2
+    assert _choose(K.CR, g, idleness=idleness) == 2
     # 0.5 * 10/12 + 0.5 * (1 - 1/10) beats 0.5 * 1 + 0
-    assert decide_next(K.HCR, _ctx(g, idleness=idleness)) == 1
+    assert _choose(K.HCR, g, idleness=idleness) == 1
 
 
 def test_hpcc_considers_whole_graph():
     g = _path()
     idleness = [0.0, 1.0, 100.0]
-    assert decide_next(K.CR, _ctx(g, idleness=idleness)) == 1
-    assert decide_next(K.HPCC, _ctx(g, idleness=idleness)) == 2
+    assert _choose(K.CR, g, idleness=idleness) == 1
+    assert _choose(K.HPCC, g, idleness=idleness) == 2
 
 
 def test_gbs_exponential_travel_discount():
     # spokes of length 4 and 8, mean edge 6: 30 * 2^(-4/6) > 40 * 2^(-8/6)
     g = parse_map("node 0 0 0\nnode 1 4 0\nnode 2 0 8\nedge 0 1\nedge 0 2\n")
     idleness = [0.0, 30.0, 40.0]
-    assert decide_next(K.CR, _ctx(g, idleness=idleness)) == 2
-    assert decide_next(K.GBS, _ctx(g, idleness=idleness)) == 1
+    assert _choose(K.CR, g, idleness=idleness) == 2
+    assert _choose(K.GBS, g, idleness=idleness) == 1
 
 
 def test_cgg_walks_the_route_in_order():
     g = _ring()
-    board, mems = init_strategy(K.CGG, g, 2, StrategyParams())
-    entry = board.route.nodes[board.entry_index[0]]
-    ctx = _ctx(g, node=entry, board=board, memory=mems[0])
-    nxt = decide_next(K.CGG, ctx)
-    assert nxt == board.route.nodes[(board.entry_index[0] + 1) % len(board.route.nodes)]
+    cgg = _policy(K.CGG, g, 2)
+    nodes = cgg.route.nodes
+    entry = nodes[cgg.entry_index[0]]
+    nxt = _decide(cgg, node=entry)
+    assert nxt == nodes[(cgg.entry_index[0] + 1) % len(nodes)]
     # following calls keep advancing, wrapping at the lap end
     seen = [nxt]
     for _ in range(6):
-        ctx = _ctx(g, node=seen[-1], board=board, memory=mems[0])
-        seen.append(decide_next(K.CGG, ctx))
-    idx = board.route.nodes.index(seen[0])
-    want = [board.route.nodes[(idx + k) % 6] for k in range(7)]
+        seen.append(_decide(cgg, node=seen[-1]))
+    idx = nodes.index(seen[0])
+    want = [nodes[(idx + k) % 6] for k in range(7)]
     assert seen == want
 
 
 def test_cgg_heads_to_entry_first():
     g = _ring()
-    board, mems = init_strategy(K.CGG, g, 2, StrategyParams())
-    entry1 = board.route.nodes[board.entry_index[1]]
+    cgg = _policy(K.CGG, g, 2)
+    entry1 = cgg.route.nodes[cgg.entry_index[1]]
     start = (entry1 + 3) % 6  # anywhere off the entry
-    ctx = _ctx(g, robot_id=1, node=start, board=board, memory=mems[1])
-    assert decide_next(K.CGG, ctx) == entry1
-    assert "route_idx" not in mems[1]  # not on the lap yet
+    assert _decide(cgg, robot_id=1, node=start) == entry1
+    assert cgg.route_idx[1] is None  # not on the lap yet
 
 
 # ---------------------------------------------------------------------------
-# board-coupled rules
+# coordinated rules
 # ---------------------------------------------------------------------------
 
 
 def test_sebs_halves_score_per_peer_intention():
     g = _star()
-    board, mems = init_strategy(K.SEBS, g, 2, StrategyParams())
+    sebs = _policy(K.SEBS, g, 2)
     idleness = [0.0, 32.0, 20.0, 0.0]
-    first = decide_next(K.SEBS, _ctx(g, robot_id=0, idleness=idleness, board=board, memory=mems[0]))
+    first = _decide(sebs, robot_id=0, idleness=idleness)
     assert first == 1
-    assert board.intentions[0] == 1
+    assert sebs.intentions[0] == 1
     # same view, but node 1 now carries an announced intention: 32/2 < 20
-    second = decide_next(K.SEBS, _ctx(g, robot_id=1, idleness=idleness, board=board, memory=mems[1]))
+    second = _decide(sebs, robot_id=1, idleness=idleness)
     assert second == 2
-    assert board.intentions == [1, 2]
+    assert sebs.intentions == [1, 2]
 
 
 def test_cbls_learned_estimate_is_a_floor():
     g = _star()
-    params = StrategyParams(cbls_epsilon=0.0)
-    board, mems = init_strategy(K.CBLS, g, 1, params)
+    cbls = _policy(K.CBLS, g, 1, StrategyParams(cbls_epsilon=0.0))
     idleness = [0.0, 4.0, 8.0, 0.0]
-    ctx = _ctx(g, idleness=idleness, board=board, memory=mems[0], n_robots=1, params=params)
-    assert decide_next(K.CBLS, ctx) == 2  # plain idleness wins
-    mems[0]["learned"][1] = 9.0
-    ctx = _ctx(g, idleness=idleness, board=board, memory=mems[0], n_robots=1, params=params)
-    assert decide_next(K.CBLS, ctx) == 1  # learned floor outweighs current reading
-    assert board.intentions[0] == 1
+    assert _decide(cbls, idleness=idleness) == 2  # plain idleness wins
+    cbls.learned[0][1] = 9.0
+    assert _decide(cbls, idleness=idleness) == 1  # learned floor outweighs current reading
+    assert cbls.intentions[0] == 1
 
 
 def test_cbls_respects_peer_intentions():
     g = _star()
-    params = StrategyParams(cbls_epsilon=0.0)
-    board, mems = init_strategy(K.CBLS, g, 2, params)
-    idleness = [0.0, 8.0, 5.0, 0.0]
-    board.intentions[1] = 1
-    ctx = _ctx(g, robot_id=0, idleness=idleness, board=board, memory=mems[0], params=params)
-    assert decide_next(K.CBLS, ctx) == 2  # 8/2 < 5
+    cbls = _policy(K.CBLS, g, 2, StrategyParams(cbls_epsilon=0.0))
+    cbls.intentions[1] = 1
+    assert _decide(cbls, robot_id=0, idleness=[0.0, 8.0, 5.0, 0.0]) == 2  # 8/2 < 5
 
 
 def test_cbls_full_exploration_is_seeded_and_announced():
     g = _star()
-    params = StrategyParams(cbls_epsilon=1.0)
-    board, mems = init_strategy(K.CBLS, g, 1, params)
-    picks1 = [
-        decide_next(
-            K.CBLS,
-            _ctx(g, board=board, memory=mems[0], rng=RngStream(4, "strategy"),
-                 n_robots=1, params=params),
-        )
-    ]
-    picks2 = [
-        decide_next(
-            K.CBLS,
-            _ctx(g, board=board, memory=mems[0], rng=RngStream(4, "strategy"),
-                 n_robots=1, params=params),
-        )
-    ]
+    cbls = _policy(K.CBLS, g, 1, StrategyParams(cbls_epsilon=1.0))
+    picks1 = [_decide(cbls, rng=RngStream(4, "strategy"))]
+    picks2 = [_decide(cbls, rng=RngStream(4, "strategy"))]
     assert picks1 == picks2
     assert picks1[0] in (1, 2, 3)
-    assert board.intentions[0] == picks1[0]
+    assert cbls.intentions[0] == picks1[0]
 
 
-def test_notify_visit_cbls_moving_average():
-    params = StrategyParams(cbls_alpha=0.3)
-    mem = {"learned": [0.0, 0.0, 0.0]}
-    notify_visit(K.CBLS, mem, 2, 10.0, params)
-    assert mem["learned"][2] == pytest.approx(3.0)
-    notify_visit(K.CBLS, mem, 2, 20.0, params)
-    assert mem["learned"][2] == pytest.approx(0.7 * 3.0 + 0.3 * 20.0)
-    assert mem["learned"][:2] == [0.0, 0.0]
+def test_cbls_visited_moving_average():
+    cbls = _policy(K.CBLS, _path(), 2, StrategyParams(cbls_alpha=0.3))
+    cbls.visited(0, 2, 10.0)
+    assert cbls.learned[0][2] == pytest.approx(3.0)
+    cbls.visited(0, 2, 20.0)
+    assert cbls.learned[0][2] == pytest.approx(0.7 * 3.0 + 0.3 * 20.0)
+    assert cbls.learned[0][:2] == [0.0, 0.0]
+    assert cbls.learned[1] == [0.0, 0.0, 0.0]
 
 
-def test_notify_visit_noop_for_other_kinds():
-    mem = {}
-    notify_visit(K.CR, mem, 1, 10.0, StrategyParams())
-    assert mem == {}
+def test_visited_and_tick_are_noops_for_other_kinds():
+    g = _star()
+    robots = [RobotState.at_node(i, g, 0, speed=1.0) for i in range(2)]
+    for kind in K:
+        if kind is K.CBLS:
+            continue
+        policy = _policy(kind, g, 2)
+        before = dict(vars(policy))
+        policy.visited(1, 1, 10.0)
+        if kind is not K.DTAP:  # DTAP.tick is the auction
+            assert policy.tick(200, 20.0, robots, [0.0] * g.node_count) == []
+        assert vars(policy) == before, kind
 
 
 def test_dtag_claims_weighted_best_node():
     g = _path()
-    params = StrategyParams()  # weight 7
-    board, mems = init_strategy(K.DTAG, g, 1, params)
-    idleness = [0.0, 10.0, 100.0]
-    ctx = _ctx(g, idleness=idleness, board=board, memory=mems[0], n_robots=1, params=params)
+    dtag = _policy(K.DTAG, g, 1)  # weight 7
     # 100 - 7*2 = 86 beats 10 - 7*1 = 3
-    assert decide_next(K.DTAG, ctx) == 2
-    assert board.claims == {2: 0}
-    assert mems[0]["claim"] == 2
+    assert _decide(dtag, idleness=[0.0, 10.0, 100.0]) == 2
+    assert dtag.claims == {2: 0}
+    assert dtag.claim[0] == 2
 
 
 def test_dtag_weight_trades_idleness_for_distance():
     g = _path()
     idleness = [0.0, 10.0, 12.0]
-    light = StrategyParams(task_distance_weight=1.0)
-    board, mems = init_strategy(K.DTAG, g, 1, light)
-    ctx = _ctx(g, idleness=idleness, board=board, memory=mems[0], params=light)
-    assert decide_next(K.DTAG, ctx) == 2  # 12 - 2 > 10 - 1
-    heavy = StrategyParams(task_distance_weight=7.0)
-    board, mems = init_strategy(K.DTAG, g, 1, heavy)
-    ctx = _ctx(g, idleness=idleness, board=board, memory=mems[0], params=heavy)
-    assert decide_next(K.DTAG, ctx) == 1  # 12 - 14 < 10 - 7
+    light = _policy(K.DTAG, g, 1, StrategyParams(task_distance_weight=1.0))
+    assert _decide(light, idleness=idleness) == 2  # 12 - 2 > 10 - 1
+    heavy = _policy(K.DTAG, g, 1, StrategyParams(task_distance_weight=7.0))
+    assert _decide(heavy, idleness=idleness) == 1  # 12 - 14 < 10 - 7
 
 
 def test_dtag_skips_claimed_nodes():
     g = _path()
-    board, mems = init_strategy(K.DTAG, g, 2, StrategyParams())
-    board.claims[2] = 1
-    ctx = _ctx(g, idleness=[0.0, 10.0, 100.0], board=board, memory=mems[0])
-    assert decide_next(K.DTAG, ctx) == 1
-    assert board.claims == {2: 1, 1: 0}
+    dtag = _policy(K.DTAG, g, 2)
+    dtag.claims[2] = 1
+    assert _decide(dtag, idleness=[0.0, 10.0, 100.0]) == 1
+    assert dtag.claims == {2: 1, 1: 0}
 
 
 def test_dtag_releases_claim_on_arrival():
     g = _path()
-    board, mems = init_strategy(K.DTAG, g, 1, StrategyParams())
-    board.claims[1] = 0
-    mems[0]["claim"] = 1
-    ctx = _ctx(g, node=1, idleness=[5.0, 0.0, 8.0], board=board, memory=mems[0], n_robots=1)
-    goal = decide_next(K.DTAG, ctx)
-    assert 1 not in board.claims
+    dtag = _policy(K.DTAG, g, 1)
+    dtag.claims[1] = 0
+    dtag.claim[0] = 1
+    goal = _decide(dtag, node=1, idleness=[5.0, 0.0, 8.0])
+    assert 1 not in dtag.claims
     assert goal == 2  # 8 - 7 > 5 - 7
-    assert board.claims == {2: 0}
+    assert dtag.claims == {2: 0}
 
 
 def test_dtag_falls_back_when_everything_is_claimed():
     g = _star()
-    board, mems = init_strategy(K.DTAG, g, 2, StrategyParams())
-    board.claims.update({1: 1, 2: 1, 3: 1})
-    ctx = _ctx(g, idleness=[0.0, 1.0, 5.0, 3.0], board=board, memory=mems[0])
-    assert decide_next(K.DTAG, ctx) == 2  # plain most-idle-neighbor fallback
-    assert mems[0]["claim"] is None
+    dtag = _policy(K.DTAG, g, 2)
+    dtag.claims.update({1: 1, 2: 1, 3: 1})
+    # plain most-idle-neighbor fallback
+    assert _decide(dtag, idleness=[0.0, 1.0, 5.0, 3.0]) == 2
+    assert dtag.claim[0] is None
 
 
 def test_dtap_decide_releases_then_patrols():
     g = _star()
-    board, mems = init_strategy(K.DTAP, g, 1, StrategyParams())
-    board.claims[0] = 0
-    mems[0]["claim"] = 0
-    ctx = _ctx(g, node=0, idleness=[0.0, 1.0, 9.0, 3.0], board=board, memory=mems[0], n_robots=1)
-    assert decide_next(K.DTAP, ctx) == 2  # most idle neighbor, no new claim
-    assert board.claims == {}
-    assert mems[0]["claim"] is None
+    dtap = _policy(K.DTAP, g, 1)
+    dtap.claims[0] = 0
+    dtap.claim[0] = 0
+    # most idle neighbor, no new claim
+    assert _decide(dtap, node=0, idleness=[0.0, 1.0, 9.0, 3.0]) == 2
+    assert dtap.claims == {}
+    assert dtap.claim[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,61 +366,93 @@ def test_retarget_from_node_replans_path():
 
 def _auction_setup(positions, n_nodes=4, spacing=2.0):
     g = _path(spacing=spacing, n=n_nodes)
-    params = StrategyParams()
-    board, mems = init_strategy(K.DTAP, g, len(positions), params)
-    robots = []
-    for i, node in enumerate(positions):
-        r = RobotState.at_node(i, g, node, speed=1.0)
-        r.memory = mems[i]
-        robots.append(r)
-    return g, params, board, mems, robots
+    dtap = _policy(K.DTAP, g, len(positions))
+    robots = [RobotState.at_node(i, g, node, speed=1.0) for i, node in enumerate(positions)]
+    return g, dtap.params, dtap, robots
 
 
 def test_auction_collision_goes_to_nearest_then_loser_reproposes():
-    g, params, board, mems, robots = _auction_setup([1, 2])
+    g, params, dtap, robots = _auction_setup([1, 2])
     idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(robots, g, idleness, board, mems, 5.0, params, group_round=True)
+    awards = dtap_auction(
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=True
+    )
     # both want node 3 (50 - 7*travel); robot 1 is 2 m closer and wins,
     # robot 0 settles for its best leftover
     assert awards == [(1, 3), (0, 0)]
-    assert board.claims == {3: 1, 0: 0}
-    assert mems[0]["claim"] == 0
-    assert mems[1]["claim"] == 3
+    assert dtap.claims == {3: 1, 0: 0}
+    assert dtap.claim[0] == 0
+    assert dtap.claim[1] == 3
 
 
 def test_auction_connected_bidders_wait_for_group_round():
-    g, params, board, mems, robots = _auction_setup([1, 2])
+    g, params, dtap, robots = _auction_setup([1, 2])
     idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(robots, g, idleness, board, mems, 5.0, params, group_round=False)
+    awards = dtap_auction(
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=False
+    )
     assert awards == []
-    assert board.claims == {}
+    assert dtap.claims == {}
 
 
 def test_auction_isolated_bidders_self_award_immediately():
     # nodes 0 and 3 are 6 m apart, beyond the 5 m range
-    g, params, board, mems, robots = _auction_setup([0, 3])
+    g, params, dtap, robots = _auction_setup([0, 3])
     idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(robots, g, idleness, board, mems, 5.0, params, group_round=False)
+    awards = dtap_auction(
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=False
+    )
     assert awards == [(0, 3), (1, 2)]
-    assert board.claims == {3: 0, 2: 1}
+    assert dtap.claims == {3: 0, 2: 1}
 
 
 def test_auction_skips_robots_holding_awards():
-    g, params, board, mems, robots = _auction_setup([1, 2])
-    board.claims[0] = 0
-    mems[0]["claim"] = 0
+    g, params, dtap, robots = _auction_setup([1, 2])
+    dtap.claims[0] = 0
+    dtap.claim[0] = 0
     idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(robots, g, idleness, board, mems, 5.0, params, group_round=True)
+    awards = dtap_auction(
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=True
+    )
     assert awards == [(1, 3)]
-    assert mems[0]["claim"] == 0
+    assert dtap.claim[0] == 0
 
 
 def test_auction_no_bidders_is_a_noop():
-    g, params, board, mems, robots = _auction_setup([1, 2])
-    for i, mem in enumerate(mems):
-        mem["claim"] = i
-        board.claims[i] = i
-    assert dtap_auction(robots, g, [0.0] * 4, board, mems, 5.0, params) == []
+    g, params, dtap, robots = _auction_setup([1, 2])
+    for i in range(2):
+        dtap.claim[i] = i
+        dtap.claims[i] = i
+    assert dtap_auction(robots, g, [0.0] * 4, dtap.claims, dtap.claim, 5.0, params) == []
+
+
+def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
+    g, _, dtap, robots = _auction_setup([1, 2])
+    last_visit = [0.0] * 4
+    every = dtap.period_ticks
+    assert every == 200  # the default 20 s period at dt 0.1
+    held = []
+    monkeypatch.setattr(
+        strategies, "dtap_auction", lambda *args: held.append(args[-1]) or []
+    )
+    dtap.claim[:] = [0, 3]
+    dtap.claims.update({0: 0, 3: 1})
+    assert dtap.tick(every, every * 0.1, robots, last_visit) == []
+    assert held == []
+    # one claimless robot is enough to hold one, a group round on the period
+    dtap.claim[0] = None
+    del dtap.claims[0]
+    dtap.tick(every - 1, 19.9, robots, last_visit)
+    dtap.tick(every, 20.0, robots, last_visit)
+    assert held == [False, True]
+
+
+def test_dtap_tick_awards_through_the_auction():
+    g, _, dtap, robots = _auction_setup([1, 2])
+    last_visit = [50.0, 50.0, 50.0, 0.0]  # at t = 50 only node 3 is idle
+    assert dtap.tick(dtap.period_ticks, 50.0, robots, last_visit) == [(1, 3), (0, 0)]
+    assert dtap.claim == [0, 3]
+    assert dtap.tick(dtap.period_ticks, 50.0, robots, last_visit) == []
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +463,25 @@ def test_auction_no_bidders_is_a_noop():
 @pytest.mark.parametrize("kind", list(K))
 def test_every_policy_returns_a_valid_move(kind, default_graph):
     g = default_graph
-    params = StrategyParams()
-    board, mems = init_strategy(kind, g, 4, params)
+    policy = _policy(kind, g, 4)
     idleness = [float((v * 13) % 29) for v in range(g.node_count)]
     for robot_id in range(4):
         node = robot_id * 7 % g.node_count
-        ctx = _ctx(
-            g,
+        goal = _decide(
+            policy,
             robot_id=robot_id,
             node=node,
             idleness=idleness,
-            board=board if kind in BOARD_KINDS else None,
-            memory=mems[robot_id],
             rng=RngStream(11, "strategy", robot_id),
-            n_robots=4,
-            params=params,
         )
-        goal = decide_next(kind, ctx)
         assert 0 <= goal < g.node_count
         assert goal != node
+
+
+def test_decide_next_rejects_an_invalid_goal():
+    class Stay(POLICIES[K.CR]):
+        def decide(self, robot_id, node, idleness, rng):
+            return node
+
+    with pytest.raises(AssertionError, match="Stay chose invalid goal 1 from node 1"):
+        _decide(Stay(_star(), 1, StrategyParams(), 5.0, 0.1), node=1)
