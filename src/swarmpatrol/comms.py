@@ -5,13 +5,18 @@ both end up holding the elementwise fusion of the two. A pair that has
 exchanged must wait out a cooldown before exchanging again. Within a tick,
 eligible pairs run sequentially in ascending (i, j) order, so later pairs see
 the results of earlier fusions.
+
+A pair is not tested on every tick: CommState schedules each pair for the
+earliest tick at which it could pass the test again, from how far apart its
+robots are and how long its cooldown still runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from heapq import heappop, heappush
+from typing import Optional, Sequence
 
 from .beliefs import Belief, fuse_vectors
 from .world import RobotState
@@ -19,10 +24,21 @@ from .world import RobotState
 __all__ = [
     "CommConfig",
     "CommState",
-    "eligible_pairs",
     "exchange",
     "tick_comms",
 ]
+
+# Slack on the cooldown test, in seconds, so a gap of exactly the cooldown
+# stays eligible under the accumulated float error of tick-grid timestamps.
+_COOLDOWN_SLACK = 1e-9
+
+# Margin, in meters, taken off a pair's gap to the range before the gap is
+# turned into ticks. A position on a map of a few hundred meters carries a
+# float error near 1e-13 m, and an offset summed over a tick's travel gains
+# under one ulp a tick, which the arrival slack in max_step already covers.
+# 1e-6 m leaves six orders of magnitude for the interpolation, the snap to a
+# node's coordinates and the distance itself.
+_RANGE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,51 +56,61 @@ class CommConfig:
 
 
 class CommState:
-    """Per-pair last exchange times plus the contact log for one run.
+    """Per-pair last exchange times, the pair schedule and the contact log of one run.
 
     log lists every executed exchange in time order as (t, i, j) with i < j.
+
+    Ticks count from 0 at t = 0 in steps of dt, and max_step is the farthest
+    a robot moves in one tick. Every pair is due on the first tick. After a
+    pair is tested on tick k it is due again on tick k + w, where w >= 1 is
+    a lower bound on the ticks before the exact test can pass:
+
+    - Out of range at distance D: the gap closes by at most 2 * max_step a
+      tick, so the pair stays out of range for floor((D - range - eps) /
+      (2 * max_step)) ticks, eps being _RANGE_EPS.
+    - Cooling down since time last: the test passes from time
+      last + timeout - 1e-9 on. Counted in ticks from now and rounded up,
+      that is the first tick it can pass; one tick less absorbs the float
+      error of the tick clock for any run under about 1e15 ticks.
+
+    A due pair is tested with the exact predicate, so a bound that is too
+    cautious costs one more test and never moves an exchange; only a bound
+    that overshoots could. A pair whose cooldown never ends is dropped.
     """
 
-    __slots__ = ("last_exchange", "log")
+    __slots__ = ("cfg", "dt", "max_step", "last_exchange", "log", "_pairs", "_due", "_ticks")
 
-    def __init__(self, n_robots: int):
+    def __init__(self, n_robots: int, cfg: CommConfig, dt: float, max_step: float):
+        if not (dt > 0.0 and max_step > 0.0):
+            raise ValueError(f"dt and max_step must be positive, got {dt} and {max_step}")
+        self.cfg = cfg
+        self.dt = dt
+        self.max_step = max_step
         self.last_exchange: dict[tuple[int, int], float] = {
             (i, j): -math.inf
             for i in range(n_robots)
             for j in range(i + 1, n_robots)
         }
         self.log: list[tuple[float, int, int]] = []
+        # pair ids index _pairs, which is in ascending (i, j) order
+        self._pairs = list(self.last_exchange)
+        self._due: dict[int, list[int]] = {0: list(range(len(self._pairs)))}
+        self._ticks = [0]  # heap of the keys of _due
 
+    def _schedule(self, tick: int, pair_ids: list[int]) -> None:
+        bucket = self._due.get(tick)
+        if bucket is None:
+            self._due[tick] = pair_ids
+            heappush(self._ticks, tick)
+        else:
+            bucket += pair_ids
 
-def eligible_pairs(
-    positions: Sequence[tuple[float, float]],
-    last_exchange: dict[tuple[int, int], float],
-    t: float,
-    cfg: CommConfig,
-) -> list[tuple[int, int]]:
-    """Pairs allowed to exchange at time t, in ascending (i, j) order.
-
-    A pair qualifies when its straight-line separation is within range and
-    at least the cooldown has elapsed since its previous exchange (a gap of
-    exactly the cooldown is eligible).
-    """
-    range_sq = cfg.range_m * cfg.range_m
-    # tiny slack so a gap of exactly the cooldown stays eligible under the
-    # accumulated float error of tick-grid timestamps
-    horizon = t - cfg.timeout_s + 1e-9
-    out: list[tuple[int, int]] = []
-    n = len(positions)
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            if last_exchange[(i, j)] > horizon:
-                continue
-            xj, yj = positions[j]
-            dx = xi - xj
-            dy = yi - yj
-            if dx * dx + dy * dy <= range_sq:
-                out.append((i, j))
-    return out
+    def _cooldown_wait(self, last: float, t: float) -> Optional[int]:
+        """Ticks from time t before a pair last exchanged at `last` can pass; None for never."""
+        ticks = (last + self.cfg.timeout_s - _COOLDOWN_SLACK - t) / self.dt
+        if ticks == math.inf:
+            return None
+        return math.ceil(ticks) - 1
 
 
 def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list[Belief]:
@@ -104,16 +130,56 @@ def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list
 def tick_comms(
     robots: Sequence[RobotState],
     state: CommState,
+    k: int,
     t: float,
-    cfg: CommConfig,
 ) -> list[tuple[int, int, list[Belief]]]:
-    """Run all eligible exchanges for this tick; returns (i, j, fused) triples.
+    """Run all eligible exchanges of tick k at time t = k * dt; returns (i, j, fused) triples.
 
-    Eligibility is evaluated once against positions at time t, then the
-    exchanges apply sequentially in ascending pair order. Each triple holds
-    the vector that exchange fused; a later exchange in the same tick may
-    have changed what robots i and j hold since.
+    Only the pairs due by tick k are tested. A pair qualifies when its
+    straight-line separation is within range and at least the cooldown has
+    elapsed since its previous exchange (a gap of exactly the cooldown is
+    eligible). Eligibility is evaluated once against positions at time t,
+    then the exchanges apply sequentially in ascending pair order. Each
+    triple holds the vector that exchange fused; a later exchange in the
+    same tick may have changed what robots i and j hold since.
     """
-    positions = [(r.x, r.y) for r in robots]
-    pairs = eligible_pairs(positions, state.last_exchange, t, cfg)
-    return [(i, j, exchange(robots[i], robots[j], t, state)) for i, j in pairs]
+    due, ticks = state._due, state._ticks
+    tested: list[int] = []
+    while ticks and ticks[0] <= k:
+        tested += due.pop(heappop(ticks))
+    if not tested:
+        return []
+    tested.sort()
+    pairs, last_exchange = state._pairs, state.last_exchange
+    range_m = state.cfg.range_m
+    range_sq = range_m * range_m
+    closing = 2.0 * state.max_step
+    horizon = t - state.cfg.timeout_s + _COOLDOWN_SLACK
+    eligible: list[int] = []
+    for p in tested:
+        pair = pairs[p]
+        last = last_exchange[pair]
+        if last > horizon:
+            wait = state._cooldown_wait(last, t)
+            if wait is None:
+                continue
+        else:
+            i, j = pair
+            ri, rj = robots[i], robots[j]
+            dx = ri.x - rj.x
+            dy = ri.y - rj.y
+            d2 = dx * dx + dy * dy
+            if d2 <= range_sq:
+                eligible.append(p)
+                continue
+            wait = math.floor((math.sqrt(d2) - range_m - _RANGE_EPS) / closing)
+        state._schedule(k + max(1, wait), [p])
+    done = []
+    for p in eligible:
+        i, j = pairs[p]
+        done.append((i, j, exchange(robots[i], robots[j], t, state)))
+    if eligible:
+        wait = state._cooldown_wait(t, t)
+        if wait is not None:
+            state._schedule(k + max(1, wait), eligible)
+    return done

@@ -30,7 +30,7 @@ from .metrics import (
     system_error,
 )
 from .strategies import POLICIES, StrategyKind, StrategyParams, decide_next, retarget
-from .world import IdlenessTracker, RobotState, RngStream, WorldState, advance, visit
+from .world import IdlenessTracker, RobotState, RngStream, WorldState, advance, max_step, visit
 
 __all__ = [
     "ExperimentConfig",
@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"speed must be positive, got {self.speed}")
         if not (self.dt > 0.0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        if math.isinf(1.0 / self.dt):
+            raise ConfigError(f"dt {self.dt} is too small: 1/dt is not finite")
         if not (0.0 <= self.duration < math.inf):
             raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
         if math.isinf(self.duration / self.dt):
@@ -353,7 +355,7 @@ def run_one(
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt)
     robots = [RobotState.at_node(i, g, cfg.start_node, cfg.speed) for i in range(n)]
     comm_cfg = CommConfig(range_m=cfg.comm_range, timeout_s=cfg.comm_timeout)
-    comm = CommState(n)
+    comm = CommState(n, comm_cfg, cfg.dt, max_step(cfg.speed, cfg.dt))
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     consensus = ConsensusTracker(world.truth, n, cfg.quorum)
@@ -390,7 +392,7 @@ def run_one(
                 if log_lines is not None:
                     log_lines.append(f"{t:.3f} goal robot={r.id} node={goal}")
         # every exchange of the tick has run, so the digest is end-of-tick state
-        for i, j, fused in tick_comms(robots, comm, t, comm_cfg):
+        for i, j, fused in tick_comms(robots, comm, k, t):
             consensus.exchanged(t, i, j, fused)
             if log_lines is not None:
                 log_lines.append(
@@ -450,6 +452,10 @@ def run_matrix(
     seeds = [cell_seed(cfg.master_seed, kind.value, noise, rep) for kind, noise, rep in cells]
     if len(set(seeds)) != len(seeds):
         raise RuntimeError("cell seed collision; change the master seed")
+    if out_dir is not None:
+        # an unusable output path fails here, not after the first cell
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
     for idx, (kind, noise, rep) in enumerate(cells):
         records.append(run_one(cfg, g, kind, noise, rep, out_dir=out_dir))
@@ -457,8 +463,6 @@ def run_matrix(
             print(f"[{idx + 1}/{len(cells)}] {kind.value} noise={noise} rep={rep}", flush=True)
     summaries = summarize(records)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_runs_csv(out_dir / "runs.csv", records)
         write_summary_csv(out_dir / "summary.csv", summaries)
     return records, summaries

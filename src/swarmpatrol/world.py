@@ -23,6 +23,7 @@ __all__ = [
     "IdlenessTracker",
     "sense",
     "advance",
+    "max_step",
     "visit",
 ]
 
@@ -206,6 +207,16 @@ def advance(robot: RobotState, g: PatrolGraph, dt: float) -> Optional[int]:
     robot.x = robot._sx + robot._ux * robot.offset
     robot.y = robot._sy + robot._uy * robot.offset
     return None
+
+
+def max_step(speed: float, dt: float) -> float:
+    """Farthest advance moves a robot in one tick: the travel plus the arrival slack.
+
+    Along an edge a robot moves speed * dt; the snap onto the node it
+    reaches moves it at most the slack further. Turning round in place
+    (reverse_edge) moves it not at all.
+    """
+    return speed * dt + _ARRIVAL_SLACK
 
 
 def visit(

@@ -23,6 +23,31 @@ def eigenvalues_by_charpoly(matrix: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
+def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):
+    """Every pair allowed to exchange at time t, in ascending (i, j) order.
+
+    Tests all n(n-1)/2 pairs: a pair qualifies when its straight-line
+    separation is within range_m and at least timeout_s has elapsed since
+    its previous exchange, last_exchange[(i, j)] (a gap of exactly the
+    cooldown is eligible, with 1e-9 s of slack for tick-grid float error).
+    """
+    range_sq = range_m * range_m
+    horizon = t - timeout_s + 1e-9
+    out = []
+    n = len(positions)
+    for i in range(n):
+        xi, yi = positions[i]
+        for j in range(i + 1, n):
+            if last_exchange[(i, j)] > horizon:
+                continue
+            xj, yj = positions[j]
+            dx = xi - xj
+            dy = yi - yj
+            if dx * dx + dy * dy <= range_sq:
+                out.append((i, j))
+    return out
+
+
 def brute_system_error(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> Fraction:
     """Mean |belief - truth| on the unit scale, summed entry by entry."""
     total = Fraction(0)

@@ -1,13 +1,21 @@
-"""Proximity gossip: range and cooldown gates, pairwise fusion, contact log."""
+"""Proximity gossip: range and cooldown gates, pair scheduling, pairwise fusion, contact log."""
+
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import eligible_pairs
 from swarmpatrol.beliefs import Belief
-from swarmpatrol.comms import CommConfig, CommState, eligible_pairs, exchange, tick_comms
+from swarmpatrol.comms import CommConfig, CommState, exchange, tick_comms
 from swarmpatrol.graph import parse_map
-from swarmpatrol.world import RobotState
+from swarmpatrol.world import RobotState, max_step
 
 F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
+
+DT = 0.1
 
 
 def _robots_at(*coords):
@@ -24,44 +32,153 @@ def _robots_at(*coords):
     return robots
 
 
+def _state(n, range_m=5.0, timeout_s=30.0, step=1.0):
+    return CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), DT, step)
+
+
+def _pairs(done):
+    return [(i, j) for i, j, _ in done]
+
+
 def test_comm_config_validates():
     with pytest.raises(ValueError):
         CommConfig(range_m=0.0)
     with pytest.raises(ValueError):
         CommConfig(timeout_s=-1.0)
+    with pytest.raises(ValueError):
+        CommState(2, CommConfig(), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        CommState(2, CommConfig(), DT, 0.0)
 
 
 def test_range_boundary_is_inclusive():
-    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
-    state = CommState(2)
-    assert eligible_pairs([(0.0, 0.0), (5.0, 0.0)], state.last_exchange, 1.0, cfg) == [(0, 1)]
-    assert eligible_pairs([(0.0, 0.0), (5.0001, 0.0)], state.last_exchange, 1.0, cfg) == []
+    last = {(0, 1): -math.inf}
+    assert eligible_pairs([(0.0, 0.0), (5.0, 0.0)], last, 1.0, 5.0, 30.0) == [(0, 1)]
+    assert eligible_pairs([(0.0, 0.0), (5.0001, 0.0)], last, 1.0, 5.0, 30.0) == []
+    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (5.0, 0.0)), _state(2), 10, 1.0)) == [(0, 1)]
+    assert tick_comms(_robots_at((0.0, 0.0), (5.0001, 0.0)), _state(2), 10, 1.0) == []
 
 
 def test_first_contact_possible_immediately():
-    cfg = CommConfig()
-    state = CommState(2)
-    assert eligible_pairs([(0.0, 0.0), (1.0, 0.0)], state.last_exchange, 0.0, cfg) == [(0, 1)]
+    assert eligible_pairs([(0.0, 0.0), (1.0, 0.0)], {(0, 1): -math.inf}, 0.0, 5.0, 30.0) == [(0, 1)]
+    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (1.0, 0.0)), _state(2), 0, 0.0)) == [(0, 1)]
 
 
 def test_cooldown_boundary_is_inclusive():
-    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
-    state = CommState(2)
     positions = [(0.0, 0.0), (1.0, 0.0)]
-    state.last_exchange[(0, 1)] = 100.0
-    assert eligible_pairs(positions, state.last_exchange, 129.9, cfg) == []
-    assert eligible_pairs(positions, state.last_exchange, 130.0, cfg) == [(0, 1)]
+    last = {(0, 1): 100.0}
+    assert eligible_pairs(positions, last, 129.9, 5.0, 30.0) == []
+    assert eligible_pairs(positions, last, 130.0, 5.0, 30.0) == [(0, 1)]
+    # through the schedule: exchange on tick 1000 (t = 100.0), then every tick
+    # to 1300 (t = 130.0); tick 1299 is t = 129.9
+    robots = _robots_at(*positions)
+    state = _state(2)
+    exchanged = [k for k in range(1000, 1301) if tick_comms(robots, state, k, k * DT)]
+    assert exchanged == [1000, 1300]
+    assert state.log == [(100.0, 0, 1), (130.0, 0, 1)]
 
 
 def test_pairs_listed_in_ascending_order():
-    cfg = CommConfig()
-    state = CommState(3)
     positions = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-    assert eligible_pairs(positions, state.last_exchange, 0.0, cfg) == [(0, 1), (0, 2), (1, 2)]
+    last = {(0, 1): -math.inf, (0, 2): -math.inf, (1, 2): -math.inf}
+    assert eligible_pairs(positions, last, 0.0, 5.0, 30.0) == [(0, 1), (0, 2), (1, 2)]
+    robots = _robots_at(*positions)
+    assert _pairs(tick_comms(robots, _state(3), 0, 0.0)) == [(0, 1), (0, 2), (1, 2)]
+
+
+class _Probe:
+    """Stands in for a robot and counts how often its position is read."""
+
+    def __init__(self, rid, x):
+        self.id = rid
+        self.pos_x = x
+        self.y = 0.0
+        self.beliefs = [U]
+        self.reads = 0
+
+    @property
+    def x(self):
+        self.reads += 1
+        return self.pos_x
+
+
+def test_far_pair_waits_for_its_scheduled_tick():
+    # 100 m apart, 5 m range, each robot closing 1 m a tick: the gap can reach
+    # the range no sooner than floor((100 - 5 - eps) / 2) = 47 ticks later
+    step = 1.0
+    robots = [_Probe(0, 0.0), _Probe(1, 100.0)]
+    state = _state(2, step=step)
+    last = {(0, 1): -math.inf}
+    tested, got, want = [], [], []
+    for k in range(60):
+        if k:
+            robots[0].pos_x += step
+            robots[1].pos_x -= step
+        reads = robots[1].reads
+        if tick_comms(robots, state, k, k * DT):
+            got.append(k)
+        if robots[1].reads > reads:
+            tested.append(k)
+        positions = [(r.pos_x, r.y) for r in robots]
+        for pair in eligible_pairs(positions, last, k * DT, 5.0, 30.0):
+            last[pair] = k * DT
+            want.append(k)
+    # tick 47 leaves a 6 m gap, so the pair is due again on the next tick
+    assert tested == [0, 47, 48]
+    assert got == want == [48]
+
+
+@st.composite
+def _walk(draw):
+    dt = draw(st.sampled_from([0.1, 1 / 3, 0.25]) | st.floats(0.01, 2.0))
+    speed = draw(st.floats(0.05, 5.0))
+    range_m = draw(st.sampled_from([5.0]) | st.floats(0.1, 30.0))
+    timeout_s = draw(st.sampled_from([0.0, 30.0, 3 * dt, 7.25]) | st.floats(0.0, 20.0))
+    n = draw(st.integers(2, 7))
+    ticks = draw(st.integers(1, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dt, speed, range_m, timeout_s, n, ticks, seed
+
+
+def _move(rng, robots, i, step):
+    """One tick of a valid walk: stay, or move up to step, often straight at a peer."""
+    r = robots[i]
+    mode = rng.random()
+    if mode < 0.15:
+        return
+    length = step if mode < 0.75 else rng.uniform(0.0, step)
+    if mode < 0.55:
+        peer = robots[rng.choice([j for j in range(len(robots)) if j != i])]
+        angle = math.atan2(peer.y - r.y, peer.x - r.x)
+    else:
+        angle = rng.uniform(-math.pi, math.pi)
+    r.x += length * math.cos(angle)
+    r.y += length * math.sin(angle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_walk())
+def test_tick_comms_matches_brute_force_scan(case):
+    dt, speed, range_m, timeout_s, n, ticks, seed = case
+    rng = random.Random(seed)
+    step = max_step(speed, dt)
+    spread = rng.choice([2.0, 10.0, 40.0]) * range_m
+    robots = _robots_at(*[(rng.uniform(0, spread), rng.uniform(0, spread)) for _ in range(n)])
+    state = CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), dt, step)
+    last = dict.fromkeys(state.last_exchange, -math.inf)
+    for k in range(ticks + 1):
+        t = k * dt
+        if k:
+            for i in range(n):
+                _move(rng, robots, i, step)
+        want = eligible_pairs([(r.x, r.y) for r in robots], last, t, range_m, timeout_s)
+        for pair in want:
+            last[pair] = t
+        assert _pairs(tick_comms(robots, state, k, t)) == want, (k, t)
 
 
 def test_exchange_fuses_both_ways_without_aliasing():
-    state = CommState(2)
+    state = _state(2)
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = [T, F, U]
     rj.beliefs = [U, T, U]
@@ -78,13 +195,12 @@ def test_exchange_fuses_both_ways_without_aliasing():
 def test_tick_comms_chains_fusion_through_pair_order():
     # pair order (0,1), (0,2), (1,2): robot 2 learns robot 0's certainty
     # in the same tick, relayed via the second exchange
-    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
-    state = CommState(3)
+    state = _state(3)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
     robots[0].beliefs = [T]
     robots[1].beliefs = [U]
     robots[2].beliefs = [U]
-    done = tick_comms(robots, state, 5.0, cfg)
+    done = tick_comms(robots, state, 50, 5.0)
     assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
     assert [fused for _, _, fused in done] == [[T], [T], [T]]
     assert [r.beliefs for r in robots] == [[T], [T], [T]]
@@ -95,23 +211,46 @@ def test_tick_comms_reports_each_exchange_own_fused_vector():
     # (0,1) fuses [T] with [U] to [T]; (0,2) then meets robot 2's contrary
     # [F] and both fall back to [U]. The first triple keeps the [T] that
     # (0,1) produced, though robot 0 ends the tick holding [U].
-    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
-    state = CommState(3)
+    state = _state(3)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
     robots[0].beliefs = [T]
     robots[1].beliefs = [U]
     robots[2].beliefs = [F]
-    done = tick_comms(robots, state, 5.0, cfg)
+    done = tick_comms(robots, state, 50, 5.0)
     assert done == [(0, 1, [T]), (0, 2, [U]), (1, 2, [T])]
     assert [r.beliefs for r in robots] == [[U], [T], [T]]
 
 
 def test_tick_comms_respects_cooldown_next_tick():
-    cfg = CommConfig(range_m=5.0, timeout_s=30.0)
-    state = CommState(2)
+    state = _state(2)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0))
-    assert [(i, j) for i, j, _ in tick_comms(robots, state, 5.0, cfg)] == [(0, 1)]
-    assert tick_comms(robots, state, 5.1, cfg) == []
-    assert tick_comms(robots, state, 34.9, cfg) == []
-    assert [(i, j) for i, j, _ in tick_comms(robots, state, 35.0, cfg)] == [(0, 1)]
+    exchanged = [k for k in range(50, 351) if tick_comms(robots, state, k, k * DT)]
+    assert exchanged == [50, 350]  # t = 5.0 and 35.0; none at 5.1 or 34.9
     assert state.log == [(5.0, 0, 1), (35.0, 0, 1)]
+
+
+def test_endless_cooldown_drops_the_pair():
+    state = _state(2, timeout_s=math.inf)
+    robots = [_Probe(0, 0.0), _Probe(1, 1.0)]
+    assert [k for k in range(200) if tick_comms(robots, state, k, k * DT)] == [0]
+    assert robots[1].reads == 1  # never tested after its one exchange
+
+
+def test_cooldown_bound_leaves_a_tick_for_clock_error():
+    # the cooldown is a tick plus the test's own 1e-9 s slack, so float error
+    # in the tick clock decides whether a pair passes one or two ticks after
+    # its exchange: after tick 4 (t = 0.4) it passes on tick 5, although
+    # (0.4 + timeout - 1e-9 - 0.4) / dt rounds up to 2 ticks
+    timeout = 0.1 + 1e-9
+    robots = _robots_at((0.0, 0.0), (1.0, 0.0))
+    state = _state(2, timeout_s=timeout)
+    last = {(0, 1): -math.inf}
+    got, want = [], []
+    for k in range(40):
+        if tick_comms(robots, state, k, k * DT):
+            got.append(k)
+        if eligible_pairs([(0.0, 0.0), (1.0, 0.0)], last, k * DT, 5.0, timeout):
+            last[(0, 1)] = k * DT
+            want.append(k)
+    assert {4, 5} <= set(want)
+    assert got == want

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_consensus_replay
+from _oracles import brute_consensus_replay, eligible_pairs
+from swarmpatrol import harness
 from swarmpatrol.cli import main as cli_main
+from swarmpatrol.comms import exchange
 from swarmpatrol.graph import parse_map
 from swarmpatrol.harness import (
     RUN_COLUMNS,
@@ -27,6 +29,7 @@ from swarmpatrol.harness import (
     write_runs_csv,
 )
 from swarmpatrol.strategies import StrategyKind
+from swarmpatrol.world import RobotState
 
 PATH3 = "node 0 0 0\nnode 1 1 0\nnode 2 2 0\nedge 0 1\nedge 1 2\n"
 
@@ -313,6 +316,54 @@ def test_run_consensus_matches_replay_of_its_log(tmp_path, default_graph, bundle
     assert sum(1 for e in events if e[0] == "comm") == rec.n_exchanges
 
 
+def _brute_tick_comms(robots, state, k, t):
+    """tick_comms with every pair tested on every tick."""
+    positions = [(r.x, r.y) for r in robots]
+    cfg = state.cfg
+    pairs = eligible_pairs(positions, state.last_exchange, t, cfg.range_m, cfg.timeout_s)
+    return [(i, j, exchange(robots[i], robots[j], t, state)) for i, j in pairs]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),  # 8 robots, 5 m, 30 s cooldown
+        dict(dt=0.5, speed=2 * 6.106869347964157),  # speed x dt is the shortest edge
+        dict(comm_timeout=0.0, duration=90.0),
+        dict(comm_timeout=7.25),  # not a multiple of dt
+        dict(dt=1 / 3),
+        dict(comm_range=70.0),
+        dict(n_robots=2),
+        dict(n_robots=16),
+    ],
+    ids=["default", "step-is-shortest-edge", "no-cooldown", "cooldown-off-grid",
+         "dt-third", "range-70", "robots-2", "robots-16"],
+)
+def test_scheduled_comms_match_brute_force_scan(tmp_path, default_graph, monkeypatch, overrides):
+    # every strategy; DTAP's auctions turn robots round mid-edge
+    cfg = replace(ExperimentConfig(), **{"duration": 240.0, **overrides})
+    shortest = min(d for _, _, d in default_graph.edges)
+    assert cfg.speed * cfg.dt == shortest if "speed" in overrides else cfg.speed * cfg.dt < shortest
+    reversals = []
+    reverse_edge = RobotState.reverse_edge
+    monkeypatch.setattr(
+        RobotState, "reverse_edge", lambda r, g: reversals.append(r.id) or reverse_edge(r, g)
+    )
+    scheduled = [run_one(cfg, default_graph, kind, 0.2, 0, out_dir=tmp_path / "a")
+                 for kind in StrategyKind]
+    monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
+    brute = [run_one(cfg, default_graph, kind, 0.2, 0, out_dir=tmp_path / "b")
+             for kind in StrategyKind]
+    assert scheduled == brute
+    assert reversals
+    assert sum(r.n_exchanges for r in brute) > 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == len(StrategyKind)
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------
@@ -499,6 +550,18 @@ def test_cli_reports_os_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("duration = 60\nreps = 2\nstrategies = cr\nnoises = 0\n")
+    (tmp_path / "taken").write_text("")
+    runs = []
+    monkeypatch.setattr(harness, "run_one", lambda *a, **kw: runs.append(a))
+    code = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "taken")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert runs == []
+
+
 @pytest.mark.parametrize(
     "lines, names",
     [
@@ -520,6 +583,7 @@ def test_cli_reports_os_errors(tmp_path, capsys):
         ("cbls_alpha = 0", "cbls_alpha"),
         ("task_weight = inf", "task_distance_weight"),
         ("speed = 1000", "shortest edge"),
+        ("duration = 0\ndt = 5e-324", "1/dt"),
     ],
 )
 def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
@@ -543,7 +607,7 @@ _VALID_VALUES = {
     "map": ["{tmp}/tiny.map"],
     "map_seed": ["0", "3"],
     "speed": ["0.5", "1", "2"],
-    "dt": ["0.05", "0.1", "0.25"],
+    "dt": ["0.05", "0.1", "0.25", "5e-324"],
     "comm_range": ["1", "5", "70"],
     "comm_timeout": ["0", "30"],
     "anomaly": ["0", "1", "30"],
