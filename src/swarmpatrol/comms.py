@@ -61,9 +61,11 @@ class CommState:
     log lists every executed exchange in time order as (t, i, j) with i < j.
 
     Ticks count from 0 at t = 0 in steps of dt, and max_step is the farthest
-    a robot moves in one tick. Every pair is due on the first tick. After a
-    pair is tested on tick k it is due again on tick k + w, where w >= 1 is
-    a lower bound on the ticks before the exact test can pass:
+    a robot moves in the plane in one tick (world.max_step, which allows for
+    map edges shorter than the straight line between their ends). Every pair
+    is due on the first tick. After a pair is tested on tick k it is due
+    again on tick k + w, where w >= 1 is a lower bound on the ticks before
+    the exact test can pass:
 
     - Out of range at distance D: the gap closes by at most 2 * max_step a
       tick, so the pair stays out of range for floor((D - range - eps) /
@@ -131,14 +133,13 @@ def tick_comms(
     robots: Sequence[RobotState],
     state: CommState,
     k: int,
-    t: float,
 ) -> list[tuple[int, int, list[Belief]]]:
-    """Run all eligible exchanges of tick k at time t = k * dt; returns (i, j, fused) triples.
+    """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
 
     Only the pairs due by tick k are tested. A pair qualifies when its
     straight-line separation is within range and at least the cooldown has
     elapsed since its previous exchange (a gap of exactly the cooldown is
-    eligible). Eligibility is evaluated once against positions at time t,
+    eligible). Eligibility is evaluated once against the current positions,
     then the exchanges apply sequentially in ascending pair order. Each
     triple holds the vector that exchange fused; a later exchange in the
     same tick may have changed what robots i and j hold since.
@@ -150,6 +151,7 @@ def tick_comms(
     if not tested:
         return []
     tested.sort()
+    t = k * state.dt
     pairs, last_exchange = state._pairs, state.last_exchange
     range_m = state.cfg.range_m
     range_sq = range_m * range_m

@@ -355,7 +355,7 @@ def run_one(
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt)
     robots = [RobotState.at_node(i, g, cfg.start_node, cfg.speed) for i in range(n)]
     comm_cfg = CommConfig(range_m=cfg.comm_range, timeout_s=cfg.comm_timeout)
-    comm = CommState(n, comm_cfg, cfg.dt, max_step(cfg.speed, cfg.dt))
+    comm = CommState(n, comm_cfg, cfg.dt, max_step(g, cfg.speed, cfg.dt))
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     consensus = ConsensusTracker(world.truth, n, cfg.quorum)
@@ -392,7 +392,7 @@ def run_one(
                 if log_lines is not None:
                     log_lines.append(f"{t:.3f} goal robot={r.id} node={goal}")
         # every exchange of the tick has run, so the digest is end-of-tick state
-        for i, j, fused in tick_comms(robots, comm, k, t):
+        for i, j, fused in tick_comms(robots, comm, k):
             consensus.exchanged(t, i, j, fused)
             if log_lines is not None:
                 log_lines.append(

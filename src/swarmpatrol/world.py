@@ -209,14 +209,19 @@ def advance(robot: RobotState, g: PatrolGraph, dt: float) -> Optional[int]:
     return None
 
 
-def max_step(speed: float, dt: float) -> float:
-    """Farthest advance moves a robot in one tick: the travel plus the arrival slack.
+def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
+    """Farthest advance moves a robot in the plane in one tick on map g.
 
-    Along an edge a robot moves speed * dt; the snap onto the node it
-    reaches moves it at most the slack further. Turning round in place
-    (reverse_edge) moves it not at all.
+    A tick adds speed * dt to the robot's offset along its edge, and the
+    snap onto the node it reaches adds at most the arrival slack. A meter of
+    offset covers euclidean / length meters of the plane, which exceeds 1 on
+    an edge whose map length is shorter than the straight line between its
+    ends, so the step is scaled by the largest such ratio over the edges, and
+    never by less than 1. Turning round in place (reverse_edge) moves a
+    robot not at all.
     """
-    return speed * dt + _ARRIVAL_SLACK
+    stretch = max(1.0, max(g.euclidean(a, b) / d for a, b, d in g.edges))
+    return (speed * dt + _ARRIVAL_SLACK) * stretch
 
 
 def visit(

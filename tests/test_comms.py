@@ -18,12 +18,16 @@ F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
 DT = 0.1
 
 
-def _robots_at(*coords):
-    # a throwaway line graph supplies valid poses; positions are then pinned
-    n = len(coords)
+def _line_graph(n):
+    # nodes 100 m apart, each edge as long as the straight line
     text = "".join(f"node {i} {i * 100} 0\n" for i in range(max(n, 2)))
     text += "".join(f"edge {i} {i + 1}\n" for i in range(max(n, 2) - 1))
-    g = parse_map(text)
+    return parse_map(text)
+
+
+def _robots_at(*coords):
+    # a throwaway line graph supplies valid poses; positions are then pinned
+    g = _line_graph(len(coords))
     robots = []
     for i, (x, y) in enumerate(coords):
         r = RobotState.at_node(i, g, i, speed=1.0)
@@ -55,13 +59,13 @@ def test_range_boundary_is_inclusive():
     last = {(0, 1): -math.inf}
     assert eligible_pairs([(0.0, 0.0), (5.0, 0.0)], last, 1.0, 5.0, 30.0) == [(0, 1)]
     assert eligible_pairs([(0.0, 0.0), (5.0001, 0.0)], last, 1.0, 5.0, 30.0) == []
-    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (5.0, 0.0)), _state(2), 10, 1.0)) == [(0, 1)]
-    assert tick_comms(_robots_at((0.0, 0.0), (5.0001, 0.0)), _state(2), 10, 1.0) == []
+    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (5.0, 0.0)), _state(2), 10)) == [(0, 1)]
+    assert tick_comms(_robots_at((0.0, 0.0), (5.0001, 0.0)), _state(2), 10) == []
 
 
 def test_first_contact_possible_immediately():
     assert eligible_pairs([(0.0, 0.0), (1.0, 0.0)], {(0, 1): -math.inf}, 0.0, 5.0, 30.0) == [(0, 1)]
-    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (1.0, 0.0)), _state(2), 0, 0.0)) == [(0, 1)]
+    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (1.0, 0.0)), _state(2), 0)) == [(0, 1)]
 
 
 def test_cooldown_boundary_is_inclusive():
@@ -73,7 +77,7 @@ def test_cooldown_boundary_is_inclusive():
     # to 1300 (t = 130.0); tick 1299 is t = 129.9
     robots = _robots_at(*positions)
     state = _state(2)
-    exchanged = [k for k in range(1000, 1301) if tick_comms(robots, state, k, k * DT)]
+    exchanged = [k for k in range(1000, 1301) if tick_comms(robots, state, k)]
     assert exchanged == [1000, 1300]
     assert state.log == [(100.0, 0, 1), (130.0, 0, 1)]
 
@@ -83,7 +87,7 @@ def test_pairs_listed_in_ascending_order():
     last = {(0, 1): -math.inf, (0, 2): -math.inf, (1, 2): -math.inf}
     assert eligible_pairs(positions, last, 0.0, 5.0, 30.0) == [(0, 1), (0, 2), (1, 2)]
     robots = _robots_at(*positions)
-    assert _pairs(tick_comms(robots, _state(3), 0, 0.0)) == [(0, 1), (0, 2), (1, 2)]
+    assert _pairs(tick_comms(robots, _state(3), 0)) == [(0, 1), (0, 2), (1, 2)]
 
 
 class _Probe:
@@ -115,7 +119,7 @@ def test_far_pair_waits_for_its_scheduled_tick():
             robots[0].pos_x += step
             robots[1].pos_x -= step
         reads = robots[1].reads
-        if tick_comms(robots, state, k, k * DT):
+        if tick_comms(robots, state, k):
             got.append(k)
         if robots[1].reads > reads:
             tested.append(k)
@@ -161,7 +165,7 @@ def _move(rng, robots, i, step):
 def test_tick_comms_matches_brute_force_scan(case):
     dt, speed, range_m, timeout_s, n, ticks, seed = case
     rng = random.Random(seed)
-    step = max_step(speed, dt)
+    step = max_step(_line_graph(n), speed, dt)
     spread = rng.choice([2.0, 10.0, 40.0]) * range_m
     robots = _robots_at(*[(rng.uniform(0, spread), rng.uniform(0, spread)) for _ in range(n)])
     state = CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), dt, step)
@@ -174,7 +178,7 @@ def test_tick_comms_matches_brute_force_scan(case):
         want = eligible_pairs([(r.x, r.y) for r in robots], last, t, range_m, timeout_s)
         for pair in want:
             last[pair] = t
-        assert _pairs(tick_comms(robots, state, k, t)) == want, (k, t)
+        assert _pairs(tick_comms(robots, state, k)) == want, (k, t)
 
 
 def test_exchange_fuses_both_ways_without_aliasing():
@@ -200,7 +204,7 @@ def test_tick_comms_chains_fusion_through_pair_order():
     robots[0].beliefs = [T]
     robots[1].beliefs = [U]
     robots[2].beliefs = [U]
-    done = tick_comms(robots, state, 50, 5.0)
+    done = tick_comms(robots, state, 50)
     assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
     assert [fused for _, _, fused in done] == [[T], [T], [T]]
     assert [r.beliefs for r in robots] == [[T], [T], [T]]
@@ -216,7 +220,7 @@ def test_tick_comms_reports_each_exchange_own_fused_vector():
     robots[0].beliefs = [T]
     robots[1].beliefs = [U]
     robots[2].beliefs = [F]
-    done = tick_comms(robots, state, 50, 5.0)
+    done = tick_comms(robots, state, 50)
     assert done == [(0, 1, [T]), (0, 2, [U]), (1, 2, [T])]
     assert [r.beliefs for r in robots] == [[U], [T], [T]]
 
@@ -224,7 +228,7 @@ def test_tick_comms_reports_each_exchange_own_fused_vector():
 def test_tick_comms_respects_cooldown_next_tick():
     state = _state(2)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0))
-    exchanged = [k for k in range(50, 351) if tick_comms(robots, state, k, k * DT)]
+    exchanged = [k for k in range(50, 351) if tick_comms(robots, state, k)]
     assert exchanged == [50, 350]  # t = 5.0 and 35.0; none at 5.1 or 34.9
     assert state.log == [(5.0, 0, 1), (35.0, 0, 1)]
 
@@ -232,7 +236,7 @@ def test_tick_comms_respects_cooldown_next_tick():
 def test_endless_cooldown_drops_the_pair():
     state = _state(2, timeout_s=math.inf)
     robots = [_Probe(0, 0.0), _Probe(1, 1.0)]
-    assert [k for k in range(200) if tick_comms(robots, state, k, k * DT)] == [0]
+    assert [k for k in range(200) if tick_comms(robots, state, k)] == [0]
     assert robots[1].reads == 1  # never tested after its one exchange
 
 
@@ -247,7 +251,7 @@ def test_cooldown_bound_leaves_a_tick_for_clock_error():
     last = {(0, 1): -math.inf}
     got, want = [], []
     for k in range(40):
-        if tick_comms(robots, state, k, k * DT):
+        if tick_comms(robots, state, k):
             got.append(k)
         if eligible_pairs([(0.0, 0.0), (1.0, 0.0)], last, k * DT, 5.0, timeout):
             last[(0, 1)] = k * DT

@@ -15,7 +15,7 @@ from _oracles import brute_consensus_replay, eligible_pairs
 from swarmpatrol import harness
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.comms import exchange
-from swarmpatrol.graph import parse_map
+from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.harness import (
     RUN_COLUMNS,
     ConfigError,
@@ -316,44 +316,55 @@ def test_run_consensus_matches_replay_of_its_log(tmp_path, default_graph, bundle
     assert sum(1 for e in events if e[0] == "comm") == rec.n_exchanges
 
 
-def _brute_tick_comms(robots, state, k, t):
+def _brute_tick_comms(robots, state, k):
     """tick_comms with every pair tested on every tick."""
+    t = k * state.dt
     positions = [(r.x, r.y) for r in robots]
     cfg = state.cfg
     pairs = eligible_pairs(positions, state.last_exchange, t, cfg.range_m, cfg.timeout_s)
     return [(i, j, exchange(robots[i], robots[j], t, state)) for i, j in pairs]
 
 
+def _rescaled(g, factors):
+    """g with edge number e's length multiplied by factors[e % len(factors)]."""
+    edges = [(a, b, d * factors[e % len(factors)]) for e, (a, b, d) in enumerate(g.edges)]
+    return PatrolGraph(list(g.coords), edges)
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, factors",
     [
-        dict(),  # 8 robots, 5 m, 30 s cooldown
-        dict(dt=0.5, speed=2 * 6.106869347964157),  # speed x dt is the shortest edge
-        dict(comm_timeout=0.0, duration=90.0),
-        dict(comm_timeout=7.25),  # not a multiple of dt
-        dict(dt=1 / 3),
-        dict(comm_range=70.0),
-        dict(n_robots=2),
-        dict(n_robots=16),
+        (dict(), (1.0,)),  # 8 robots, 5 m, 30 s cooldown
+        (dict(dt=0.5, speed=2 * 6.106869347964157), (1.0,)),  # speed x dt is the shortest edge
+        (dict(comm_timeout=0.0, duration=90.0), (1.0,)),
+        (dict(comm_timeout=7.25), (1.0,)),  # not a multiple of dt
+        (dict(dt=1 / 3), (1.0,)),
+        (dict(comm_range=70.0), (1.0,)),
+        (dict(n_robots=2), (1.0,)),
+        (dict(n_robots=16), (1.0,)),
+        # map lengths shorter than the straight line move robots faster in the plane
+        (dict(speed=3.0), (0.25, 1.5, 0.6)),
     ],
     ids=["default", "step-is-shortest-edge", "no-cooldown", "cooldown-off-grid",
-         "dt-third", "range-70", "robots-2", "robots-16"],
+         "dt-third", "range-70", "robots-2", "robots-16", "edges-shorter-than-straight"],
 )
-def test_scheduled_comms_match_brute_force_scan(tmp_path, default_graph, monkeypatch, overrides):
+def test_scheduled_comms_match_brute_force_scan(
+    tmp_path, default_graph, monkeypatch, overrides, factors
+):
     # every strategy; DTAP's auctions turn robots round mid-edge
+    g = _rescaled(default_graph, factors)
     cfg = replace(ExperimentConfig(), **{"duration": 240.0, **overrides})
-    shortest = min(d for _, _, d in default_graph.edges)
-    assert cfg.speed * cfg.dt == shortest if "speed" in overrides else cfg.speed * cfg.dt < shortest
+    shortest = min(d for _, _, d in g.edges)
+    step_is_edge = "dt" in overrides and "speed" in overrides
+    assert cfg.speed * cfg.dt == shortest if step_is_edge else cfg.speed * cfg.dt < shortest
     reversals = []
     reverse_edge = RobotState.reverse_edge
     monkeypatch.setattr(
         RobotState, "reverse_edge", lambda r, g: reversals.append(r.id) or reverse_edge(r, g)
     )
-    scheduled = [run_one(cfg, default_graph, kind, 0.2, 0, out_dir=tmp_path / "a")
-                 for kind in StrategyKind]
+    scheduled = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
     monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
-    brute = [run_one(cfg, default_graph, kind, 0.2, 0, out_dir=tmp_path / "b")
-             for kind in StrategyKind]
+    brute = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
     assert scheduled == brute
     assert reversals
     assert sum(r.n_exchanges for r in brute) > 0

@@ -1,5 +1,7 @@
 """World state: seeded RNG streams, motion along edges, sensing, idleness."""
 
+import math
+
 import pytest
 
 from swarmpatrol.beliefs import Belief
@@ -10,6 +12,7 @@ from swarmpatrol.world import (
     RobotState,
     WorldState,
     advance,
+    max_step,
     sense,
     visit,
 )
@@ -164,6 +167,29 @@ def test_reverse_edge_remeasures_offset():
     assert r.edge == (1, 0)
     assert r.offset == pytest.approx(3.0)
     assert (r.x, r.y) == (pytest.approx(2.0), 0.0)
+
+
+def test_max_step_bounds_travel_in_the_plane():
+    # edge 0-1 spans 100 m of the plane but is 10 m long on the map, so a
+    # robot there covers 10 m of the plane per meter of travel; edge 1-2 is
+    # 20 m long for a 5 m span and stretches nothing
+    g = parse_map(
+        "node 0 0 0\nnode 1 100 0\nnode 2 100 5\nedge 0 1 10\nedge 1 2 20\n"
+    )
+    step = max_step(g, 1.0, 0.1)
+    assert step == pytest.approx(10 * (0.1 + 1e-9))
+    assert max_step(_line_graph(), 1.0, 0.1) == 0.1 + 1e-9
+    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r.goal = 2
+    r.path = [1, 2]
+    moves = []
+    while r.node != 2:
+        x, y = r.x, r.y
+        advance(r, g, 0.1)
+        moves.append(math.hypot(r.x - x, r.y - y))
+    assert len(moves) == 100 + 200
+    assert max(moves) <= step
+    assert max(moves) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
