@@ -99,6 +99,10 @@ class CommState:
         self._due: dict[int, list[int]] = {0: list(range(len(self._pairs)))}
         self._ticks = [0]  # heap of the keys of _due
 
+    def next_tick(self) -> float:
+        """Earliest tick with a pair due; inf when no pair is due ever again."""
+        return self._ticks[0] if self._ticks else math.inf
+
     def _schedule(self, tick: int, pair_ids: list[int]) -> None:
         bucket = self._due.get(tick)
         if bucket is None:
@@ -118,11 +122,14 @@ class CommState:
 def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list[Belief]:
     """Fuse the two belief vectors and hand each robot its own copy.
 
-    Returns the fused vector; it is the list `ri` now holds.
+    Returns the fused vector; it is the list `ri` now holds. Fusing a vector
+    with itself gives it back, so robots that already agree keep their lists.
     """
-    fused = fuse_vectors(ri.beliefs, rj.beliefs)
-    ri.beliefs = fused
-    rj.beliefs = fused.copy()
+    fused = ri.beliefs
+    if fused != rj.beliefs:
+        fused = fuse_vectors(fused, rj.beliefs)
+        ri.beliefs = fused
+        rj.beliefs = fused.copy()
     i, j = (ri.id, rj.id) if ri.id < rj.id else (rj.id, ri.id)
     state.last_exchange[(i, j)] = t
     state.log.append((t, i, j))
@@ -136,11 +143,12 @@ def tick_comms(
 ) -> list[tuple[int, int, list[Belief]]]:
     """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
 
-    Only the pairs due by tick k are tested. A pair qualifies when its
+    Only the pairs due by tick k are tested, and only their robots are
+    synced to tick k, each once. A pair qualifies when its
     straight-line separation is within range and at least the cooldown has
     elapsed since its previous exchange (a gap of exactly the cooldown is
-    eligible). Eligibility is evaluated once against the current positions,
-    then the exchanges apply sequentially in ascending pair order. Each
+    eligible). Eligibility is evaluated once against the positions of tick
+    k, then the exchanges apply sequentially in ascending pair order. Each
     triple holds the vector that exchange fused; a later exchange in the
     same tick may have changed what robots i and j hold since.
     """
@@ -157,25 +165,29 @@ def tick_comms(
     range_sq = range_m * range_m
     closing = 2.0 * state.max_step
     horizon = t - state.cfg.timeout_s + _COOLDOWN_SLACK
-    eligible: list[int] = []
+    near: list[int] = []
     for p in tested:
-        pair = pairs[p]
-        last = last_exchange[pair]
-        if last > horizon:
-            wait = state._cooldown_wait(last, t)
-            if wait is None:
-                continue
+        last = last_exchange[pairs[p]]
+        if last <= horizon:
+            near.append(p)
+            continue
+        wait = state._cooldown_wait(last, t)
+        if wait is not None:
+            state._schedule(k + max(1, wait), [p])
+    for rid in {rid for p in near for rid in pairs[p]}:
+        robots[rid].sync(k)
+    eligible: list[int] = []
+    for p in near:
+        i, j = pairs[p]
+        ri, rj = robots[i], robots[j]
+        dx = ri.x - rj.x
+        dy = ri.y - rj.y
+        d2 = dx * dx + dy * dy
+        if d2 <= range_sq:
+            eligible.append(p)
         else:
-            i, j = pair
-            ri, rj = robots[i], robots[j]
-            dx = ri.x - rj.x
-            dy = ri.y - rj.y
-            d2 = dx * dx + dy * dy
-            if d2 <= range_sq:
-                eligible.append(p)
-                continue
             wait = math.floor((math.sqrt(d2) - range_m - _RANGE_EPS) / closing)
-        state._schedule(k + max(1, wait), [p])
+            state._schedule(k + max(1, wait), [p])
     done = []
     for p in eligible:
         i, j = pairs[p]

@@ -13,6 +13,7 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,8 +30,16 @@ from .metrics import (
     pearson,
     system_error,
 )
-from .strategies import POLICIES, StrategyKind, StrategyParams, decide_next, retarget
-from .world import IdlenessTracker, RobotState, RngStream, WorldState, advance, max_step, visit
+from .strategies import POLICIES, Policy, StrategyKind, StrategyParams, decide_next, retarget
+from .world import (
+    IdlenessTracker,
+    RngStream,
+    RobotState,
+    WorldState,
+    max_step,
+    sample_ticks,
+    visit,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -341,7 +350,7 @@ def run_one(
     for label, node in (("start_node", cfg.start_node), ("anomaly_node", cfg.anomaly_node)):
         if not (0 <= node < m):
             raise ConfigError(f"{label} {node} outside the map's nodes 0..{m - 1}")
-    # advance makes at most one arrival a tick and drops the overshoot, so a
+    # a robot makes at most one arrival a tick and drops the overshoot, so a
     # step longer than an edge would silently slow the robots down
     step = cfg.speed * cfg.dt
     shortest_edge = min(d for _, _, d in g.edges)
@@ -353,7 +362,7 @@ def run_one(
     world = WorldState.single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt)
-    robots = [RobotState.at_node(i, g, cfg.start_node, cfg.speed) for i in range(n)]
+    robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
     comm_cfg = CommConfig(range_m=cfg.comm_range, timeout_s=cfg.comm_timeout)
     comm = CommState(n, comm_cfg, cfg.dt, max_step(g, cfg.speed, cfg.dt))
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
@@ -363,34 +372,66 @@ def run_one(
 
     dt = cfg.dt
     ticks = int(round(cfg.duration / dt))
-    sample_every = max(1, int(round(1.0 / dt)))
     last_visit = tracker.last_visit
+    # each robot sits in the bucket of its due tick; a heap holds the keys
+    moves: dict[int, list[int]] = {1: list(range(n))}
+    move_ticks = [1]
+    samples = sample_ticks(dt, ticks)
+    next_sample = next(samples, math.inf)
+    every_tick = type(policy).tick is not Policy.tick
 
-    for k in range(1, ticks + 1):
+    def schedule(r: RobotState) -> None:
+        bucket = moves.get(r.due)
+        if bucket is None:
+            moves[r.due] = [r.id]
+            heappush(move_ticks, r.due)
+        else:
+            bucket.append(r.id)
+
+    k = 0
+    while True:
+        k += 1
+        if not every_tick:
+            # a tick where no robot, pair or sample is due changes nothing
+            k = max(k, min(move_ticks[0], comm.next_tick(), next_sample))
+        if k > ticks:
+            break
         t = k * dt
-        for rid, v in policy.tick(k, t, robots, last_visit):
-            retarget(robots[rid], g, v)
-            if log_lines is not None:
-                log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
-        for r in robots:
-            arrived = advance(r, g, dt)
-            if arrived is None:
-                continue
-            idleness_before = t - last_visit[arrived]
-            b = visit(r, tracker, world, arrived, t, noise, sense_rngs[r.id])
-            consensus.visited(t, r.id, arrived, r.beliefs)
-            if log_lines is not None:
-                log_lines.append(
-                    f"{t:.3f} visit robot={r.id} node={arrived} belief={format_belief(b)}"
-                )
-            policy.visited(r.id, arrived, idleness_before)
-            if arrived == r.goal:
-                idleness = [t - lv for lv in last_visit]
-                goal = decide_next(policy, r.id, arrived, idleness, strat_rngs[r.id])
-                r.goal = goal
-                r.path = g.shortest_path(arrived, goal)[0][1:]
+        if every_tick:
+            for rid, v in policy.tick(k, t, robots, last_visit):
+                r = robots[rid]
+                due = r.due
+                retarget(r, g, v, k)
+                if r.due != due:
+                    moves[due].remove(rid)
+                    schedule(r)
                 if log_lines is not None:
-                    log_lines.append(f"{t:.3f} goal robot={r.id} node={goal}")
+                    log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
+        if move_ticks[0] == k:
+            heappop(move_ticks)
+            # in ascending id: last_visit and announced intentions carry one
+            # robot's decision to the next
+            for rid in sorted(moves.pop(k)):
+                r = robots[rid]
+                arrived = r.step(g, k)
+                schedule(r)
+                if arrived is None:
+                    continue
+                idleness_before = t - last_visit[arrived]
+                b = visit(r, tracker, world, arrived, t, noise, sense_rngs[rid])
+                consensus.visited(t, rid, arrived, r.beliefs)
+                if log_lines is not None:
+                    log_lines.append(
+                        f"{t:.3f} visit robot={rid} node={arrived} belief={format_belief(b)}"
+                    )
+                policy.visited(rid, arrived, idleness_before)
+                if arrived == r.goal:
+                    idleness = [t - lv for lv in last_visit]
+                    goal = decide_next(policy, rid, arrived, idleness, strat_rngs[rid])
+                    r.goal = goal
+                    r.path = g.shortest_path(arrived, goal)[0][1:]
+                    if log_lines is not None:
+                        log_lines.append(f"{t:.3f} goal robot={rid} node={goal}")
         # every exchange of the tick has run, so the digest is end-of-tick state
         for i, j, fused in tick_comms(robots, comm, k):
             consensus.exchanged(t, i, j, fused)
@@ -398,8 +439,9 @@ def run_one(
                 log_lines.append(
                     f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs)}"
                 )
-        if k % sample_every == 0:
+        if k == next_sample:
             tracker.sample(t)
+            next_sample = next(samples, math.inf)
 
     vectors = [r.beliefs for r in robots]
     error = system_error(vectors, world.truth)

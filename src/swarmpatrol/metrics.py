@@ -10,6 +10,7 @@ two-sided p-value computed from the t distribution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -132,10 +133,11 @@ class CommGraph:
 
     @classmethod
     def from_contacts(cls, n_robots: int, events: Iterable[tuple[float, int, int]]) -> "CommGraph":
+        # counts are exact integers, so each weight is written once
+        counts = Counter((i, j) if i < j else (j, i) for _, i, j in events)
         w = np.zeros((n_robots, n_robots))
-        for _, i, j in events:
-            w[i, j] += 1.0
-            w[j, i] += 1.0
+        for (i, j), count in counts.items():
+            w[i, j] = w[j, i] = count
         return cls(weights=w)
 
     def laplacian(self) -> np.ndarray:

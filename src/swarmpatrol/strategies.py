@@ -1,7 +1,8 @@
 """Ten patrol policies, one class each, behind three hooks.
 
 `harness.run_one` drives a policy without knowing which one it runs:
-`tick` at the start of every tick may move goals (only DTAP's auction does),
+`tick`, called at the start of every tick if a policy overrides it, may move
+goals (only DTAP's auction does, and only it reads robots' poses),
 `visited` follows every arrival (only CBLS learns from it), and `decide`,
 through `decide_next`, picks the next goal when a robot reaches its current
 one. The base class `Policy` is Conscientious Reactive (CR). The other
@@ -117,7 +118,11 @@ class Policy:
     def tick(
         self, k: int, t: float, robots: Sequence[RobotState], last_visit: Sequence[float]
     ) -> list[tuple[int, int]]:
-        """(robot_id, node) goal changes at the start of tick `k` (time `t`)."""
+        """(robot_id, node) goal changes at the start of tick `k` (time `t`).
+
+        Only a policy that overrides this hook is called on every tick; it
+        must sync a robot to tick k - 1 before reading its pose.
+        """
         return []
 
 
@@ -223,14 +228,21 @@ class SEBS(GBS):
         super().__init__(g, n_robots, params, comm_range, dt)
         # each robot's announced goal; None before its first decision
         self.intentions: list[Optional[int]] = [None] * n_robots
+        # how many robots announced each node
+        self.announced = [0] * g.node_count
+
+    def _intend(self, robot_id: int, goal: int) -> None:
+        old = self.intentions[robot_id]
+        if old is not None:
+            self.announced[old] -= 1
+        self.announced[goal] += 1
+        self.intentions[robot_id] = goal
 
     def _announce(self, robot_id: int, scored: list[tuple[int, float]]) -> int:
-        intentions = self.intentions
-        goal = _argmax(
-            (v, score / 2.0 ** sum(1 for r, i in enumerate(intentions) if r != robot_id and i == v))
-            for v, score in scored
-        )
-        intentions[robot_id] = goal
+        announced = self.announced
+        mine = self.intentions[robot_id]
+        goal = _argmax((v, score / 2.0 ** (announced[v] - (v == mine))) for v, score in scored)
+        self._intend(robot_id, goal)
         return goal
 
     def decide(self, robot_id, node, idleness, rng):
@@ -258,7 +270,7 @@ class CBLS(SEBS):
         if rng.random() < self.params.cbls_epsilon:
             nbrs = self.g.neighbors(node)
             choice = nbrs[rng.index(len(nbrs))][0]
-            self.intentions[robot_id] = choice
+            self._intend(robot_id, choice)
             return choice
         # the learned estimate is a floor, not a replacement: an overdue
         # neighbor must still win, and a flat learned 0 prior would trap the
@@ -319,6 +331,8 @@ class DTAP(_ClaimPolicy):
     def tick(self, k, t, robots, last_visit):
         if None not in self.claim:
             return []
+        for r in robots:
+            r.sync(k - 1)
         return dtap_auction(
             robots,
             self.g,
@@ -363,7 +377,7 @@ def decide_next(
 
 
 def travel_distance(robot: RobotState, g: PatrolGraph, v: int) -> float:
-    """Shortest travel distance from the robot's current pose to node v."""
+    """Shortest travel distance from the robot's last synced pose to node v."""
     if robot.edge is None:
         return g.shortest_distance(robot.node, v)
     a, b = robot.edge
@@ -372,22 +386,23 @@ def travel_distance(robot: RobotState, g: PatrolGraph, v: int) -> float:
     return min(via_a, via_b)
 
 
-def retarget(robot: RobotState, g: PatrolGraph, goal: int) -> None:
-    """Redirect a robot to a new goal from wherever it is.
+def retarget(robot: RobotState, g: PatrolGraph, goal: int, k: int) -> None:
+    """Redirect a robot to a new goal at the start of tick k, from where tick k - 1 left it.
 
     Mid-edge the robot continues to the nearer completion of its travel
-    (reversing only when strictly shorter); the leftover path is replanned
-    from the end node it will reach.
+    (reversing only when strictly shorter, which moves its due tick); the
+    leftover path is replanned from the end node it will reach.
     """
     robot.goal = goal
     if robot.edge is None:
         robot.path = g.shortest_path(robot.node, goal)[0][1:]
         return
+    robot.sync(k - 1)
     a, b = robot.edge
     via_b = (robot._edge_len - robot.offset) + g.shortest_distance(b, goal)
     via_a = robot.offset + g.shortest_distance(a, goal)
     if via_a < via_b:
-        robot.reverse_edge(g)
+        robot.reverse_edge(g, k)
         robot.path = [a] + g.shortest_path(a, goal)[0][1:]
     else:
         robot.path = [b] + g.shortest_path(b, goal)[0][1:]

@@ -8,8 +8,11 @@ that make every run reproducible from a single integer seed.
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate, repeat
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,12 +25,16 @@ __all__ = [
     "RobotState",
     "IdlenessTracker",
     "sense",
-    "advance",
     "max_step",
+    "sample_ticks",
     "visit",
 ]
 
 _ARRIVAL_SLACK = 1e-9  # meters; absorbs float drift in accumulated offsets
+
+# Most ticks one plan covers; a longer crossing is planned on from the last
+# of them, so a tiny stride on a long edge never builds a huge table.
+_PLAN_TICKS = 4096
 
 
 def _derive_seed(master_seed: int, purpose: str, robot_id: int) -> int:
@@ -80,9 +87,16 @@ class RobotState:
     """Pose, goal, path and belief vector of one robot.
 
     Exactly one of (node, edge) is set: a robot is either at a node or part
-    way along a directed edge (edge=(a, b), offset meters from a). The cached
-    fields (_sx, _sy, _ux, _uy, _edge_len) describe the current edge segment
-    and are refreshed whenever the robot enters an edge.
+    way along a directed edge (edge=(a, b), offset meters from a). A tick
+    moves it `stride` meters along its edge, but it is handled only on the
+    tick `due`: the next tick at a node (it departs, or at its goal makes an
+    identity arrival), its arrival tick on an edge. In between, sync reads
+    its pose off the plan made when it entered the edge or turned round:
+    `_offs[i]` is its offset at the end of tick `_base + i`, the same running
+    float sum offset + stride + stride + ... that stepping tick by tick
+    makes, so every pose is bit-identical to it. On an edge, offset, x and y
+    hold the pose of the tick last synced. The cached fields (_sx, _sy, _ux,
+    _uy, _edge_len) describe the current edge segment.
     """
 
     id: int
@@ -90,19 +104,23 @@ class RobotState:
     x: float
     y: float
     goal: int
-    speed: float
+    stride: float
     beliefs: list[Belief]
     edge: Optional[tuple[int, int]] = None
     offset: float = 0.0
     path: list[int] = field(default_factory=list)
+    due: int = 1
     _sx: float = 0.0
     _sy: float = 0.0
     _ux: float = 0.0
     _uy: float = 0.0
     _edge_len: float = 0.0
+    _offs: list[float] = field(default_factory=list)
+    _base: int = 0
 
     @classmethod
-    def at_node(cls, robot_id: int, g: PatrolGraph, node: int, speed: float) -> "RobotState":
+    def at_node(cls, robot_id: int, g: PatrolGraph, node: int, stride: float) -> "RobotState":
+        """A robot at node that moves stride meters a tick, due on tick 1."""
         x, y = g.coords[node]
         return cls(
             id=robot_id,
@@ -110,12 +128,12 @@ class RobotState:
             x=x,
             y=y,
             goal=node,
-            speed=speed,
+            stride=stride,
             beliefs=new_belief_vector(g.node_count),
         )
 
-    def enter_edge(self, g: PatrolGraph, nxt: int) -> None:
-        """Leave the current node onto the edge towards nxt."""
+    def enter_edge(self, g: PatrolGraph, nxt: int, k: int) -> None:
+        """Leave the current node on tick k onto the edge towards nxt."""
         a = self.node
         assert a is not None and a != nxt
         length = g.edge_length(a, nxt)
@@ -126,16 +144,69 @@ class RobotState:
         self._sx, self._sy = xa, ya
         self._ux, self._uy = (xb - xa) / length, (yb - ya) / length
         self._edge_len = length
+        self._plan(k - 1)
 
-    def reverse_edge(self, g: PatrolGraph) -> None:
-        """Turn around mid-edge; offset is re-measured from the other end."""
+    def reverse_edge(self, g: PatrolGraph, k: int) -> None:
+        """Turn around at the start of tick k; offset is re-measured from the other end."""
+        self.sync(k - 1)
         a, b = self.edge
-        length = self._edge_len
         (xb, yb) = g.coords[b]
         self.edge = (b, a)
-        self.offset = length - self.offset
+        self.offset = self._edge_len - self.offset
         self._sx, self._sy = xb, yb
         self._ux, self._uy = -self._ux, -self._uy
+        self._plan(k - 1)
+
+    def _plan(self, base: int) -> None:
+        """Tabulate the offsets from tick `base`, whose offset is self.offset, and set due.
+
+        due is the first later tick whose offset reaches the edge's length
+        less the arrival slack, or the table's last tick if none does.
+        """
+        arrive_at = self._edge_len - _ARRIVAL_SLACK
+        ticks = min(_PLAN_TICKS, max(1, math.ceil((arrive_at - self.offset) / self.stride)) + 1)
+        self._offs = list(accumulate(repeat(self.stride, ticks), initial=self.offset))
+        self._base = base
+        self.due = base + bisect_left(self._offs, arrive_at, 1, ticks)
+
+    def sync(self, k: int) -> None:
+        """Bring offset, x and y to the end of tick k, which must come before due."""
+        if self.edge is not None:
+            offset = self.offset = self._offs[k - self._base]
+            self.x = self._sx + self._ux * offset
+            self.y = self._sy + self._uy * offset
+
+    def step(self, g: PatrolGraph, k: int) -> Optional[int]:
+        """Handle the robot on tick k, its due tick; return the node reached, if any.
+
+        At a node it departs along its path, or, already at its goal,
+        reports an identity arrival without moving. A robot on an edge
+        arrives, as does one whose departure tick covers the whole edge, and
+        the overshoot past the node is dropped; a robot whose table ran out
+        short of the node is tabulated on instead. Afterwards due is the
+        next tick to handle it on.
+        """
+        if self.edge is None:
+            if self.node == self.goal:
+                self.due = k + 1
+                return self.node
+            self.enter_edge(g, self.path[0], k)
+            if self.due > k:
+                return None
+        if self._offs[k - self._base] < self._edge_len - _ARRIVAL_SLACK:
+            # the plan ran out before the node: plan on from this tick
+            self.offset = self._offs[-1]
+            self._plan(k)
+            return None
+        dest = self.edge[1]
+        self.node = dest
+        self.edge = None
+        self.offset = 0.0
+        self.x, self.y = g.coords[dest]
+        if self.path and self.path[0] == dest:
+            self.path.pop(0)
+        self.due = k + 1
+        return dest
 
 
 class IdlenessTracker:
@@ -171,6 +242,22 @@ class IdlenessTracker:
         return self.sample_sum / self.sample_count
 
 
+def sample_ticks(dt: float, ticks: int) -> Iterator[int]:
+    """Ascending ticks at which idleness is sampled, once a simulated second.
+
+    They are the ticks nearest each whole second, {round(s / dt) : s = 1,
+    2, ...}, within 1..ticks. Shorter ticks than a second give one distinct
+    tick a second; with longer ones every tick is nearest some second.
+    """
+    if dt >= 1.0:
+        yield from range(1, ticks + 1)
+        return
+    s = 1
+    while (k := round(s / dt)) <= ticks:
+        yield k
+        s += 1
+
+
 def sense(world: WorldState, node: int, noise_p: float, rng: RngStream) -> bool:
     """Read the node's truth through a symmetric noisy channel.
 
@@ -183,34 +270,8 @@ def sense(world: WorldState, node: int, noise_p: float, rng: RngStream) -> bool:
     return value
 
 
-def advance(robot: RobotState, g: PatrolGraph, dt: float) -> Optional[int]:
-    """Move the robot for one tick; return the node reached, if any.
-
-    At most one arrival happens per tick: overshoot past the target node is
-    clipped and the leftover travel discarded. A robot already at its goal
-    reports an identity arrival without moving.
-    """
-    if robot.edge is None:
-        if robot.node == robot.goal:
-            return robot.node
-        robot.enter_edge(g, robot.path[0])
-    robot.offset += robot.speed * dt
-    if robot.offset >= robot._edge_len - _ARRIVAL_SLACK:
-        dest = robot.edge[1]
-        robot.node = dest
-        robot.edge = None
-        robot.offset = 0.0
-        robot.x, robot.y = g.coords[dest]
-        if robot.path and robot.path[0] == dest:
-            robot.path.pop(0)
-        return dest
-    robot.x = robot._sx + robot._ux * robot.offset
-    robot.y = robot._sy + robot._uy * robot.offset
-    return None
-
-
 def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
-    """Farthest advance moves a robot in the plane in one tick on map g.
+    """Farthest a robot moves in the plane in one tick on map g.
 
     A tick adds speed * dt to the robot's offset along its edge, and the
     snap onto the node it reaches adds at most the arrival slack. A meter of

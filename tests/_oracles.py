@@ -23,6 +23,76 @@ def eigenvalues_by_charpoly(matrix: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
+def advance(robot, g, stride):
+    """Move the robot one tick of `stride` meters; return the node reached, if any.
+
+    The per-tick stepper: it moves the robot on every tick, writing its
+    fields (edge, offset, pose, and the edge's start and unit vector) by hand
+    without calling any of its methods. At most one arrival happens per
+    tick: overshoot past the target node is clipped and the leftover travel
+    discarded. A robot already at its goal reports an identity arrival
+    without moving.
+    """
+    if robot.edge is None:
+        if robot.node == robot.goal:
+            return robot.node
+        a, b = robot.node, robot.path[0]
+        length = g.edge_length(a, b)
+        (xa, ya), (xb, yb) = g.coords[a], g.coords[b]
+        robot.edge = (a, b)
+        robot.node = None
+        robot.offset = 0.0
+        robot._sx, robot._sy = xa, ya
+        robot._ux, robot._uy = (xb - xa) / length, (yb - ya) / length
+        robot._edge_len = length
+    robot.offset += stride
+    if robot.offset >= robot._edge_len - 1e-9:
+        dest = robot.edge[1]
+        robot.node = dest
+        robot.edge = None
+        robot.offset = 0.0
+        robot.x, robot.y = g.coords[dest]
+        if robot.path and robot.path[0] == dest:
+            robot.path.pop(0)
+        return dest
+    robot.x = robot._sx + robot._ux * robot.offset
+    robot.y = robot._sy + robot._uy * robot.offset
+    return None
+
+
+def reverse(robot, g):
+    """Turn a robot round mid-edge for advance; its offset is re-measured from the other end."""
+    a, b = robot.edge
+    robot.edge = (b, a)
+    robot.offset = robot._edge_len - robot.offset
+    robot._sx, robot._sy = g.coords[b]
+    robot._ux, robot._uy = -robot._ux, -robot._uy
+
+
+def per_tick_robot_class(robot_class):
+    """A subclass of robot_class whose robots advance on every tick.
+
+    Such a robot is due on every tick; its step is advance, its pose is
+    always current (sync does nothing), and it turns round by reverse. A
+    run or policy that drives it moves it exactly as the per-tick loop did.
+    """
+
+    class PerTickRobot(robot_class):
+        __slots__ = ()
+
+        def step(self, g, k):
+            self.due = k + 1
+            return advance(self, g, self.stride)
+
+        def sync(self, k):
+            pass
+
+        def reverse_edge(self, g, k):
+            reverse(self, g)
+
+    return PerTickRobot
+
+
 def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):
     """Every pair allowed to exchange at time t, in ascending (i, j) order.
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import eligible_pairs
-from swarmpatrol.beliefs import Belief
+from swarmpatrol import comms
+from swarmpatrol.beliefs import Belief, fuse_vectors
 from swarmpatrol.comms import CommConfig, CommState, exchange, tick_comms
 from swarmpatrol.graph import parse_map
 from swarmpatrol.world import RobotState, max_step
@@ -30,7 +31,7 @@ def _robots_at(*coords):
     g = _line_graph(len(coords))
     robots = []
     for i, (x, y) in enumerate(coords):
-        r = RobotState.at_node(i, g, i, speed=1.0)
+        r = RobotState.at_node(i, g, i, stride=0.1)
         r.x, r.y = x, y
         robots.append(r)
     return robots
@@ -91,7 +92,7 @@ def test_pairs_listed_in_ascending_order():
 
 
 class _Probe:
-    """Stands in for a robot and counts how often its position is read."""
+    """Stands in for a robot; counts how often its position is read, and lists its syncs."""
 
     def __init__(self, rid, x):
         self.id = rid
@@ -99,11 +100,15 @@ class _Probe:
         self.y = 0.0
         self.beliefs = [U]
         self.reads = 0
+        self.synced = []
 
     @property
     def x(self):
         self.reads += 1
         return self.pos_x
+
+    def sync(self, k):
+        self.synced.append(k)
 
 
 def test_far_pair_waits_for_its_scheduled_tick():
@@ -130,6 +135,17 @@ def test_far_pair_waits_for_its_scheduled_tick():
     # tick 47 leaves a 6 m gap, so the pair is due again on the next tick
     assert tested == [0, 47, 48]
     assert got == want == [48]
+    assert robots[0].synced == robots[1].synced == tested
+
+
+def test_tick_comms_syncs_each_robot_of_a_tested_pair_once():
+    # robot 3 is far from the rest, so after tick 0 only its pairs wait;
+    # robots 0-2 are in range and every one of their pairs is due again
+    state = _state(4, timeout_s=0.0)
+    robots = [_Probe(0, 0.0), _Probe(1, 1.0), _Probe(2, 2.0), _Probe(3, 500.0)]
+    for k in range(5):
+        assert _pairs(tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
+    assert [r.synced for r in robots] == [[0, 1, 2, 3, 4]] * 3 + [[0]]
 
 
 @st.composite
@@ -194,6 +210,50 @@ def test_exchange_fuses_both_ways_without_aliasing():
     assert rj.beliefs[0] is T
     assert state.last_exchange[(0, 1)] == 42.0
     assert state.log == [(42.0, 0, 1)]
+
+
+def test_exchange_between_agreeing_robots_keeps_their_lists(monkeypatch):
+    calls = []
+    monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
+    state = _state(2)
+    ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
+    ri.beliefs = [T, F, U]
+    rj.beliefs = [T, F, U]
+    li, lj = ri.beliefs, rj.beliefs
+    assert exchange(ri, rj, 42.0, state) is li
+    assert ri.beliefs is li and rj.beliefs is lj
+    assert li is not lj
+    assert calls == []
+    assert state.last_exchange[(0, 1)] == 42.0
+    assert state.log == [(42.0, 0, 1)]
+    rj.beliefs = [U, F, U]
+    assert exchange(ri, rj, 43.0, state) == [T, F, U]
+    assert calls == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tick_comms_triples_carry_each_exchange_own_vector(data):
+    # every pair is in range, so every pair exchanges, in ascending order,
+    # each one seeing the fusions before it; small vectors often agree
+    n = data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, 3))
+    vectors = data.draw(
+        st.lists(st.lists(st.sampled_from([F, U, T]), min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+    robots = _robots_at(*[(float(i), 0.0) for i in range(n)])
+    for r, v in zip(robots, vectors):
+        r.beliefs = list(v)
+    held = [[int(b) for b in v] for v in vectors]
+    want = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            fused = [min(max(a + b - 1, 0), 2) for a, b in zip(held[i], held[j])]
+            held[i], held[j] = fused, list(fused)
+            want.append((i, j, fused))
+    assert tick_comms(robots, _state(n), 0) == want
+    assert [r.beliefs for r in robots] == held
+    assert len({id(r.beliefs) for r in robots}) == n
 
 
 def test_tick_comms_chains_fusion_through_pair_order():

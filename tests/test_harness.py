@@ -1,6 +1,7 @@
 """Experiment harness: config files, seeding, runs, CSV round-trips, analysis."""
 
 import contextlib
+import hashlib
 import io
 import math
 import re
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_consensus_replay, eligible_pairs
+import _oracles
+from _oracles import brute_consensus_replay, eligible_pairs, per_tick_robot_class
 from swarmpatrol import harness
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.comms import exchange
@@ -319,6 +321,8 @@ def test_run_consensus_matches_replay_of_its_log(tmp_path, default_graph, bundle
 def _brute_tick_comms(robots, state, k):
     """tick_comms with every pair tested on every tick."""
     t = k * state.dt
+    for r in robots:
+        r.sync(k)
     positions = [(r.x, r.y) for r in robots]
     cfg = state.cfg
     pairs = eligible_pairs(positions, state.last_exchange, t, cfg.range_m, cfg.timeout_s)
@@ -331,7 +335,8 @@ def _rescaled(g, factors):
     return PatrolGraph(list(g.coords), edges)
 
 
-@pytest.mark.parametrize(
+# configs on which the run-level oracle tests run every strategy
+_ORACLE_CONFIGS = pytest.mark.parametrize(
     "overrides, factors",
     [
         (dict(), (1.0,)),  # 8 robots, 5 m, 30 s cooldown
@@ -348,31 +353,89 @@ def _rescaled(g, factors):
     ids=["default", "step-is-shortest-edge", "no-cooldown", "cooldown-off-grid",
          "dt-third", "range-70", "robots-2", "robots-16", "edges-shorter-than-straight"],
 )
-def test_scheduled_comms_match_brute_force_scan(
-    tmp_path, default_graph, monkeypatch, overrides, factors
-):
-    # every strategy; DTAP's auctions turn robots round mid-edge
+
+
+def _oracle_case(default_graph, overrides, factors):
     g = _rescaled(default_graph, factors)
     cfg = replace(ExperimentConfig(), **{"duration": 240.0, **overrides})
     shortest = min(d for _, _, d in g.edges)
     step_is_edge = "dt" in overrides and "speed" in overrides
     assert cfg.speed * cfg.dt == shortest if step_is_edge else cfg.speed * cfg.dt < shortest
-    reversals = []
-    reverse_edge = RobotState.reverse_edge
-    monkeypatch.setattr(
-        RobotState, "reverse_edge", lambda r, g: reversals.append(r.id) or reverse_edge(r, g)
-    )
-    scheduled = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
-    monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
-    brute = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
-    assert scheduled == brute
-    assert reversals
-    assert sum(r.n_exchanges for r in brute) > 0
+    return g, cfg
+
+
+# _runs_digest of each config's runs as the loop made them when it moved
+# every robot on every tick; a change to the order in which the loop handles
+# robots, ticks or exchanges shows here even where both arms of a test share it
+_PER_TICK_DIGESTS = {
+    "default": "d90d53befbc4858394559a4c8a006e966369df19e89f58147ea1942d82799826",
+    "step-is-shortest-edge": "c3837e54ff65f5db5da9ea1b74428b84f193b0fb702923d5333f46d2a17639d0",
+    "no-cooldown": "87af5e89566a80c9db4bc3407925280242b06e2bcf8692ba42c04afd870cac5e",
+    "cooldown-off-grid": "b2ae4e7f6210aa17f1aefbe9b717e649e21e9ca258826f90bccf39703399dd2a",
+    "dt-third": "9c609e7b40f931fd9b856022bcac43066a7e9e1540db37bc3ef8c4ec745ede08",
+    "range-70": "8a83cf9c7163ba91ca8d349a44867a8e601fc7c36bc67e02b46c5d95b92951e3",
+    "robots-2": "51f60e6ec9fbfc95b946376b4b7a9b273987b516dceae9fb9232ee6aee4a4146",
+    "robots-16": "00fd7ae3223788cc0670ee12ad8d3fe9023e7b61a4be811ccf660db181e9aa8c",
+    "edges-shorter-than-straight": "365c58df5e696ec8df03afe6efd4a032ec382c3242171a5e597c9aa19a9b05ea",
+}
+
+
+def _runs_digest(records, log_dir):
+    """SHA-256 over the runs' records and their logs' names and bytes."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(repr(rec).encode())
+    for path in sorted(log_dir.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _assert_same_runs(tmp_path, a, b):
+    """Equal RunRecords for every strategy, and byte-identical logs under tmp_path/a and /b."""
+    assert a == b
+    assert sum(r.n_exchanges for r in a) > 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     assert len(names) == len(StrategyKind)
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@_ORACLE_CONFIGS
+def test_scheduled_comms_match_brute_force_scan(
+    tmp_path, default_graph, monkeypatch, overrides, factors
+):
+    # every strategy; DTAP's auctions turn robots round mid-edge
+    g, cfg = _oracle_case(default_graph, overrides, factors)
+    reversals = []
+    reverse_edge = RobotState.reverse_edge
+    monkeypatch.setattr(
+        RobotState, "reverse_edge", lambda r, *a: reversals.append(r.id) or reverse_edge(r, *a)
+    )
+    scheduled = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
+    monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
+    brute = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
+    assert reversals
+    _assert_same_runs(tmp_path, scheduled, brute)
+
+
+@_ORACLE_CONFIGS
+def test_event_driven_runs_match_per_tick_stepping(
+    tmp_path, default_graph, monkeypatch, request, overrides, factors
+):
+    # the per-tick robots are due on every tick, so no tick is skipped and
+    # every robot is moved by the oracle on every tick, as the loop once did
+    g, cfg = _oracle_case(default_graph, overrides, factors)
+    events = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
+    assert _runs_digest(events, tmp_path / "a") == _PER_TICK_DIGESTS[request.node.callspec.id]
+    reversals = []
+    reverse = _oracles.reverse
+    monkeypatch.setattr(_oracles, "reverse", lambda r, g: reversals.append(r.id) or reverse(r, g))
+    monkeypatch.setattr(harness, "RobotState", per_tick_robot_class(RobotState))
+    stepped = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
+    assert reversals
+    _assert_same_runs(tmp_path, events, stepped)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,22 @@ def test_comm_graph_from_contacts_counts_exchanges():
     assert cg.weights[0, 2] == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=300),
+)
+def test_comm_graph_weights_equal_per_event_accumulation(n, pairs):
+    events = [(0.1 * e, i % n, j % n) for e, (i, j) in enumerate(pairs) if i % n != j % n]
+    want = np.zeros((n, n))
+    for _, i, j in events:
+        want[i, j] += 1.0
+        want[j, i] += 1.0
+    cg = CommGraph.from_contacts(n, events)
+    assert np.array_equal(cg.weights, want)
+    assert algebraic_connectivity(cg) == algebraic_connectivity(CommGraph(weights=want))
+
+
 def test_laplacian_rows_sum_to_zero():
     cg = CommGraph.from_contacts(3, [(0.0, 0, 1), (0.0, 1, 2)])
     lap = cg.laplacian()

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmpatrol import strategies
 from swarmpatrol.graph import PatrolGraph, parse_map
@@ -15,7 +17,7 @@ from swarmpatrol.strategies import (
     retarget,
     travel_distance,
 )
-from swarmpatrol.world import RngStream, RobotState, advance
+from swarmpatrol.world import RngStream, RobotState
 
 K = StrategyKind
 
@@ -214,8 +216,32 @@ def test_cbls_learned_estimate_is_a_floor():
 def test_cbls_respects_peer_intentions():
     g = _star()
     cbls = _policy(K.CBLS, g, 2, StrategyParams(cbls_epsilon=0.0))
-    cbls.intentions[1] = 1
+    assert _decide(cbls, robot_id=1, idleness=[0.0, 8.0, 0.0, 0.0]) == 1  # robot 1 announces 1
     assert _decide(cbls, robot_id=0, idleness=[0.0, 8.0, 5.0, 0.0]) == 2  # 8/2 < 5
+    assert cbls.intentions == [2, 1]
+    assert cbls.announced == [0, 1, 1, 0]
+    # a robot's own announcement does not count against it: 8 beats 5
+    assert _decide(cbls, robot_id=1, idleness=[0.0, 8.0, 0.0, 5.0]) == 1
+    assert cbls.announced == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("kind", [K.SEBS, K.CBLS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_announced_counts_equal_a_recount(kind, data):
+    g = _ring(6)
+    n = data.draw(st.integers(1, 5))
+    epsilon = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    policy = _policy(kind, g, n, StrategyParams(cbls_epsilon=epsilon))
+    rngs = [RngStream(data.draw(st.integers(0, 99)), "strategy", r) for r in range(n)]
+    for _ in range(data.draw(st.integers(1, 30))):
+        robot_id = data.draw(st.integers(0, n - 1))
+        node = data.draw(st.integers(0, g.node_count - 1))
+        idleness = data.draw(st.lists(st.floats(0.0, 100.0), min_size=6, max_size=6))
+        goal = _decide(policy, robot_id=robot_id, node=node, idleness=idleness, rng=rngs[robot_id])
+        assert policy.intentions[robot_id] == goal
+        recount = [sum(1 for i in policy.intentions if i == v) for v in range(g.node_count)]
+        assert policy.announced == recount
 
 
 def test_cbls_full_exploration_is_seeded_and_announced():
@@ -240,7 +266,7 @@ def test_cbls_visited_moving_average():
 
 def test_visited_and_tick_are_noops_for_other_kinds():
     g = _star()
-    robots = [RobotState.at_node(i, g, 0, speed=1.0) for i in range(2)]
+    robots = [RobotState.at_node(i, g, 0, stride=0.1) for i in range(2)]
     for kind in K:
         if kind is K.CBLS:
             continue
@@ -315,17 +341,17 @@ def test_dtap_decide_releases_then_patrols():
 
 
 def _mid_edge_robot(g):
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
     r.goal = 1
     r.path = [1]
-    for _ in range(20):
-        advance(r, g, 0.1)  # 2 m onto the 0-1 edge
+    r.step(g, 1)  # departs on tick 1; 2 m onto the 0-1 edge after tick 20
     return r
 
 
 def test_travel_distance_mid_edge():
     g = _path(spacing=5.0)
     r = _mid_edge_robot(g)
+    r.sync(20)
     assert travel_distance(r, g, 0) == pytest.approx(2.0)
     assert travel_distance(r, g, 1) == pytest.approx(3.0)
     assert travel_distance(r, g, 2) == pytest.approx(8.0)
@@ -333,28 +359,41 @@ def test_travel_distance_mid_edge():
 
 def test_travel_distance_at_node():
     g = _path(spacing=5.0)
-    r = RobotState.at_node(0, g, 2, speed=1.0)
+    r = RobotState.at_node(0, g, 2, stride=0.1)
     assert travel_distance(r, g, 0) == pytest.approx(10.0)
 
 
 def test_retarget_reverses_only_when_strictly_shorter():
     g = _path(spacing=5.0)
     r = _mid_edge_robot(g)
-    retarget(r, g, 0)  # 2 m back vs 8 m around
+    retarget(r, g, 0, 21)  # 2 m back vs 8 m around
     assert r.edge == (1, 0)
     assert r.goal == 0
     assert r.path == [0]
 
     r = _mid_edge_robot(g)
-    retarget(r, g, 2)  # ahead is shorter, keep going
+    retarget(r, g, 2, 21)  # ahead is shorter, keep going
     assert r.edge == (0, 1)
     assert r.path == [1, 2]
 
 
+def test_retarget_decides_from_where_the_previous_tick_left_the_robot():
+    # via 1, node 2 is 3.16 m past the end of the 5 m edge 0-1; via 0 it is
+    # 5 m past its start, so a robot turns back only before it is 1.58 m along
+    g = parse_map("node 0 0 0\nnode 1 5 0\nnode 2 4 3\nedge 0 1\nedge 1 2\nedge 0 2\n")
+    for k, edge, path in [(11, (1, 0), [0, 2]), (21, (0, 1), [1, 2])]:
+        r = RobotState.at_node(0, g, 0, stride=0.1)
+        r.goal = 1
+        r.path = [1]
+        r.step(g, 1)
+        retarget(r, g, 2, k)  # 1 m, then 2 m along after tick k - 1
+        assert (r.edge, r.path) == (edge, path)
+
+
 def test_retarget_from_node_replans_path():
     g = _path(spacing=5.0)
-    r = RobotState.at_node(0, g, 0, speed=1.0)
-    retarget(r, g, 2)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
+    retarget(r, g, 2, 1)
     assert r.goal == 2
     assert r.path == [1, 2]
 
@@ -367,7 +406,7 @@ def test_retarget_from_node_replans_path():
 def _auction_setup(positions, n_nodes=4, spacing=2.0):
     g = _path(spacing=spacing, n=n_nodes)
     dtap = _policy(K.DTAP, g, len(positions))
-    robots = [RobotState.at_node(i, g, node, speed=1.0) for i, node in enumerate(positions)]
+    robots = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate(positions)]
     return g, dtap.params, dtap, robots
 
 
@@ -445,6 +484,22 @@ def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
     dtap.tick(every - 1, 19.9, robots, last_visit)
     dtap.tick(every, 20.0, robots, last_visit)
     assert held == [False, True]
+
+
+def test_dtap_tick_syncs_poses_to_the_previous_tick():
+    # robot 0 leaves node 0 for node 1 on tick 1; by the end of tick 14 it is
+    # 1.4 m along, 4.6 m from robot 1 at node 3, so in range: connected
+    # robots wait for a group round. At node 0 it would be 6 m away and
+    # award itself a task at once.
+    g, _, dtap, robots = _auction_setup([0, 3])
+    robots[0].goal = 1
+    robots[0].path = [1]
+    robots[0].step(g, 1)
+    dtap.claim[1] = 0
+    dtap.claims[0] = 1
+    assert dtap.tick(15, 1.5, robots, [0.0] * g.node_count) == []
+    assert robots[0].x == pytest.approx(1.4)
+    assert robots[0].offset == pytest.approx(1.4)
 
 
 def test_dtap_tick_awards_through_the_auction():

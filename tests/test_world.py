@@ -3,16 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import per_tick_robot_class
+from swarmpatrol import world
 from swarmpatrol.beliefs import Belief
-from swarmpatrol.graph import parse_map
+from swarmpatrol.graph import PatrolGraph, parse_map
+from swarmpatrol.strategies import retarget
 from swarmpatrol.world import (
     IdlenessTracker,
     RngStream,
     RobotState,
     WorldState,
-    advance,
     max_step,
+    sample_ticks,
     sense,
     visit,
 )
@@ -107,66 +112,105 @@ def test_sense_flip_rate_tracks_noise():
 # ---------------------------------------------------------------------------
 
 
+def _to_tick(r, g, k):
+    """Bring r to tick k: step it if k is its due tick, then sync its pose."""
+    arrived = r.step(g, k) if r.due == k else None
+    r.sync(k)
+    return arrived
+
+
 def test_advance_interpolates_and_arrives():
     g = _line_graph()
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
     r.goal = 1
     r.path = [1]
+    assert r.step(g, 1) is None  # departs
+    assert r.due == 50  # the 50th tick covers the last meter
     for k in range(1, 50):
-        assert advance(r, g, 0.1) is None
+        r.sync(k)
         assert r.x == pytest.approx(0.1 * k)
         assert r.y == 0.0
-    assert advance(r, g, 0.1) == 1  # 50th tick covers the last meter
+    assert r.step(g, 50) == 1
     assert r.node == 1
     assert r.edge is None
     assert (r.x, r.y) == (5.0, 0.0)
     assert r.path == []
+    assert r.due == 51
 
 
 def test_advance_clips_overshoot():
     g = _line_graph()
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=4.7)
     r.goal = 1
     r.path = [1]
-    assert advance(r, g, 4.7) is None
-    assert advance(r, g, 4.7) == 1  # 9.4 m of travel collapses onto the 5 m node
+    assert r.step(g, 1) is None
+    assert r.due == 2
+    assert r.step(g, 2) == 1  # 9.4 m of travel collapses onto the 5 m node
     assert (r.x, r.y) == (5.0, 0.0)
 
 
 def test_advance_identity_arrival_at_goal():
     g = _line_graph()
-    r = RobotState.at_node(0, g, 1, speed=1.0)
-    assert advance(r, g, 0.1) == 1
+    r = RobotState.at_node(0, g, 1, stride=0.1)
+    assert r.due == 1
+    assert r.step(g, 1) == 1
     assert (r.x, r.y) == (5.0, 0.0)
+    assert r.due == 2
 
 
 def test_advance_pops_path_head_on_arrival():
     g = _line_graph()
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
     r.goal = 2
     r.path = [1, 2]
-    for _ in range(49):
-        advance(r, g, 0.1)
-    assert advance(r, g, 0.1) == 1
+    assert r.step(g, 1) is None
+    assert r.due == 50
+    assert r.step(g, 50) == 1
     assert r.path == [2]
-    for _ in range(49):
-        advance(r, g, 0.1)
-    assert advance(r, g, 0.1) == 2
+    assert r.step(g, 51) is None
+    assert r.due == 100
+    assert r.step(g, 100) == 2
     assert r.path == []
+
+
+def test_departure_and_arrival_on_one_tick():
+    # a tick's travel covers the whole edge
+    g = _line_graph()
+    r = RobotState.at_node(0, g, 0, stride=5.0)
+    r.goal = 1
+    r.path = [1]
+    assert r.step(g, 7) == 1
+    assert r.due == 8
 
 
 def test_reverse_edge_remeasures_offset():
     g = _line_graph()
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
     r.goal = 1
     r.path = [1]
-    for _ in range(20):
-        advance(r, g, 0.1)
-    assert r.offset == pytest.approx(2.0)
-    r.reverse_edge(g)
+    r.step(g, 1)
+    r.reverse_edge(g, 21)  # turns round from where tick 20 left it
     assert r.edge == (1, 0)
     assert r.offset == pytest.approx(3.0)
     assert (r.x, r.y) == (pytest.approx(2.0), 0.0)
+    assert r.due == 40  # 2 m back at 0.1 m a tick
+
+
+def test_long_crossing_is_planned_in_pieces(monkeypatch):
+    monkeypatch.setattr(world, "_PLAN_TICKS", 7)
+    g = _line_graph()
+    r = RobotState.at_node(0, g, 0, stride=0.1)
+    r.goal = 1
+    r.path = [1]
+    dues = []
+    for k in range(1, 51):
+        if r.due == k:
+            dues.append(k)
+        _to_tick(r, g, k)
+        if r.node is None:
+            assert r.x == pytest.approx(0.1 * k)
+    assert dues == [1, 7, 14, 21, 28, 35, 42, 49, 50]
+    assert r.node == 1
 
 
 def test_max_step_bounds_travel_in_the_plane():
@@ -179,17 +223,77 @@ def test_max_step_bounds_travel_in_the_plane():
     step = max_step(g, 1.0, 0.1)
     assert step == pytest.approx(10 * (0.1 + 1e-9))
     assert max_step(_line_graph(), 1.0, 0.1) == 0.1 + 1e-9
-    r = RobotState.at_node(0, g, 0, speed=1.0)
+    r = RobotState.at_node(0, g, 0, stride=0.1)
     r.goal = 2
     r.path = [1, 2]
     moves = []
+    k = 0
     while r.node != 2:
+        k += 1
         x, y = r.x, r.y
-        advance(r, g, 0.1)
+        _to_tick(r, g, k)
         moves.append(math.hypot(r.x - x, r.y - y))
     assert len(moves) == 100 + 200
     assert max(moves) <= step
     assert max(moves) == pytest.approx(1.0)
+
+
+PerTickRobot = per_tick_robot_class(RobotState)
+
+
+@st.composite
+def _motion_case(draw):
+    """A random connected map, some edges shorter than the straight line, and a walk on it."""
+    m = draw(st.integers(3, 7))
+    coords = [
+        (draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 40.0))) for _ in range(m)
+    ]
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    for _ in range(draw(st.integers(0, m))):
+        a, b = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
+        links.add((a, b))
+    edges = []
+    for a, b in sorted(links):
+        span = math.dist(coords[a], coords[b])
+        factor = draw(st.sampled_from([1.0, 1.0, 0.2, 0.5, 0.9, 1.7]))
+        edges.append((a, b, max(span * factor, 0.5)))
+    g = PatrolGraph(coords, edges)
+    shortest = min(d for _, _, d in g.edges)
+    stride = draw(st.floats(0.01, 1.0)) * shortest
+    start = draw(st.integers(0, m - 1))
+    goals = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=8))
+    ticks = draw(st.integers(1, 400))
+    retargets = draw(st.dictionaries(st.integers(2, ticks + 1), st.integers(0, m - 1), max_size=12))
+    plan_ticks = draw(st.sampled_from([1, 2, 5, world._PLAN_TICKS]))
+    return g, stride, start, goals, ticks, retargets, plan_ticks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_motion_case())
+def test_event_motion_matches_per_tick_oracle(case):
+    g, stride, start, goals, ticks, retargets, plan_ticks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "_PLAN_TICKS", plan_ticks)
+        event = RobotState.at_node(0, g, start, stride)
+        oracle = PerTickRobot.at_node(0, g, start, stride)
+        decisions = 0
+        for k in range(1, ticks + 1):
+            if k in retargets:
+                for r in (event, oracle):
+                    retarget(r, g, retargets[k], k)
+            got = _to_tick(event, g, k)
+            want = oracle.step(g, k)
+            assert got == want, k
+            assert (event.node, event.edge, event.path) == (oracle.node, oracle.edge, oracle.path)
+            assert (event.x, event.y, event.offset) == (oracle.x, oracle.y, oracle.offset), k
+            if got is not None and got == event.goal:
+                goal = goals[decisions % len(goals)]
+                decisions += 1
+                if goal == got:
+                    goal = (goal + 1) % g.node_count
+                for r in (event, oracle):
+                    r.goal = goal
+                    r.path = g.shortest_path(got, goal)[0][1:]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +322,33 @@ def test_idleness_tracker_average_empty_is_zero():
     assert IdlenessTracker(4).average() == 0.0
 
 
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.25, 0.5, 1 / 3, 1.0, 1 / 7, 0.01])
+def test_sample_ticks_every_whole_second_when_one_over_dt_is_whole(dt):
+    # the rule they replace: every round(1 / dt)-th tick
+    ticks = int(round(400.0 / dt))
+    every = round(1.0 / dt)
+    assert list(sample_ticks(dt, ticks)) == [k for k in range(1, ticks + 1) if k % every == 0]
+
+
+def _nearest_ticks(dt, ticks):
+    """{round(s / dt) : s = 1, 2, ...} within 1..ticks, by brute force."""
+    return sorted({round(s / dt) for s in range(1, int(ticks * dt) + 3)} & set(range(1, ticks + 1)))
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.7, 0.15, 1.0, 1.5, 2.0, 3.7])
+def test_sample_ticks_are_the_ticks_nearest_each_second(dt):
+    for ticks in (0, 1, 2, 3, 10, 333, 1000):
+        assert list(sample_ticks(dt, ticks)) == _nearest_ticks(dt, ticks)
+
+
+def test_sample_ticks_at_dt_three_tenths_keep_one_hertz():
+    # every third tick would sample each 0.9 s, 400 times in 360 s
+    got = list(sample_ticks(0.3, 1200))
+    assert got[:7] == [3, 7, 10, 13, 17, 20, 23]
+    assert len(got) == 360
+    assert [k * 0.3 for k in got] == pytest.approx(range(1, 361), abs=0.15 + 1e-9)
+
+
 def test_graph_idleness_mean():
     tr = IdlenessTracker(4)
     tr.record_visit(2, 6.0)
@@ -234,7 +365,7 @@ def test_visit_updates_belief_and_idleness():
     g = _line_graph()
     w = WorldState.single_anomaly(3, 1)
     tr = IdlenessTracker(3)
-    r = RobotState.at_node(0, g, 1, speed=1.0)
+    r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
     assert visit(r, tr, w, 1, 7.0, 0.0, rng) is T
     assert r.beliefs[1] is T
@@ -247,7 +378,7 @@ def test_visit_contrary_reading_softens_belief():
     g = _line_graph()
     w = WorldState.single_anomaly(3, 1)
     tr = IdlenessTracker(3)
-    r = RobotState.at_node(0, g, 1, speed=1.0)
+    r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
     r.beliefs[1] = F  # previously misled
     assert visit(r, tr, w, 1, 0.0, 0.0, rng) is U  # true reading against false prior
