@@ -164,7 +164,14 @@ class RobotState:
         less the arrival slack, or the table's last tick if none does.
         """
         arrive_at = self._edge_len - _ARRIVAL_SLACK
-        ticks = min(_PLAN_TICKS, max(1, math.ceil((arrive_at - self.offset) / self.stride)) + 1)
+        left = arrive_at - self.offset
+        if left <= 0.0:
+            ticks = 1
+        elif left < self.stride * (_PLAN_TICKS - 1):
+            ticks = math.ceil(left / self.stride) + 1
+        else:
+            # a long crossing, or a stride that underflowed to 0 or nearly so
+            ticks = _PLAN_TICKS
         self._offs = list(accumulate(repeat(self.stride, ticks), initial=self.offset))
         self._base = base
         self.due = base + bisect_left(self._offs, arrive_at, 1, ticks)
