@@ -122,14 +122,13 @@ class CommState:
 def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list[Belief]:
     """Fuse the two belief vectors and hand each robot its own copy.
 
-    Returns the fused vector; it is the list `ri` now holds. Fusing a vector
-    with itself gives it back, so robots that already agree keep their lists.
+    Returns the fused vector; it is the list `ri` now holds. Robots that
+    already agree are fused too: skipping them would make an exchange's cost
+    depend on how often the sensing draws leave robots in agreement.
     """
-    fused = ri.beliefs
-    if fused != rj.beliefs:
-        fused = fuse_vectors(fused, rj.beliefs)
-        ri.beliefs = fused
-        rj.beliefs = fused.copy()
+    fused = fuse_vectors(ri.beliefs, rj.beliefs)
+    ri.beliefs = fused
+    rj.beliefs = fused.copy()
     i, j = (ri.id, rj.id) if ri.id < rj.id else (rj.id, ri.id)
     state.last_exchange[(i, j)] = t
     state.log.append((t, i, j))

@@ -88,7 +88,6 @@ def test_fuse_vectors_matches_scalar_fuse(u, data):
 
 @given(st.lists(st.sampled_from([F, U, T]), max_size=40))
 def test_fuse_vectors_of_a_vector_with_itself_gives_it_back(v):
-    # comms.exchange skips fusion between robots that already agree
     assert fuse_vectors(v, v) == v
     assert fuse_vectors(v, list(v)) == v
 

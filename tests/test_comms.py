@@ -212,7 +212,9 @@ def test_exchange_fuses_both_ways_without_aliasing():
     assert state.log == [(42.0, 0, 1)]
 
 
-def test_exchange_between_agreeing_robots_keeps_their_lists(monkeypatch):
+def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
+    # an exchange does the same work whether or not the robots agree, so a
+    # run's cost does not depend on its sensing draws
     calls = []
     monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
     state = _state(2)
@@ -220,15 +222,17 @@ def test_exchange_between_agreeing_robots_keeps_their_lists(monkeypatch):
     ri.beliefs = [T, F, U]
     rj.beliefs = [T, F, U]
     li, lj = ri.beliefs, rj.beliefs
-    assert exchange(ri, rj, 42.0, state) is li
-    assert ri.beliefs is li and rj.beliefs is lj
-    assert li is not lj
-    assert calls == []
+    fused = exchange(ri, rj, 42.0, state)
+    assert fused is ri.beliefs
+    assert ri.beliefs == rj.beliefs == [T, F, U]
+    assert ri.beliefs is not li and rj.beliefs is not lj
+    assert ri.beliefs is not rj.beliefs
+    assert calls == [1]
     assert state.last_exchange[(0, 1)] == 42.0
     assert state.log == [(42.0, 0, 1)]
     rj.beliefs = [U, F, U]
     assert exchange(ri, rj, 43.0, state) == [T, F, U]
-    assert calls == [1]
+    assert calls == [1, 1]
 
 
 @settings(max_examples=200, deadline=None)
