@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
-from .beliefs import Belief, fuse_vectors
+from .beliefs import BeliefVector, fuse_vectors
 from .world import RobotState
 
 __all__ = [
@@ -103,14 +103,6 @@ class CommState:
         """Earliest tick with a pair due; inf when no pair is due ever again."""
         return self._ticks[0] if self._ticks else math.inf
 
-    def _schedule(self, tick: int, pair_ids: list[int]) -> None:
-        bucket = self._due.get(tick)
-        if bucket is None:
-            self._due[tick] = pair_ids
-            heappush(self._ticks, tick)
-        else:
-            bucket += pair_ids
-
     def _cooldown_wait(self, last: float, t: float) -> Optional[int]:
         """Ticks from time t before a pair last exchanged at `last` can pass; None for never."""
         ticks = (last + self.cfg.timeout_s - _COOLDOWN_SLACK - t) / self.dt
@@ -119,16 +111,13 @@ class CommState:
         return math.ceil(ticks) - 1
 
 
-def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> list[Belief]:
-    """Fuse the two belief vectors and hand each robot its own copy.
+def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> BeliefVector:
+    """Fuse the two belief vectors; both robots then hold the fused vector.
 
-    Returns the fused vector; it is the list `ri` now holds. Robots that
-    already agree are fused too: skipping them would make an exchange's cost
-    depend on how often the sensing draws leave robots in agreement.
+    Returns the fused vector. A packed vector is immutable, so the robots
+    can share it. Fusion costs the same whatever the robots hold.
     """
-    fused = fuse_vectors(ri.beliefs, rj.beliefs)
-    ri.beliefs = fused
-    rj.beliefs = fused.copy()
+    fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
     i, j = (ri.id, rj.id) if ri.id < rj.id else (rj.id, ri.id)
     state.last_exchange[(i, j)] = t
     state.log.append((t, i, j))
@@ -139,7 +128,7 @@ def tick_comms(
     robots: Sequence[RobotState],
     state: CommState,
     k: int,
-) -> list[tuple[int, int, list[Belief]]]:
+) -> list[tuple[int, int, BeliefVector]]:
     """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
 
     Only the pairs due by tick k are tested, and only their robots are
@@ -164,6 +153,9 @@ def tick_comms(
     range_sq = range_m * range_m
     closing = 2.0 * state.max_step
     horizon = t - state.cfg.timeout_s + _COOLDOWN_SLACK
+    # A pair is filed in the bucket of the tick it is next due, which is new
+    # when it is empty. Most such ticks get one pair, so grouping the pairs
+    # by tick first, or a call per pair, costs more than it saves.
     near: list[int] = []
     for p in tested:
         last = last_exchange[pairs[p]]
@@ -172,7 +164,11 @@ def tick_comms(
             continue
         wait = state._cooldown_wait(last, t)
         if wait is not None:
-            state._schedule(k + max(1, wait), [p])
+            later = k + max(1, wait)
+            bucket = due.setdefault(later, [])
+            if not bucket:
+                heappush(ticks, later)
+            bucket.append(p)
     for rid in {rid for p in near for rid in pairs[p]}:
         robots[rid].sync(k)
     eligible: list[int] = []
@@ -186,7 +182,11 @@ def tick_comms(
             eligible.append(p)
         else:
             wait = math.floor((math.sqrt(d2) - range_m - _RANGE_EPS) / closing)
-            state._schedule(k + max(1, wait), [p])
+            later = k + max(1, wait)
+            bucket = due.setdefault(later, [])
+            if not bucket:
+                heappush(ticks, later)
+            bucket.append(p)
     done = []
     for p in eligible:
         i, j = pairs[p]
@@ -194,5 +194,9 @@ def tick_comms(
     if eligible:
         wait = state._cooldown_wait(t, t)
         if wait is not None:
-            state._schedule(k + max(1, wait), eligible)
+            later = k + max(1, wait)
+            bucket = due.setdefault(later, [])
+            if not bucket:
+                heappush(ticks, later)
+            bucket += eligible
     return done

@@ -437,15 +437,14 @@ def run_one(
             consensus.exchanged(t, i, j, fused)
             if log_lines is not None:
                 log_lines.append(
-                    f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs)}"
+                    f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs, m)}"
                 )
         if k == next_sample:
             tracker.sample(t)
             next_sample = next(samples, math.inf)
 
     vectors = [r.beliefs for r in robots]
-    error = system_error(vectors, world.truth)
-    score = f_score(classify(vectors, world.truth))
+    counts = classify(vectors, world.truth)
     report = consensus.report(vectors)
     lam2 = algebraic_connectivity(CommGraph.from_contacts(n, comm.log))
     record = RunRecord(
@@ -453,8 +452,8 @@ def run_one(
         noise=float(noise),
         seed=run_seed,
         avg_graph_idleness=tracker.average(),
-        final_error=float(error),
-        f_score=round(float(score), 4),
+        final_error=float(system_error(counts)),
+        f_score=round(float(f_score(counts)), 4),
         lambda2=lam2,
         t_consensus=report.t_full_consensus,
         tp_consensus=report.tp_consensus,

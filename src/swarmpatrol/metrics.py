@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .beliefs import BeliefVector, pack
+
 __all__ = [
     "ConfusionCounts",
     "classify",
@@ -52,48 +54,34 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn + self.u
 
 
-def classify(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> ConfusionCounts:
-    """Bucket every belief entry against the ground truth.
+def classify(vectors: Sequence[BeliefVector], truth: Sequence[bool]) -> ConfusionCounts:
+    """Bucket every belief entry of the packed vectors against the ground truth.
 
     Certain-true at a true node counts tp, at a false node fp; certain-false
     at a false node tn, at a true node fn; uncertain always u. Entries total
     n_robots * n_nodes.
     """
-    tp = tn = fp = fn = u = 0
-    for beliefs in vectors:
-        if len(beliefs) != len(truth):
-            raise ValueError("belief vector length does not match truth")
-        for b, is_true in zip(beliefs, truth):
-            if b == 1:
-                u += 1
-            elif b == 2:
-                if is_true:
-                    tp += 1
-                else:
-                    fp += 1
-            else:
-                if is_true:
-                    fn += 1
-                else:
-                    tn += 1
+    m = len(truth)
+    anomalous, normal = pack([2 if v else 0 for v in truth])
+    tp = tn = fp = fn = 0
+    for t, f in vectors:
+        if t & f or (t | f) >> m:
+            raise ValueError(f"not a packed belief vector over {m} nodes")
+        tp += (t & anomalous).bit_count()
+        fp += (t & normal).bit_count()
+        fn += (f & anomalous).bit_count()
+        tn += (f & normal).bit_count()
+    u = len(vectors) * m - tp - tn - fp - fn
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn, u=u)
 
 
-def system_error(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> Fraction:
+def system_error(counts: ConfusionCounts) -> Fraction:
     """Mean absolute difference between beliefs and truth, exact.
 
     Each entry contributes |belief - truth| on the unit scale, so certain
     agreement adds 0, uncertainty adds 1/2 and certain disagreement adds 1.
     """
-    total_half_units = 0
-    entries = 0
-    for beliefs in vectors:
-        if len(beliefs) != len(truth):
-            raise ValueError("belief vector length does not match truth")
-        for b, is_true in zip(beliefs, truth):
-            total_half_units += abs(int(b) - (2 if is_true else 0))
-        entries += len(beliefs)
-    return Fraction(total_half_units, 2 * entries)
+    return Fraction(counts.u + 2 * (counts.fp + counts.fn), 2 * counts.total)
 
 
 def f_score(counts: ConfusionCounts) -> Fraction:
@@ -240,13 +228,15 @@ class ConsensusTracker:
     contradicts the truth.
     """
 
-    __slots__ = ("required", "t_full", "misinformed", "_truth", "_is_exact", "_exact")
+    __slots__ = ("required", "t_full", "misinformed", "_m", "_truth", "_is_exact", "_exact")
 
     def __init__(self, truth: Sequence[bool], n_robots: int, quorum: float):
         self.required = required_quorum(n_robots, quorum)
         self.t_full: Optional[float] = None
         self.misinformed = False
-        self._truth = [2 if v else 0 for v in truth]
+        self._m = len(truth)
+        # the packed vector of a robot that knows the truth exactly
+        self._truth = pack([2 if v else 0 for v in truth])
         # the all-uncertain start differs from the truth everywhere
         self._is_exact = [False] * n_robots
         self._exact = 0
@@ -263,14 +253,15 @@ class ConsensusTracker:
         else:
             self._exact -= 1
 
-    def visited(self, t: float, robot: int, node: int, beliefs: list[int]) -> None:
+    def visited(self, t: float, robot: int, node: int, beliefs: BeliefVector) -> None:
         """Robot `robot` visited `node` and now holds the vector `beliefs`."""
-        b = beliefs[node]
-        if b != 1 and b != self._truth[node]:
+        # certain-true at a normal node or certain-false at the anomaly
+        wrong = beliefs[0] & self._truth[1] | beliefs[1] & self._truth[0]
+        if wrong >> node & 1:
             self.misinformed = True
         self._set_exact(t, robot, beliefs == self._truth)
 
-    def exchanged(self, t: float, i: int, j: int, fused: list[int]) -> None:
+    def exchanged(self, t: float, i: int, j: int, fused: BeliefVector) -> None:
         """Robots i and j both now hold `fused`.
 
         An exchange never misinforms: fusion yields 2 only if one input was
@@ -282,26 +273,22 @@ class ConsensusTracker:
         self._set_exact(t, i, exact)
         self._set_exact(t, j, exact)
 
-    def report(self, vectors: Sequence[Sequence[int]]) -> ConsensusReport:
+    def report(self, vectors: Sequence[BeliefVector]) -> ConsensusReport:
         """Milestones of the run, with tp/fp consensus judged on the final vectors.
 
         A node is in consensus when at least `required` robots hold it
         certain-true; tp means every anomaly node is, fp lists the non-anomaly
         nodes that are.
         """
-        certain_true = [0] * len(self._truth)
-        for row in vectors:
-            for node, b in enumerate(row):
-                if b == 2:
-                    certain_true[node] += 1
-        agreed = [count >= self.required for count in certain_true]
-        anomalies = [node for node, tv in enumerate(self._truth) if tv == 2]
+        anomalous = self._truth[0]
+        agreed = [sum(t >> v & 1 for t, _ in vectors) >= self.required for v in range(self._m)]
+        anomalies = [v for v in range(self._m) if anomalous >> v & 1]
         return ConsensusReport(
             required=self.required,
             t_full_consensus=self.t_full,
-            tp_consensus=bool(anomalies) and all(agreed[node] for node in anomalies),
+            tp_consensus=bool(anomalies) and all(agreed[v] for v in anomalies),
             fp_consensus_nodes=tuple(
-                node for node, tv in enumerate(self._truth) if agreed[node] and tv != 2
+                v for v in range(self._m) if agreed[v] and not anomalous >> v & 1
             ),
         )
 

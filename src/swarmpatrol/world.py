@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .beliefs import Belief, measurement_update, new_belief_vector
+from .beliefs import Belief, BeliefVector, belief_at, measurement_update, new_belief_vector
 from .graph import PatrolGraph
 
 __all__ = [
@@ -105,7 +105,7 @@ class RobotState:
     y: float
     goal: int
     stride: float
-    beliefs: list[Belief]
+    beliefs: BeliefVector
     edge: Optional[tuple[int, int]] = None
     offset: float = 0.0
     path: list[int] = field(default_factory=list)
@@ -306,7 +306,6 @@ def visit(
     Returns the robot's belief about the node after the update.
     """
     observation = sense(world, node, noise_p, rng)
-    updated = measurement_update(robot.beliefs[node], observation)
-    robot.beliefs[node] = updated
+    robot.beliefs = beliefs = measurement_update(robot.beliefs, node, observation)
     tracker.record_visit(node, t)
-    return updated
+    return belief_at(beliefs, node)

@@ -118,6 +118,24 @@ def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):
     return out
 
 
+def fuse_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """Node-by-node fusion of two equal-length half-unit lists: clamp(a + b - 1, 0, 2)."""
+    if len(u) != len(v):
+        raise ValueError(f"belief vector length mismatch: {len(u)} != {len(v)}")
+    return [min(max(a + b - 1, 0), 2) for a, b in zip(u, v)]
+
+
+def unpack(vector, m: int) -> list[int]:
+    """The half-unit list of a packed (T, F) vector over m nodes, read bit by bit."""
+    t, f = vector
+    return [2 if t >> v & 1 else 0 if f >> v & 1 else 1 for v in range(m)]
+
+
+def list_digest(values: Sequence[int]) -> str:
+    """One char per node: '0' certain-false, 'u' uncertain, '1' certain-true."""
+    return "".join("0u1"[b] for b in values)
+
+
 def brute_system_error(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> Fraction:
     """Mean |belief - truth| on the unit scale, summed entry by entry."""
     total = Fraction(0)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_f_score, brute_system_error, eigenvalues_by_charpoly
-from swarmpatrol.beliefs import Belief, fuse
+from swarmpatrol.beliefs import Belief, fuse, pack
 from swarmpatrol.harness import ExperimentConfig, RunRecord, load_map, run_matrix
 from swarmpatrol.metrics import (
     CommGraph,
@@ -124,9 +124,10 @@ def test_error_and_fscore_formulas_brute_forced(check):
         m = int(rng.integers(1, 41))
         vectors = [[int(b) for b in rng.integers(0, 3, size=m)] for _ in range(n_robots)]
         truth = [bool(v) for v in rng.integers(0, 2, size=m)]
-        if system_error(vectors, truth) != brute_system_error(vectors, truth):
+        counts = classify([pack(row) for row in vectors], truth)
+        if system_error(counts) != brute_system_error(vectors, truth):
             mismatches += 1
-        elif f_score(classify(vectors, truth)) != brute_f_score(vectors, truth):
+        elif f_score(counts) != brute_f_score(vectors, truth):
             mismatches += 1
     check(
         "system error and F-score: exact match with brute force on 1000 configurations",

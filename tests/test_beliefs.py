@@ -1,21 +1,22 @@
-"""Belief algebra: fusion table, conversions, vector helpers."""
+"""Belief algebra: fusion table, packed vectors and their helpers against list oracles."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import fuse_lists, list_digest, unpack
 from swarmpatrol.beliefs import (
     Belief,
-    belief_from_float,
-    belief_to_float,
+    belief_at,
     digest,
     format_belief,
     fuse,
     fuse_vectors,
     measurement_update,
     new_belief_vector,
+    pack,
 )
 
 F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
@@ -65,15 +66,18 @@ def test_fuse_is_not_associative():
     assert fuse(fuse(F, T), T) != fuse(F, fuse(T, T))
 
 
+def test_pack_sets_one_bit_per_certain_node():
+    # node 0 is bit 0; T marks certain-true nodes, F certain-false ones
+    assert pack([T, U, F, F, U]) == (0b00001, 0b01100)
+    assert pack([U, U]) == (0, 0)
+    assert unpack(pack([F, U, T]), 3) == [F, U, T]
+
+
 def test_fuse_vectors_elementwise():
-    got = fuse_vectors([F, F, T, U], [T, U, T, U])
-    assert got == [U, F, T, U]
-    assert all(isinstance(b, Belief) for b in got)
-
-
-def test_fuse_vectors_length_mismatch():
-    with pytest.raises(ValueError):
-        fuse_vectors([F, U], [F])
+    got = fuse_vectors(pack([F, F, T, U]), pack([T, U, T, U]))
+    assert got == pack([U, F, T, U])
+    assert [belief_at(got, v) for v in range(4)] == [U, F, T, U]
+    assert all(isinstance(belief_at(got, v), Belief) for v in range(4))
 
 
 @given(
@@ -82,35 +86,79 @@ def test_fuse_vectors_length_mismatch():
 )
 def test_fuse_vectors_matches_scalar_fuse(u, data):
     v = data.draw(st.lists(st.sampled_from([F, U, T]), min_size=len(u), max_size=len(u)))
-    assert fuse_vectors(u, v) == [fuse(a, b) for a, b in zip(u, v)]
-    assert fuse_vectors(u, v) == fuse_vectors(v, u)
+    fused = fuse_vectors(pack(u), pack(v))
+    assert unpack(fused, len(u)) == [fuse(a, b) for a, b in zip(u, v)]
+    assert fused == fuse_vectors(pack(v), pack(u))
 
 
 @given(st.lists(st.sampled_from([F, U, T]), max_size=40))
 def test_fuse_vectors_of_a_vector_with_itself_gives_it_back(v):
-    assert fuse_vectors(v, v) == v
-    assert fuse_vectors(v, list(v)) == v
+    assert fuse_vectors(pack(v), pack(v)) == pack(v)
+
+
+def _vectors(m):
+    return st.lists(st.integers(0, 2), min_size=m, max_size=m)
+
+
+def _is_packed_over(vector, m):
+    t, f = vector
+    return t >= 0 and f >= 0 and t & f == 0 and (t | f) >> m == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 70), data=st.data())
+def test_packed_fusion_matches_list_oracle(m, data):
+    u = data.draw(_vectors(m))
+    v = data.draw(_vectors(m))
+    fused = fuse_vectors(pack(u), pack(v))
+    assert _is_packed_over(fused, m)
+    assert unpack(fused, m) == fuse_lists(u, v)
+    # chained, as the exchanges of one tick chain
+    w = data.draw(_vectors(m))
+    assert unpack(fuse_vectors(fused, pack(w)), m) == fuse_lists(fuse_lists(u, v), w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 70), data=st.data())
+def test_measurement_update_matches_list_oracle(m, data):
+    prior = data.draw(_vectors(m))
+    node = data.draw(st.integers(0, m - 1))
+    observation = data.draw(st.booleans())
+    updated = measurement_update(pack(prior), node, observation)
+    want = list(prior)
+    want[node] = fuse(prior[node], 2 if observation else 0)
+    assert _is_packed_over(updated, m)
+    assert unpack(updated, m) == want
+    assert updated == fuse_vectors(pack(prior), pack([1] * node + [2 if observation else 0]))
+    assert belief_at(updated, node) is Belief(want[node])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 70), data=st.data())
+def test_digest_matches_list_oracle(m, data):
+    values = data.draw(_vectors(m))
+    assert digest(pack(values), m) == list_digest(values)
 
 
 def test_measurement_update_from_uncertain():
-    assert measurement_update(U, True) is T
-    assert measurement_update(U, False) is F
+    assert measurement_update(pack([U]), 0, True) == pack([T])
+    assert measurement_update(pack([U]), 0, False) == pack([F])
 
 
 def test_measurement_update_contrary_reading_softens():
-    assert measurement_update(T, False) is U
-    assert measurement_update(F, True) is U
+    assert measurement_update(pack([T]), 0, False) == pack([U])
+    assert measurement_update(pack([F]), 0, True) == pack([U])
 
 
 def test_measurement_update_confirming_reading_keeps():
-    assert measurement_update(T, True) is T
-    assert measurement_update(F, False) is F
+    assert measurement_update(pack([T]), 0, True) == pack([T])
+    assert measurement_update(pack([F]), 0, False) == pack([F])
 
 
 def test_new_belief_vector_all_uncertain():
     vec = new_belief_vector(5)
-    assert len(vec) == 5
-    assert all(b is U for b in vec)
+    assert vec == (0, 0)
+    assert all(belief_at(vec, v) is U for v in range(5))
 
 
 def test_new_belief_vector_rejects_non_positive():
@@ -119,22 +167,12 @@ def test_new_belief_vector_rejects_non_positive():
             new_belief_vector(m)
 
 
-def test_float_round_trip():
-    assert [belief_to_float(b) for b in (F, U, T)] == [0.0, 0.5, 1.0]
-    for b in (F, U, T):
-        assert belief_from_float(belief_to_float(b)) is b
-
-
-def test_belief_from_float_rejects_off_grid():
-    for x in (0.3, -1.0, 0.999, 2.0):
-        with pytest.raises(ValueError):
-            belief_from_float(x)
-
-
 def test_format_belief():
     assert [format_belief(b) for b in (F, U, T)] == ["0", "0.5", "1"]
 
 
 def test_digest():
-    assert digest([F, U, T, T, F]) == "0u110"
-    assert digest([]) == ""
+    assert digest(pack([F, U, T, T, F]), 5) == "0u110"
+    assert digest(pack([T]), 1) == "1"
+    # uncertain nodes past the last certain one still get their 'u'
+    assert digest(pack([F, U, U]), 3) == "0uu"

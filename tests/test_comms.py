@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eligible_pairs
+from _oracles import eligible_pairs, fuse_lists, unpack
 from swarmpatrol import comms
-from swarmpatrol.beliefs import Belief, fuse_vectors
+from swarmpatrol.beliefs import Belief, belief_at, fuse_vectors, new_belief_vector, pack
 from swarmpatrol.comms import CommConfig, CommState, exchange, tick_comms
 from swarmpatrol.graph import parse_map
-from swarmpatrol.world import RobotState, max_step
+from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, WorldState, max_step, visit
 
 F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
 
@@ -98,7 +98,7 @@ class _Probe:
         self.id = rid
         self.pos_x = x
         self.y = 0.0
-        self.beliefs = [U]
+        self.beliefs = new_belief_vector(1)
         self.reads = 0
         self.synced = []
 
@@ -197,17 +197,26 @@ def test_tick_comms_matches_brute_force_scan(case):
         assert _pairs(tick_comms(robots, state, k)) == want, (k, t)
 
 
+def _visit_false_reading(robot, node):
+    # a noiseless visit to a node of the all-normal world reads false
+    world = WorldState(truth=[False] * 3, anomaly_node=0)
+    return visit(robot, IdlenessTracker(3), world, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
+
+
 def test_exchange_fuses_both_ways_without_aliasing():
     state = _state(2)
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
-    ri.beliefs = [T, F, U]
-    rj.beliefs = [U, T, U]
+    ri.beliefs = pack([T, F, U])
+    rj.beliefs = pack([U, T, U])
     fused = exchange(ri, rj, 42.0, state)
     assert fused is ri.beliefs
-    assert ri.beliefs == [T, U, U]
-    assert rj.beliefs == [T, U, U]
-    ri.beliefs[0] = F
-    assert rj.beliefs[0] is T
+    assert ri.beliefs == pack([T, U, U])
+    assert rj.beliefs == pack([T, U, U])
+    # a later visit by one robot leaves the other's vector as it was
+    assert _visit_false_reading(ri, 0) is U
+    assert ri.beliefs == pack([U, U, U])
+    assert belief_at(rj.beliefs, 0) is T
+    assert rj.beliefs == fused == pack([T, U, U])
     assert state.last_exchange[(0, 1)] == 42.0
     assert state.log == [(42.0, 0, 1)]
 
@@ -219,19 +228,20 @@ def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
     monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
     state = _state(2)
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
-    ri.beliefs = [T, F, U]
-    rj.beliefs = [T, F, U]
-    li, lj = ri.beliefs, rj.beliefs
+    ri.beliefs = pack([T, F, U])
+    rj.beliefs = pack([T, F, U])
     fused = exchange(ri, rj, 42.0, state)
     assert fused is ri.beliefs
-    assert ri.beliefs == rj.beliefs == [T, F, U]
-    assert ri.beliefs is not li and rj.beliefs is not lj
-    assert ri.beliefs is not rj.beliefs
+    assert ri.beliefs == rj.beliefs == pack([T, F, U])
     assert calls == [1]
     assert state.last_exchange[(0, 1)] == 42.0
     assert state.log == [(42.0, 0, 1)]
-    rj.beliefs = [U, F, U]
-    assert exchange(ri, rj, 43.0, state) == [T, F, U]
+    # a later visit by one robot leaves the other's vector as it was
+    assert _visit_false_reading(rj, 2) is F
+    assert ri.beliefs == pack([T, F, U])
+    assert rj.beliefs == pack([T, F, F])
+    rj.beliefs = pack([U, F, U])
+    assert exchange(ri, rj, 43.0, state) == pack([T, F, U])
     assert calls == [1, 1]
 
 
@@ -247,17 +257,20 @@ def test_tick_comms_triples_carry_each_exchange_own_vector(data):
     )
     robots = _robots_at(*[(float(i), 0.0) for i in range(n)])
     for r, v in zip(robots, vectors):
-        r.beliefs = list(v)
+        r.beliefs = pack(v)
     held = [[int(b) for b in v] for v in vectors]
     want = []
     for i in range(n):
         for j in range(i + 1, n):
-            fused = [min(max(a + b - 1, 0), 2) for a, b in zip(held[i], held[j])]
+            fused = fuse_lists(held[i], held[j])
             held[i], held[j] = fused, list(fused)
             want.append((i, j, fused))
-    assert tick_comms(robots, _state(n), 0) == want
-    assert [r.beliefs for r in robots] == held
-    assert len({id(r.beliefs) for r in robots}) == n
+    done = tick_comms(robots, _state(n), 0)
+    assert [(i, j, unpack(fused, m)) for i, j, fused in done] == want
+    assert [unpack(r.beliefs, m) for r in robots] == held
+    # a later visit by robot 0 leaves every other robot's vector as it was
+    _visit_false_reading(robots[0], 0)
+    assert [unpack(r.beliefs, m) for r in robots[1:]] == held[1:]
 
 
 def test_tick_comms_chains_fusion_through_pair_order():
@@ -265,13 +278,13 @@ def test_tick_comms_chains_fusion_through_pair_order():
     # in the same tick, relayed via the second exchange
     state = _state(3)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
-    robots[0].beliefs = [T]
-    robots[1].beliefs = [U]
-    robots[2].beliefs = [U]
+    robots[0].beliefs = pack([T])
+    robots[1].beliefs = pack([U])
+    robots[2].beliefs = pack([U])
     done = tick_comms(robots, state, 50)
     assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
-    assert [fused for _, _, fused in done] == [[T], [T], [T]]
-    assert [r.beliefs for r in robots] == [[T], [T], [T]]
+    assert [fused for _, _, fused in done] == [pack([T])] * 3
+    assert [r.beliefs for r in robots] == [pack([T])] * 3
     assert len(state.log) == 3
 
 
@@ -281,12 +294,12 @@ def test_tick_comms_reports_each_exchange_own_fused_vector():
     # (0,1) produced, though robot 0 ends the tick holding [U].
     state = _state(3)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
-    robots[0].beliefs = [T]
-    robots[1].beliefs = [U]
-    robots[2].beliefs = [F]
+    robots[0].beliefs = pack([T])
+    robots[1].beliefs = pack([U])
+    robots[2].beliefs = pack([F])
     done = tick_comms(robots, state, 50)
-    assert done == [(0, 1, [T]), (0, 2, [U]), (1, 2, [T])]
-    assert [r.beliefs for r in robots] == [[U], [T], [T]]
+    assert done == [(0, 1, pack([T])), (0, 2, pack([U])), (1, 2, pack([T]))]
+    assert [r.beliefs for r in robots] == [pack([U]), pack([T]), pack([T])]
 
 
 def test_tick_comms_respects_cooldown_next_tick():

@@ -14,8 +14,10 @@ from _oracles import (
     brute_f_score,
     brute_system_error,
     eigenvalues_by_charpoly,
+    fuse_lists,
+    unpack,
 )
-from swarmpatrol.beliefs import fuse_vectors, new_belief_vector
+from swarmpatrol.beliefs import fuse_vectors, new_belief_vector, pack
 from swarmpatrol.metrics import (
     CommGraph,
     ConfusionCounts,
@@ -34,23 +36,32 @@ from swarmpatrol.metrics import (
 # ---------------------------------------------------------------------------
 
 
+def _packed(vectors):
+    return [pack(row) for row in vectors]
+
+
 def test_classify_buckets_each_entry():
-    counts = classify([[2, 0], [1, 2], [0, 1]], [True, False])
+    counts = classify(_packed([[2, 0], [1, 2], [0, 1]]), [True, False])
     assert counts == ConfusionCounts(tp=1, tn=1, fp=1, fn=1, u=2)
     assert counts.total == 6
 
 
 def test_classify_length_mismatch():
+    # a packed vector has no length: a certain belief about a node past the
+    # truth's last one, or a node both certain-true and certain-false, is not
+    # a vector over the truth's nodes
     with pytest.raises(ValueError):
-        classify([[2, 0, 1]], [True, False])
+        classify(_packed([[2, 0, 2]]), [True, False])
     with pytest.raises(ValueError):
-        system_error([[2, 0, 1]], [True, False])
+        classify(_packed([[1, 1, 0]]), [True, False])
+    with pytest.raises(ValueError):
+        classify([(0b01, 0b01)], [True, False])
 
 
 def test_small_example_exact_values():
-    vectors = [[2, 0], [1, 2]]
+    vectors = _packed([[2, 0], [1, 2]])
     truth = [True, False]
-    assert system_error(vectors, truth) == Fraction(3, 8)
+    assert system_error(classify(vectors, truth)) == Fraction(3, 8)
     assert f_score(classify(vectors, truth)) == Fraction(8, 11)
 
 
@@ -65,30 +76,30 @@ def test_fleet_example_exact_values():
         if r < 4:
             row[2] = 2
         vectors.append(row)
-    counts = classify(vectors, truth)
+    counts = classify(_packed(vectors), truth)
     assert counts == ConfusionCounts(tp=8, tn=300, fp=4, fn=0, u=8)
     assert f_score(counts) == Fraction(616, 624) == Fraction(77, 78)
-    assert system_error(vectors, truth) == Fraction(1, 40)
+    assert system_error(counts) == Fraction(1, 40)
 
 
 def test_all_uncertain_scores_zero():
-    vectors = [[1, 1, 1]] * 4
+    vectors = [new_belief_vector(3)] * 4
     truth = [False, True, False]
     assert f_score(classify(vectors, truth)) == Fraction(0)
-    assert system_error(vectors, truth) == Fraction(1, 2)
+    assert system_error(classify(vectors, truth)) == Fraction(1, 2)
 
 
 def test_results_are_exact_fractions():
-    vectors = [[2, 1, 0]]
+    vectors = _packed([[2, 1, 0]])
     truth = [True, False, False]
-    assert isinstance(system_error(vectors, truth), Fraction)
+    assert isinstance(system_error(classify(vectors, truth)), Fraction)
     assert isinstance(f_score(classify(vectors, truth)), Fraction)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=70),
     st.data(),
 )
 def test_error_and_fscore_match_brute_force(n_robots, m, data):
@@ -97,8 +108,8 @@ def test_error_and_fscore_match_brute_force(n_robots, m, data):
         for _ in range(n_robots)
     ]
     truth = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    assert system_error(vectors, truth) == brute_system_error(vectors, truth)
-    counts = classify(vectors, truth)
+    counts = classify(_packed(vectors), truth)
+    assert system_error(counts) == brute_system_error(vectors, truth)
     assert (counts.tp, counts.tn, counts.fp, counts.fn, counts.u) == brute_confusion(
         vectors, truth
     )
@@ -269,11 +280,12 @@ def _track(m, n_robots, truth, events, quorum):
     vectors = [new_belief_vector(m) for _ in range(n_robots)]
     for kind, t, a, b, *rest in events:
         if kind == "visit":
-            vectors[a][b] = rest[0]
+            values = unpack(vectors[a], m)
+            values[b] = rest[0]
+            vectors[a] = pack(values)
             tracker.visited(t, a, b, vectors[a])
         else:
-            fused = fuse_vectors(vectors[a], vectors[b])
-            vectors[a], vectors[b] = fused, fused.copy()
+            fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
             tracker.exchanged(t, a, b, fused)
     return tracker.report(vectors), tracker.misinformed
 
@@ -396,6 +408,41 @@ def test_tracker_matches_brute_force_replay(case):
         report.fp_consensus_nodes,
         misinformed,
     ) == brute_consensus_replay(m, n_robots, truth, events, required)
+
+
+@st.composite
+def _near_truth(draw, truth):
+    """A half-unit vector that is often the truth exactly, else the truth with a few edits."""
+    want = [2 if v else 0 for v in truth]
+    if draw(st.booleans()):
+        return want
+    edits = draw(st.lists(st.sampled_from(("keep", "keep", "keep", "unsure", "wrong")),
+                          min_size=len(truth), max_size=len(truth)))
+    return [1 if e == "unsure" else 2 - w if e == "wrong" else w for e, w in zip(edits, want)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 70), data=st.data())
+def test_tracker_flags_match_list_oracle(m, data):
+    truth = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    want = [2 if v else 0 for v in truth]
+    values = data.draw(_near_truth(truth))
+    node = data.draw(st.integers(0, m - 1))
+    # one robot, quorum of one: the visit completes it exactly when the
+    # vector equals the truth, and misinforms when the node's belief is
+    # certain and wrong
+    tracker = ConsensusTracker(truth, 1, 1.0)
+    tracker.visited(1.0, 0, node, pack(values))
+    assert (tracker.t_full is not None) == (values == want)
+    assert tracker.misinformed == (values[node] not in (1, want[node]))
+    # two robots, quorum of two: an exchange completes it exactly when the
+    # fused vector equals the truth
+    other = data.draw(_near_truth(truth))
+    tracker = ConsensusTracker(truth, 2, 1.0)
+    fused = fuse_vectors(pack(values), pack(other))
+    tracker.exchanged(2.0, 0, 1, fused)
+    assert (tracker.t_full is not None) == (fuse_lists(values, other) == want)
+    assert tracker.misinformed is False
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import per_tick_robot_class
 from swarmpatrol import world
-from swarmpatrol.beliefs import Belief
+from swarmpatrol.beliefs import Belief, belief_at, pack
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import retarget
 from swarmpatrol.world import (
@@ -369,10 +369,10 @@ def test_visit_updates_belief_and_idleness():
     r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
     assert visit(r, tr, w, 1, 7.0, 0.0, rng) is T
-    assert r.beliefs[1] is T
+    assert belief_at(r.beliefs, 1) is T
     assert tr.idleness(1, 7.0) == 0.0
     assert visit(r, tr, w, 0, 7.0, 0.0, rng) is F
-    assert r.beliefs == [F, T, U]
+    assert r.beliefs == pack([F, T, U])
 
 
 def test_visit_contrary_reading_softens_belief():
@@ -381,5 +381,21 @@ def test_visit_contrary_reading_softens_belief():
     tr = IdlenessTracker(3)
     r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
-    r.beliefs[1] = F  # previously misled
+    r.beliefs = pack([U, F, U])  # previously misled
     assert visit(r, tr, w, 1, 0.0, 0.0, rng) is U  # true reading against false prior
+
+
+def test_visit_by_one_robot_leaves_another_unchanged():
+    # robots start with equal vectors, and an exchange leaves both holding
+    # the same one; a visit replaces the visiting robot's vector only
+    g = _line_graph()
+    w = WorldState.single_anomaly(3, 1)
+    tr = IdlenessTracker(3)
+    a, b = (RobotState.at_node(i, g, 1, stride=0.1) for i in range(2))
+    rng = RngStream(3, "sense", 0)
+    assert visit(a, tr, w, 1, 1.0, 0.0, rng) is T
+    assert b.beliefs == pack([U, U, U])
+    b.beliefs = a.beliefs
+    assert visit(a, tr, w, 0, 2.0, 0.0, rng) is F
+    assert a.beliefs == pack([F, T, U])
+    assert b.beliefs == pack([U, T, U])
