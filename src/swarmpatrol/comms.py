@@ -8,7 +8,8 @@ the results of earlier fusions.
 
 A pair is not tested on every tick: CommState schedules each pair for the
 earliest tick at which it could pass the test again, from how far apart its
-robots are and how long its cooldown still runs.
+robots are and how long its cooldown still runs. It also keeps each pair's
+last exchange time and exchange count: the run's only record of exchanges.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ class CommConfig:
 
 
 class CommState:
-    """Per-pair last exchange times, the pair schedule and the contact log of one run.
+    """Per-pair exchange records and the pair schedule of one run.
 
-    log lists every executed exchange in time order as (t, i, j) with i < j.
+    pairs holds the robot pairs (i, j), i < j, in ascending order, indexed by
+    pair id p; last[p] is p's latest exchange time (-inf before any) and
+    exchanges[p] how many exchanges p has made.
 
     Ticks count from 0 at t = 0 in steps of dt, and max_step is the farthest
     a robot moves in the plane in one tick (world.max_step, which allows for
@@ -80,7 +83,7 @@ class CommState:
     that overshoots could. A pair whose cooldown never ends is dropped.
     """
 
-    __slots__ = ("cfg", "dt", "max_step", "last_exchange", "log", "_pairs", "_due", "_ticks")
+    __slots__ = ("cfg", "dt", "max_step", "pairs", "last", "exchanges", "_due", "_ticks")
 
     def __init__(self, n_robots: int, cfg: CommConfig, dt: float, max_step: float):
         if not (dt > 0.0 and max_step > 0.0):
@@ -88,15 +91,10 @@ class CommState:
         self.cfg = cfg
         self.dt = dt
         self.max_step = max_step
-        self.last_exchange: dict[tuple[int, int], float] = {
-            (i, j): -math.inf
-            for i in range(n_robots)
-            for j in range(i + 1, n_robots)
-        }
-        self.log: list[tuple[float, int, int]] = []
-        # pair ids index _pairs, which is in ascending (i, j) order
-        self._pairs = list(self.last_exchange)
-        self._due: dict[int, list[int]] = {0: list(range(len(self._pairs)))}
+        self.pairs = [(i, j) for i in range(n_robots) for j in range(i + 1, n_robots)]
+        self.last = [-math.inf] * len(self.pairs)
+        self.exchanges = [0] * len(self.pairs)
+        self._due: dict[int, list[int]] = {0: list(range(len(self.pairs)))}
         self._ticks = [0]  # heap of the keys of _due
 
     def next_tick(self) -> float:
@@ -111,16 +109,15 @@ class CommState:
         return math.ceil(ticks) - 1
 
 
-def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState) -> BeliefVector:
-    """Fuse the two belief vectors; both robots then hold the fused vector.
+def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState, p: int) -> BeliefVector:
+    """Fuse the beliefs of pair p's robots at time t; both then hold the fused vector.
 
     Returns the fused vector. A packed vector is immutable, so the robots
     can share it. Fusion costs the same whatever the robots hold.
     """
     fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
-    i, j = (ri.id, rj.id) if ri.id < rj.id else (rj.id, ri.id)
-    state.last_exchange[(i, j)] = t
-    state.log.append((t, i, j))
+    state.last[p] = t
+    state.exchanges[p] += 1
     return fused
 
 
@@ -148,7 +145,7 @@ def tick_comms(
         return []
     tested.sort()
     t = k * state.dt
-    pairs, last_exchange = state._pairs, state.last_exchange
+    pairs, last_exchange = state.pairs, state.last
     range_m = state.cfg.range_m
     range_sq = range_m * range_m
     closing = 2.0 * state.max_step
@@ -158,7 +155,7 @@ def tick_comms(
     # by tick first, or a call per pair, costs more than it saves.
     near: list[int] = []
     for p in tested:
-        last = last_exchange[pairs[p]]
+        last = last_exchange[p]
         if last <= horizon:
             near.append(p)
             continue
@@ -190,7 +187,7 @@ def tick_comms(
     done = []
     for p in eligible:
         i, j = pairs[p]
-        done.append((i, j, exchange(robots[i], robots[j], t, state)))
+        done.append((i, j, exchange(robots[i], robots[j], t, state, p)))
     if eligible:
         wait = state._cooldown_wait(t, t)
         if wait is not None:

@@ -9,7 +9,6 @@ number in the output is reproducible from the config alone.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -30,12 +29,13 @@ from .metrics import (
     pearson,
     system_error,
 )
-from .strategies import POLICIES, Policy, StrategyKind, StrategyParams, decide_next, retarget
+from .strategies import POLICIES, StrategyKind, StrategyParams, decide_next, retarget
 from .world import (
     IdlenessTracker,
     RngStream,
     RobotState,
     WorldState,
+    label_seed,
     max_step,
     sample_ticks,
     visit,
@@ -283,8 +283,7 @@ def load_map(cfg: ExperimentConfig) -> PatrolGraph:
 
 def cell_seed(master_seed: int, strategy: str, noise: float, rep: int) -> int:
     """Derive a 64-bit run seed from the cell coordinates."""
-    label = f"{master_seed}|{strategy}|{noise!r}|{rep}".encode()
-    return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "big")
+    return label_seed(f"{master_seed}|{strategy}|{noise!r}|{rep}")
 
 
 @dataclass(frozen=True)
@@ -378,7 +377,6 @@ def run_one(
     move_ticks = [1]
     samples = sample_ticks(dt, ticks)
     next_sample = next(samples, math.inf)
-    every_tick = type(policy).tick is not Policy.tick
 
     def schedule(r: RobotState) -> None:
         bucket = moves.get(r.due)
@@ -390,14 +388,13 @@ def run_one(
 
     k = 0
     while True:
-        k += 1
-        if not every_tick:
-            # a tick where no robot, pair or sample is due changes nothing
-            k = max(k, min(move_ticks[0], comm.next_tick(), next_sample))
+        hook = policy.next_tick()
+        # a tick where no robot, pair, sample or policy hook is due changes nothing
+        k = max(k + 1, min(move_ticks[0], comm.next_tick(), next_sample, hook))
         if k > ticks:
             break
         t = k * dt
-        if every_tick:
+        if hook <= k:
             for rid, v in policy.tick(k, t, robots, last_visit):
                 r = robots[rid]
                 due = r.due
@@ -446,7 +443,7 @@ def run_one(
     vectors = [r.beliefs for r in robots]
     counts = classify(vectors, world.truth)
     report = consensus.report(vectors)
-    lam2 = algebraic_connectivity(CommGraph.from_contacts(n, comm.log))
+    lam2 = algebraic_connectivity(CommGraph.from_exchanges(n, comm.pairs, comm.exchanges))
     record = RunRecord(
         strategy=kind.value,
         noise=float(noise),
@@ -460,7 +457,7 @@ def run_one(
         fp_consensus_count=report.fp_consensus_count,
         rep=rep,
         misinformed=consensus.misinformed,
-        n_exchanges=len(comm.log),
+        n_exchanges=sum(comm.exchanges),
     )
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -1,4 +1,4 @@
-"""System-level measurements over belief states and contact histories.
+"""System-level measurements over belief states and exchange counts.
 
 Covers the mean absolute belief error, the confusion-count score with an
 uncertainty penalty (both in exact rational arithmetic), quorum consensus
@@ -10,10 +10,9 @@ two-sided p-value computed from the t distribution.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -120,12 +119,14 @@ class CommGraph:
         self.weights = w
 
     @classmethod
-    def from_contacts(cls, n_robots: int, events: Iterable[tuple[float, int, int]]) -> "CommGraph":
-        # counts are exact integers, so each weight is written once
-        counts = Counter((i, j) if i < j else (j, i) for _, i, j in events)
+    def from_exchanges(
+        cls, n_robots: int, pairs: Sequence[tuple[int, int]], exchanges: Sequence[int]
+    ) -> "CommGraph":
+        """Weight each robot pair pairs[p] by its exchange count exchanges[p]."""
         w = np.zeros((n_robots, n_robots))
-        for (i, j), count in counts.items():
-            w[i, j] = w[j, i] = count
+        for (i, j), count in zip(pairs, exchanges):
+            if count:
+                w[i, j] = w[j, i] = count
         return cls(weights=w)
 
     def laplacian(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Ten patrol policies, one class each, behind three hooks.
 
 `harness.run_one` drives a policy without knowing which one it runs:
-`tick`, called at the start of every tick if a policy overrides it, may move
-goals (only DTAP's auction does, and only it reads robots' poses),
+`tick`, called at the start of each tick that `next_tick` makes due, may
+move goals (only DTAP's auction does, and only it reads robots' poses),
 `visited` follows every arrival (only CBLS learns from it), and `decide`,
 through `decide_next`, picks the next goal when a robot reaches its current
 one. The base class `Policy` is Conscientious Reactive (CR). The other
@@ -90,8 +90,8 @@ def _argmax(scored: Iterable[tuple[int, float]]) -> int:
 class Policy:
     """Conscientious Reactive (CR): go to the most idle neighbor.
 
-    Also the interface of every policy: a subclass overrides `decide` and,
-    if it needs them, `visited` and `tick`, and keeps its own run-wide state.
+    Also the interface of every policy: a subclass overrides `decide` and, if
+    it needs them, `visited`, `tick` and `next_tick`, and keeps its own state.
     """
 
     def __init__(
@@ -115,13 +115,17 @@ class Policy:
     def visited(self, robot_id: int, node: int, idleness_before: float) -> None:
         """Robot `robot_id` arrived at `node`, which had been idle `idleness_before` s."""
 
+    def next_tick(self) -> float:
+        """Earliest tick on which `tick` is due, 0 for every tick; inf for none."""
+        return math.inf
+
     def tick(
         self, k: int, t: float, robots: Sequence[RobotState], last_visit: Sequence[float]
     ) -> list[tuple[int, int]]:
         """(robot_id, node) goal changes at the start of tick `k` (time `t`).
 
-        Only a policy that overrides this hook is called on every tick; it
-        must sync a robot to tick k - 1 before reading its pose.
+        Called only on ticks `next_tick` makes due; it must sync a robot to
+        tick k - 1 before reading its pose.
         """
         return []
 
@@ -328,9 +332,11 @@ class DTAP(_ClaimPolicy):
         self._release(robot_id, node)
         return super().decide(robot_id, node, idleness, rng)
 
+    def next_tick(self):
+        # only a claimless robot can win a task, and only decide frees one
+        return 0 if None in self.claim else math.inf
+
     def tick(self, k, t, robots, last_visit):
-        if None not in self.claim:
-            return []
         for r in robots:
             r.sync(k - 1)
         return dtap_auction(

@@ -24,6 +24,7 @@ __all__ = [
     "WorldState",
     "RobotState",
     "IdlenessTracker",
+    "label_seed",
     "sense",
     "max_step",
     "sample_ticks",
@@ -37,9 +38,9 @@ _ARRIVAL_SLACK = 1e-9  # meters; absorbs float drift in accumulated offsets
 _PLAN_TICKS = 4096
 
 
-def _derive_seed(master_seed: int, purpose: str, robot_id: int) -> int:
-    label = f"{master_seed}|{purpose}|{robot_id}".encode()
-    return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "big")
+def label_seed(label: str) -> int:
+    """A 64-bit seed hashed from a label; distinct labels give unrelated seeds."""
+    return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "big")
 
 
 class RngStream:
@@ -56,7 +57,7 @@ class RngStream:
         self.master_seed = master_seed
         self.purpose = purpose
         self.robot_id = robot_id
-        self._gen = np.random.default_rng(_derive_seed(master_seed, purpose, robot_id))
+        self._gen = np.random.default_rng(label_seed(f"{master_seed}|{purpose}|{robot_id}"))
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
@@ -230,9 +231,6 @@ class IdlenessTracker:
         self.last_visit = [0.0] * m
         self.sample_sum = 0.0
         self.sample_count = 0
-
-    def idleness(self, node: int, clock: float) -> float:
-        return clock - self.last_visit[node]
 
     def record_visit(self, node: int, clock: float) -> None:
         self.last_visit[node] = clock

@@ -1,5 +1,6 @@
 """Independent brute-force oracles; nothing here imports the package."""
 
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -116,6 +117,15 @@ def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):
             if dx * dx + dy * dy <= range_sq:
                 out.append((i, j))
     return out
+
+
+def contact_weights(n_robots, events):
+    """Symmetric (n, n) weights counting the exchanges of each pair in a (t, i, j) log."""
+    counts = Counter((i, j) if i < j else (j, i) for _, i, j in events)
+    w = np.zeros((n_robots, n_robots))
+    for (i, j), count in counts.items():
+        w[i, j] = w[j, i] = count
+    return w
 
 
 def fuse_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:

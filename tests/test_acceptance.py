@@ -96,7 +96,10 @@ def test_eigensolver_against_oracles(check):
     complete = CommGraph(weights=np.ones((8, 8)) - np.eye(8))
     complete_ok = abs(algebraic_connectivity(complete) - 8.0) <= 1e-8
 
-    split = CommGraph.from_contacts(8, [(0.0, i, i + 1) for i in (0, 1, 2, 4, 5, 6)])
+    # two chains 0-1-2-3 and 4-5-6-7, one exchange on each link
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    links = {(i, i + 1) for i in (0, 1, 2, 4, 5, 6)}
+    split = CommGraph.from_exchanges(8, pairs, [int(pair in links) for pair in pairs])
     split_ok = algebraic_connectivity(split) <= 1e-8
 
     rng = np.random.default_rng(1234)

@@ -1,7 +1,8 @@
-"""Proximity gossip: range and cooldown gates, pair scheduling, pairwise fusion, contact log."""
+"""Proximity gossip: range and cooldown gates, pair scheduling, pairwise fusion, pair records."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +81,8 @@ def test_cooldown_boundary_is_inclusive():
     state = _state(2)
     exchanged = [k for k in range(1000, 1301) if tick_comms(robots, state, k)]
     assert exchanged == [1000, 1300]
-    assert state.log == [(100.0, 0, 1), (130.0, 0, 1)]
+    assert state.last == [130.0]
+    assert state.exchanges == [2]
 
 
 def test_pairs_listed_in_ascending_order():
@@ -185,16 +187,21 @@ def test_tick_comms_matches_brute_force_scan(case):
     spread = rng.choice([2.0, 10.0, 40.0]) * range_m
     robots = _robots_at(*[(rng.uniform(0, spread), rng.uniform(0, spread)) for _ in range(n)])
     state = CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), dt, step)
-    last = dict.fromkeys(state.last_exchange, -math.inf)
+    last = dict.fromkeys(state.pairs, -math.inf)
+    log = []
     for k in range(ticks + 1):
         t = k * dt
         if k:
             for i in range(n):
                 _move(rng, robots, i, step)
         want = eligible_pairs([(r.x, r.y) for r in robots], last, t, range_m, timeout_s)
-        for pair in want:
-            last[pair] = t
+        for i, j in want:
+            last[(i, j)] = t
+            log.append((t, i, j))
         assert _pairs(tick_comms(robots, state, k)) == want, (k, t)
+        assert state.last == [last[pair] for pair in state.pairs], (k, t)
+    counts = Counter((i, j) for _, i, j in log)
+    assert state.exchanges == [counts[pair] for pair in state.pairs]
 
 
 def _visit_false_reading(robot, node):
@@ -208,7 +215,7 @@ def test_exchange_fuses_both_ways_without_aliasing():
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = pack([T, F, U])
     rj.beliefs = pack([U, T, U])
-    fused = exchange(ri, rj, 42.0, state)
+    fused = exchange(ri, rj, 42.0, state, 0)
     assert fused is ri.beliefs
     assert ri.beliefs == pack([T, U, U])
     assert rj.beliefs == pack([T, U, U])
@@ -217,8 +224,8 @@ def test_exchange_fuses_both_ways_without_aliasing():
     assert ri.beliefs == pack([U, U, U])
     assert belief_at(rj.beliefs, 0) is T
     assert rj.beliefs == fused == pack([T, U, U])
-    assert state.last_exchange[(0, 1)] == 42.0
-    assert state.log == [(42.0, 0, 1)]
+    assert state.last == [42.0]
+    assert state.exchanges == [1]
 
 
 def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
@@ -230,18 +237,18 @@ def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = pack([T, F, U])
     rj.beliefs = pack([T, F, U])
-    fused = exchange(ri, rj, 42.0, state)
+    fused = exchange(ri, rj, 42.0, state, 0)
     assert fused is ri.beliefs
     assert ri.beliefs == rj.beliefs == pack([T, F, U])
     assert calls == [1]
-    assert state.last_exchange[(0, 1)] == 42.0
-    assert state.log == [(42.0, 0, 1)]
+    assert state.last == [42.0]
+    assert state.exchanges == [1]
     # a later visit by one robot leaves the other's vector as it was
     assert _visit_false_reading(rj, 2) is F
     assert ri.beliefs == pack([T, F, U])
     assert rj.beliefs == pack([T, F, F])
     rj.beliefs = pack([U, F, U])
-    assert exchange(ri, rj, 43.0, state) == pack([T, F, U])
+    assert exchange(ri, rj, 43.0, state, 0) == pack([T, F, U])
     assert calls == [1, 1]
 
 
@@ -285,7 +292,8 @@ def test_tick_comms_chains_fusion_through_pair_order():
     assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
     assert [fused for _, _, fused in done] == [pack([T])] * 3
     assert [r.beliefs for r in robots] == [pack([T])] * 3
-    assert len(state.log) == 3
+    assert state.last == [5.0] * 3
+    assert state.exchanges == [1] * 3
 
 
 def test_tick_comms_reports_each_exchange_own_fused_vector():
@@ -307,7 +315,8 @@ def test_tick_comms_respects_cooldown_next_tick():
     robots = _robots_at((0.0, 0.0), (1.0, 0.0))
     exchanged = [k for k in range(50, 351) if tick_comms(robots, state, k)]
     assert exchanged == [50, 350]  # t = 5.0 and 35.0; none at 5.1 or 34.9
-    assert state.log == [(5.0, 0, 1), (35.0, 0, 1)]
+    assert state.last == [35.0]
+    assert state.exchanges == [2]
 
 
 def test_endless_cooldown_drops_the_pair():

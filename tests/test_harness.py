@@ -325,8 +325,10 @@ def _brute_tick_comms(robots, state, k):
         r.sync(k)
     positions = [(r.x, r.y) for r in robots]
     cfg = state.cfg
-    pairs = eligible_pairs(positions, state.last_exchange, t, cfg.range_m, cfg.timeout_s)
-    return [(i, j, exchange(robots[i], robots[j], t, state)) for i, j in pairs]
+    last_exchange = dict(zip(state.pairs, state.last))
+    pairs = eligible_pairs(positions, last_exchange, t, cfg.range_m, cfg.timeout_s)
+    ids = {pair: p for p, pair in enumerate(state.pairs)}
+    return [(i, j, exchange(robots[i], robots[j], t, state, ids[(i, j)])) for i, j in pairs]
 
 
 def _rescaled(g, factors):

