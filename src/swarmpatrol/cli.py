@@ -13,12 +13,12 @@ from .harness import (
     ExperimentConfig,
     SummaryRow,
     analyze_runs,
+    parse_strategy,
     read_runs_csv,
     run_matrix,
     summarize,
     write_summary_csv,
 )
-from .strategies import StrategyKind
 
 __all__ = ["main"]
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--strategy", help="restrict to one strategy (e.g. SEBS)")
     sim.add_argument("--noise", type=float, help="restrict to one noise level")
     sim.add_argument("--seed", type=int, help="override the master seed")
-    sim.add_argument("--out", help="directory for runs.csv, summary.csv and event logs")
+    sim.add_argument("--out", help="directory for the run CSVs and event logs")
     sim.add_argument(
         "--progress", action="store_true", help="print one line per completed run"
     )
@@ -71,12 +71,7 @@ def _print_summary(rows: list[SummaryRow]) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.strategy is not None:
-        try:
-            kind = StrategyKind[args.strategy.upper()]
-        except KeyError:
-            known = ", ".join(k.value for k in StrategyKind)
-            raise ConfigError(f"unknown strategy {args.strategy!r} (known: {known})")
-        cfg = replace(cfg, strategies=(kind,))
+        cfg = replace(cfg, strategies=(parse_strategy(args.strategy),))
     if args.noise is not None:
         cfg = replace(cfg, noise_levels=(float(args.noise),))
     if args.seed is not None:
@@ -85,7 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _, summaries = run_matrix(cfg, out_dir=out_dir, progress=args.progress)
     _print_summary(summaries)
     if out_dir is not None:
-        print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'summary.csv'}")
+        print(f"wrote runs.csv, summary.csv and social_edges.csv in {out_dir}")
     return 0
 
 

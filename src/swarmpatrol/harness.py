@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .beliefs import digest, format_belief
 from .comms import CommConfig, CommState, tick_comms
@@ -47,6 +47,7 @@ __all__ = [
     "RunRecord",
     "SummaryRow",
     "cell_seed",
+    "parse_strategy",
     "load_map",
     "run_one",
     "run_matrix",
@@ -90,6 +91,8 @@ SUMMARY_COLUMNS = (
     "lambda2_median",
     "note",
 )
+
+SOCIAL_COLUMNS = ("strategy", "noise", "robot_i", "robot_j", "exchanges")
 
 
 class ConfigError(ValueError):
@@ -192,8 +195,11 @@ class ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            name, parse, is_param = _CONFIG_KEYS[key]
             try:
-                _apply_config_key(kwargs, params_kwargs, key, value)
+                (params_kwargs if is_param else kwargs)[name] = parse(value)
             except ConfigError:
                 raise
             except ValueError as exc:
@@ -206,63 +212,47 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from None
 
 
+def parse_strategy(name: str) -> StrategyKind:
+    """The policy named `name`, in any case; ConfigError if there is none."""
+    try:
+        return StrategyKind[name.strip().upper()]
+    except KeyError:
+        known = ", ".join(k.value for k in ALL_STRATEGIES)
+        raise ConfigError(f"unknown strategy {name.strip()!r} (known: {known})") from None
+
+
 def _parse_strategies(value: str) -> tuple[StrategyKind, ...]:
     if value.strip().lower() == "all":
         return ALL_STRATEGIES
-    kinds = []
-    for token in value.split(","):
-        name = token.strip().upper()
-        if not name:
-            continue
-        try:
-            kinds.append(StrategyKind[name])
-        except KeyError:
-            known = ", ".join(k.value for k in ALL_STRATEGIES)
-            raise ConfigError(f"unknown strategy {token.strip()!r} (known: {known})") from None
-    return tuple(kinds)
+    return tuple(parse_strategy(token) for token in value.split(",") if token.strip())
 
 
-def _apply_config_key(kwargs: dict, params_kwargs: dict, key: str, value: str) -> None:
-    if key == "map":
-        kwargs["map_file"] = value
-    elif key == "map_seed":
-        kwargs["map_seed"] = int(value)
-    elif key == "robots":
-        kwargs["n_robots"] = int(value)
-    elif key == "speed":
-        kwargs["speed"] = float(value)
-    elif key == "dt":
-        kwargs["dt"] = float(value)
-    elif key == "duration":
-        kwargs["duration"] = float(value)
-    elif key == "comm_range":
-        kwargs["comm_range"] = float(value)
-    elif key == "comm_timeout":
-        kwargs["comm_timeout"] = float(value)
-    elif key == "anomaly":
-        kwargs["anomaly_node"] = int(value)
-    elif key == "quorum":
-        kwargs["quorum"] = float(value)
-    elif key == "start_node":
-        kwargs["start_node"] = int(value)
-    elif key == "noises":
-        kwargs["noise_levels"] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-    elif key == "strategies":
-        kwargs["strategies"] = _parse_strategies(value)
-    elif key == "reps":
-        kwargs["reps"] = int(value)
-    elif key == "seed":
-        kwargs["master_seed"] = int(value)
-    elif key == "cbls_alpha":
-        params_kwargs["cbls_alpha"] = float(value)
-    elif key == "cbls_epsilon":
-        params_kwargs["cbls_epsilon"] = float(value)
-    elif key == "dtap_period":
-        params_kwargs["dtap_period_s"] = float(value)
-    elif key == "task_weight":
-        params_kwargs["task_distance_weight"] = float(value)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
+def _parse_floats(value: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+
+
+# config key -> (field it sets, value parser, whether a StrategyParams field)
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
+    "map": ("map_file", str, False),
+    "map_seed": ("map_seed", int, False),
+    "robots": ("n_robots", int, False),
+    "speed": ("speed", float, False),
+    "dt": ("dt", float, False),
+    "duration": ("duration", float, False),
+    "comm_range": ("comm_range", float, False),
+    "comm_timeout": ("comm_timeout", float, False),
+    "anomaly": ("anomaly_node", int, False),
+    "quorum": ("quorum", float, False),
+    "start_node": ("start_node", int, False),
+    "noises": ("noise_levels", _parse_floats, False),
+    "strategies": ("strategies", _parse_strategies, False),
+    "reps": ("reps", int, False),
+    "seed": ("master_seed", int, False),
+    "cbls_alpha": ("cbls_alpha", float, True),
+    "cbls_epsilon": ("cbls_epsilon", float, True),
+    "dtap_period": ("dtap_period_s", float, True),
+    "task_weight": ("task_distance_weight", float, True),
+}
 
 
 def load_map(cfg: ExperimentConfig) -> PatrolGraph:
@@ -288,7 +278,11 @@ def cell_seed(master_seed: int, strategy: str, noise: float, rep: int) -> int:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Scalar outcome of one run; exactly what lands in the per-run CSV."""
+    """Outcome of one run: the per-run CSV's columns, then what only a live run knows.
+
+    exchanges holds (i, j, count) for each robot pair i < j that exchanged
+    at least once, in ascending (i, j) order.
+    """
 
     strategy: str
     noise: float
@@ -302,7 +296,11 @@ class RunRecord:
     fp_consensus_count: int
     rep: int = -1
     misinformed: Optional[bool] = None
-    n_exchanges: int = 0
+    exchanges: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def n_exchanges(self) -> int:
+        return sum(count for _, _, count in self.exchanges)
 
 
 @dataclass(frozen=True)
@@ -457,7 +455,9 @@ def run_one(
         fp_consensus_count=report.fp_consensus_count,
         rep=rep,
         misinformed=consensus.misinformed,
-        n_exchanges=sum(comm.exchanges),
+        exchanges=tuple(
+            (i, j, count) for (i, j), count in zip(comm.pairs, comm.exchanges) if count
+        ),
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -477,7 +477,8 @@ def run_matrix(
 
     Canonical order is strategies as configured, noise levels as configured,
     replicates ascending; the per-run CSV rows follow it, so repeated
-    executions of the same config are byte-identical.
+    executions of the same config are byte-identical. With out_dir, writes
+    runs.csv, summary.csv and social_edges.csv there, beside the run logs.
     """
     if g is None:
         g = load_map(cfg)
@@ -503,7 +504,21 @@ def run_matrix(
     if out_dir is not None:
         write_runs_csv(out_dir / "runs.csv", records)
         write_summary_csv(out_dir / "summary.csv", summaries)
+        _write_table(out_dir / "social_edges.csv", SOCIAL_COLUMNS, _social_edges(records))
     return records, summaries
+
+
+def _social_edges(records: Sequence[RunRecord]) -> list[tuple[str, str, int, int, int]]:
+    """Exchange counts per (strategy, noise, robot_i, robot_j), pooled over replicates.
+
+    Rows are in ascending order of the key, with the noise as its repr.
+    """
+    counts: dict[tuple[str, str, int, int], int] = {}
+    for r in records:
+        for i, j, count in r.exchanges:
+            key = (r.strategy, repr(r.noise), i, j)
+            counts[key] = counts.get(key, 0) + count
+    return [(*key, count) for key, count in sorted(counts.items())]
 
 
 def summarize(records: Sequence[RunRecord]) -> list[SummaryRow]:
@@ -551,40 +566,54 @@ def _mean(xs: Sequence[float]) -> float:
 
 def _pstd(xs: Sequence[float]) -> float:
     mu = _mean(xs)
-    return math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs))
+    try:
+        return math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs))
+    except OverflowError:
+        # a square left the float range, as the sum in an infinite mean does
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization; floats use repr so reading back is lossless
+# CSV serialization; floats use repr so reading back is lossless, None is an
+# empty cell and a bool is 0 or 1
 # ---------------------------------------------------------------------------
 
 
-def _fmt_opt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
+def _cell(x: object) -> object:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return int(x)
+    return repr(x) if isinstance(x, float) else x
+
+
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write one CSV table in the default dialect, each cell through _cell; returns path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+    return path
 
 
 def write_runs_csv(path: Path, records: Sequence[RunRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.strategy,
-                    repr(r.noise),
-                    r.seed,
-                    repr(r.avg_graph_idleness),
-                    repr(r.final_error),
-                    f"{r.f_score:.4f}",
-                    repr(r.lambda2),
-                    _fmt_opt(r.t_consensus),
-                    int(r.tp_consensus),
-                    r.fp_consensus_count,
-                ]
-            )
+    # f_score is already rounded, and always shows its 4 decimals
+    rows = (
+        [f"{r.f_score:.4f}" if c == "f_score" else getattr(r, c) for c in RUN_COLUMNS]
+        for r in records
+    )
+    _write_table(path, RUN_COLUMNS, rows)
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
 
 
 def read_runs_csv(path: Path) -> list[RunRecord]:
+    """Read a runs.csv back; a non-finite number or a noise outside [0, 1] is a ConfigError."""
     records: list[RunRecord] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -592,16 +621,19 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
             raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
             try:
+                noise = _finite(row["noise"])
+                if not 0.0 <= noise <= 1.0:
+                    raise ValueError(f"noise {noise} outside [0, 1]")
                 records.append(
                     RunRecord(
                         strategy=row["strategy"],
-                        noise=float(row["noise"]),
+                        noise=noise,
                         seed=int(row["seed"]),
-                        avg_graph_idleness=float(row["avg_graph_idleness"]),
-                        final_error=float(row["final_error"]),
-                        f_score=float(row["f_score"]),
-                        lambda2=float(row["lambda2"]),
-                        t_consensus=float(row["t_consensus"]) if row["t_consensus"] else None,
+                        avg_graph_idleness=_finite(row["avg_graph_idleness"]),
+                        final_error=_finite(row["final_error"]),
+                        f_score=_finite(row["f_score"]),
+                        lambda2=_finite(row["lambda2"]),
+                        t_consensus=_finite(row["t_consensus"]) if row["t_consensus"] else None,
                         tp_consensus=bool(int(row["tp_consensus"])),
                         fp_consensus_count=int(row["fp_consensus_count"]),
                     )
@@ -612,29 +644,7 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
 
 
 def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in rows:
-            writer.writerow(
-                [
-                    s.strategy,
-                    repr(s.noise),
-                    s.runs,
-                    repr(s.idleness_mean),
-                    repr(s.idleness_std),
-                    repr(s.error_mean),
-                    repr(s.fscore_mean),
-                    repr(s.fscore_std),
-                    repr(s.consensus_rate),
-                    _fmt_opt(s.t_consensus_mean),
-                    repr(s.tp_consensus_rate),
-                    repr(s.fp_consensus_mean),
-                    repr(s.lambda2_mean),
-                    repr(s.lambda2_median),
-                    s.note,
-                ]
-            )
+    _write_table(path, SUMMARY_COLUMNS, ([getattr(s, c) for c in SUMMARY_COLUMNS] for s in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -642,119 +652,70 @@ def write_summary_csv(path: Path, rows: Sequence[SummaryRow]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _correlation_row(noise: float, records: Sequence[RunRecord]) -> list:
+    points = [
+        (r.lambda2, r.t_consensus)
+        for r in records
+        if r.noise == noise and r.t_consensus is not None
+    ]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    note = ""
+    r_val = p_val = None
+    if len(points) < 3:
+        note = "fewer than 3 consensus runs"
+    elif len(set(xs)) == 1 or len(set(ys)) == 1:
+        note = "degenerate variance"
+    else:
+        try:
+            r_val, p_val = pearson(xs, ys)
+        except OverflowError:
+            note = "sums overflow the float range"
+    return [noise, len(points), r_val, p_val, note]
+
+
 def analyze_runs(runs_dir: Path) -> list[Path]:
-    """Build analysis CSVs from a directory produced by run_matrix.
+    """Build analysis CSVs from the runs.csv in runs_dir, the only file read.
 
     Emits correlations.csv (per-noise Pearson between lambda2 and
     consensus time), connectivity_by_strategy.csv (per-cell lambda2 stats),
-    consensus_vs_connectivity.csv (per-run scatter points),
-    consensus_outcomes.csv (true/false positive consensus rates), and
-    social_edges.csv (pairwise exchange counts parsed from the event logs,
-    when logs are present).
+    consensus_vs_connectivity.csv (per-run scatter points) and
+    consensus_outcomes.csv (true/false positive consensus rates). The
+    per-pair exchange counts, social_edges.csv, come from run_matrix.
     """
     runs_dir = Path(runs_dir)
     records = read_runs_csv(runs_dir / "runs.csv")
-    written: list[Path] = []
-
     noises = sorted({r.noise for r in records})
     strategies = list(dict.fromkeys(r.strategy for r in records))
-
-    path = runs_dir / "correlations.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise", "n_points", "pearson_r", "p_value", "note"])
-        for noise in noises:
-            points = [
-                (r.lambda2, r.t_consensus)
-                for r in records
-                if r.noise == noise and r.t_consensus is not None
-            ]
-            xs = [p[0] for p in points]
-            ys = [p[1] for p in points]
-            note = ""
-            r_val = p_val = None
-            if len(points) < 3:
-                note = "fewer than 3 consensus runs"
-            elif len(set(xs)) == 1 or len(set(ys)) == 1:
-                note = "degenerate variance"
-            else:
-                r_val, p_val = pearson(xs, ys)
-            writer.writerow(
-                [repr(noise), len(points), _fmt_opt(r_val), _fmt_opt(p_val), note]
-            )
-    written.append(path)
-
-    summaries = summarize(records)
-    by_cell = {(s.strategy, s.noise): s for s in summaries}
-
-    path = runs_dir / "connectivity_by_strategy.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "noise", "lambda2_median", "lambda2_mean"])
-        for strategy in strategies:
-            for noise in noises:
-                s = by_cell.get((strategy, noise))
-                if s is None:
-                    continue
-                writer.writerow(
-                    [strategy, repr(noise), repr(s.lambda2_median), repr(s.lambda2_mean)]
-                )
-    written.append(path)
-
-    path = runs_dir / "consensus_vs_connectivity.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "noise", "seed", "lambda2", "t_consensus"])
-        for r in records:
-            writer.writerow(
-                [r.strategy, repr(r.noise), r.seed, repr(r.lambda2), _fmt_opt(r.t_consensus)]
-            )
-    written.append(path)
-
-    path = runs_dir / "consensus_outcomes.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "noise", "tp_consensus_rate", "fp_consensus_mean"])
-        for strategy in strategies:
-            for noise in noises:
-                s = by_cell.get((strategy, noise))
-                if s is None:
-                    continue
-                writer.writerow(
-                    [strategy, repr(noise), repr(s.tp_consensus_rate), repr(s.fp_consensus_mean)]
-                )
-    written.append(path)
-
-    social = _social_edges_from_logs(runs_dir)
-    if social is not None:
-        path = runs_dir / "social_edges.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "noise", "robot_i", "robot_j", "exchanges"])
-            for (strategy, noise, i, j), count in social:
-                writer.writerow([strategy, noise, i, j, count])
-        written.append(path)
-    return written
-
-
-def _social_edges_from_logs(runs_dir: Path) -> Optional[list[tuple[tuple, int]]]:
-    logs = sorted(runs_dir.glob("*.log"))
-    if not logs:
-        return None
-    counts: dict[tuple, int] = {}
-    for log_path in logs:
-        stem = log_path.stem
-        try:
-            strategy, noise_token, _rep = stem.rsplit("_", 2)
-            noise = noise_token.replace("m", "-").replace("p", ".", 1)
-            float(noise)
-        except ValueError:
-            continue
-        for line in log_path.read_text().splitlines():
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "comm":
-                i = int(parts[2].removeprefix("robot="))
-                j = int(parts[3].removeprefix("peer="))
-                key = (strategy, noise, i, j)
-                counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items())
+    by_cell = {(s.strategy, s.noise): s for s in summarize(records)}
+    cells = [
+        (strategy, noise, by_cell[strategy, noise])
+        for strategy in strategies
+        for noise in noises
+        if (strategy, noise) in by_cell
+    ]
+    return [
+        _write_table(
+            runs_dir / "correlations.csv",
+            ("noise", "n_points", "pearson_r", "p_value", "note"),
+            (_correlation_row(noise, records) for noise in noises),
+        ),
+        _write_table(
+            runs_dir / "connectivity_by_strategy.csv",
+            ("strategy", "noise", "lambda2_median", "lambda2_mean"),
+            ([strategy, noise, s.lambda2_median, s.lambda2_mean] for strategy, noise, s in cells),
+        ),
+        _write_table(
+            runs_dir / "consensus_vs_connectivity.csv",
+            ("strategy", "noise", "seed", "lambda2", "t_consensus"),
+            ([r.strategy, r.noise, r.seed, r.lambda2, r.t_consensus] for r in records),
+        ),
+        _write_table(
+            runs_dir / "consensus_outcomes.csv",
+            ("strategy", "noise", "tp_consensus_rate", "fp_consensus_mean"),
+            (
+                [strategy, noise, s.tp_consensus_rate, s.fp_consensus_mean]
+                for strategy, noise, s in cells
+            ),
+        ),
+    ]

@@ -194,10 +194,14 @@ def algebraic_connectivity(graph: CommGraph) -> float:
 
 
 def required_quorum(n_robots: int, quorum: float) -> int:
-    """Robots needed for a quorum; round(., 9) absorbs float artifacts."""
+    """Robots needed for a quorum; round(., 9) absorbs float artifacts.
+
+    At least one robot, however small the fraction: rounding a tiny product
+    to 0 would declare consensus with every robot still uncertain.
+    """
     if not (0.0 < quorum <= 1.0):
         raise ValueError(f"quorum must be in (0, 1], got {quorum}")
-    return math.ceil(round(quorum * n_robots, 9))
+    return max(1, math.ceil(round(quorum * n_robots, 9)))
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
     Requires at least 3 points and non-degenerate variance in both inputs.
     The p-value comes from the exact t transform r * sqrt(df / (1 - r^2))
-    with df = n - 2.
+    with df = n - 2. Sums outside the float range raise OverflowError.
     """
     n = len(xs)
     if n != len(ys):
@@ -384,7 +388,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("zero variance input")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    r = sxy / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    if not (0.0 < scale < math.inf and math.isfinite(sxy)):
+        raise OverflowError("sums outside the float range")
+    r = sxy / scale
     r = max(-1.0, min(1.0, r))
     df = n - 2
     if abs(r) == 1.0:

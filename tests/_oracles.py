@@ -128,6 +128,22 @@ def contact_weights(n_robots, events):
     return w
 
 
+def social_edges_from_logs(runs_dir):
+    """(strategy, noise, i, j, count) rows counted from the comm lines of every
+    <strategy>_<noise>_r<rep>.log in runs_dir, pooled over reps, in sorted order."""
+    counts = Counter()
+    for log_path in sorted(runs_dir.glob("*.log")):
+        strategy, noise_token, _rep = log_path.stem.rsplit("_", 2)
+        noise = noise_token.replace("m", "-").replace("p", ".", 1)
+        for line in log_path.read_text().splitlines():
+            parts = line.split()
+            if parts[1] == "comm":
+                i = int(parts[2].removeprefix("robot="))
+                j = int(parts[3].removeprefix("peer="))
+                counts[strategy, noise, i, j] += 1
+    return [(*key, count) for key, count in sorted(counts.items())]
+
+
 def fuse_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:
     """Node-by-node fusion of two equal-length half-unit lists: clamp(a + b - 1, 0, 2)."""
     if len(u) != len(v):

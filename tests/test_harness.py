@@ -1,6 +1,8 @@
 """Experiment harness: config files, seeding, runs, CSV round-trips, analysis."""
 
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -20,6 +22,7 @@ from swarmpatrol.comms import exchange
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.harness import (
     RUN_COLUMNS,
+    SOCIAL_COLUMNS,
     ConfigError,
     ExperimentConfig,
     cell_seed,
@@ -391,11 +394,21 @@ _PER_TICK_DIGESTS = {
 }
 
 
+def _record_repr(rec):
+    """A RunRecord's repr as it read when the digests were frozen: its total
+    exchange count as the last field, where the per-pair counts now sit."""
+    fields = [
+        f"{f.name}={getattr(rec, f.name)!r}" for f in dataclasses.fields(rec)
+        if f.name != "exchanges"
+    ]
+    return f"RunRecord({', '.join(fields)}, n_exchanges={rec.n_exchanges!r})"
+
+
 def _runs_digest(records, log_dir):
     """SHA-256 over the runs' records and their logs' names and bytes."""
     h = hashlib.sha256()
     for rec in records:
-        h.update(repr(rec).encode())
+        h.update(_record_repr(rec).encode())
     for path in sorted(log_dir.iterdir()):
         h.update(path.name.encode())
         h.update(path.read_bytes())
@@ -566,16 +579,65 @@ def test_analyze_runs_outputs(micro_matrix):
         "connectivity_by_strategy.csv",
         "consensus_vs_connectivity.csv",
         "consensus_outcomes.csv",
-        "social_edges.csv",
     }
     corr = (out / "correlations.csv").read_text().splitlines()
     assert corr[0] == "noise,n_points,pearson_r,p_value,note"
     assert len(corr) == 3  # one row per noise level
     scatter = (out / "consensus_vs_connectivity.csv").read_text().splitlines()
     assert len(scatter) == len(records) + 1
-    social = (out / "social_edges.csv").read_text().splitlines()
-    assert social[0] == "strategy,noise,robot_i,robot_j,exchanges"
-    assert len(social) > 1  # the two robots talked in at least one cell
+
+
+def _social_rows(out):
+    with open(out / "social_edges.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == SOCIAL_COLUMNS
+    return [(s, noise, int(i), int(j), int(count)) for s, noise, i, j, count in rows]
+
+
+def _assert_social_edges_match_logs(out, records):
+    rows = _social_rows(out)
+    assert rows == _oracles.social_edges_from_logs(out)
+    assert sum(row[-1] for row in rows) == sum(r.n_exchanges for r in records)
+    for r in records:
+        assert all(count > 0 for _, _, count in r.exchanges)
+        assert [(i, j) for i, j, _ in r.exchanges] == sorted({(i, j) for i, j, _ in r.exchanges})
+        assert all(i < j for i, j, _ in r.exchanges)
+
+
+def test_social_edges_match_log_oracle(micro_matrix):
+    _, out, records, _ = micro_matrix
+    assert len(_social_rows(out)) > 0  # the two robots talked in at least one cell
+    _assert_social_edges_match_logs(out, records)
+
+
+def test_social_edges_match_log_oracle_for_every_strategy(tmp_path, default_graph):
+    cfg = replace(
+        ExperimentConfig(),
+        n_robots=4,
+        duration=300.0,
+        noise_levels=(0.0, 0.05),
+        strategies=tuple(StrategyKind),
+        reps=2,
+        master_seed=3,
+    )
+    records, _ = run_matrix(cfg, out_dir=tmp_path, g=default_graph)
+    assert {row[0] for row in _social_rows(tmp_path)} == {k.value for k in StrategyKind}
+    _assert_social_edges_match_logs(tmp_path, records)
+
+
+def test_social_edges_ignore_stale_logs(tmp_path):
+    # logs of another config, left in the directory, are not this matrix's exchanges
+    stale = "1.000 comm robot=0 peer=1 beliefs=x\n"
+    (tmp_path / "SEBS_0p2_r7.log").write_text(stale)
+    (tmp_path / "CR_0p0_r9.log").write_text(stale)
+    g = parse_map(PATH3)
+    records, _ = run_matrix(_micro_cfg(), out_dir=tmp_path, g=g)
+    # pooling every log in the directory would count the stale exchanges
+    assert _social_rows(tmp_path) != _oracles.social_edges_from_logs(tmp_path)
+    for name in ("SEBS_0p2_r7.log", "CR_0p0_r9.log"):
+        (tmp_path / name).rename(tmp_path / f"{name}.stale")
+    _assert_social_edges_match_logs(tmp_path, records)
+    assert all(row[0] != "SEBS" for row in _social_rows(tmp_path))
 
 
 def test_cli_genmap_and_simulate(tmp_path, capsys):
@@ -614,10 +676,35 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert cli_main(["genmap", "--seed", "-1", "--out", str(tmp_path / "m.map")]) == 2
     assert "error:" in capsys.readouterr().err
-    (tmp_path / "runs.csv").write_text(",".join(RUN_COLUMNS) + "\nCR,x,1,1,1,1,1,,0,0\n")
+    header = ",".join(RUN_COLUMNS) + "\n"
+    for row, names in (
+        ("CR,x,1,1,1,1,1,,0,0", "bad row"),
+        ("CR,0.0,1,1,1,1,nan,,0,0", "'nan' is not a finite number"),
+        ("CR,0.0,1,inf,1,1,1,,0,0", "'inf' is not a finite number"),
+        ("CR,0.0,1,1,1,1,1,-inf,0,0", "'-inf' is not a finite number"),
+        ("CR,2.0,1,1,1,1,1,,0,0", "noise 2.0 outside [0, 1]"),
+        ("CR,nan,1,1,1,1,1,,0,0", "'nan' is not a finite number"),
+    ):
+        (tmp_path / "runs.csv").write_text(header + row + "\n")
+        for command in ("summarize", "analyze"):
+            assert cli_main([command, "--runs", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert names in err
+    # extreme but finite values: the correlation's sums overflow and the
+    # idleness spread leaves the float range; both are reported, not raised
+    rows = [
+        f"CR,0.0,{k},{idleness},0.5,0.5,{lam},{t},1,0"
+        for k, (idleness, lam, t) in enumerate(
+            [(1e308, 1e308, 10.0), (-1e308, -1e308, 20.0), (0.0, 0.0, 40.0)]
+        )
+    ]
+    (tmp_path / "runs.csv").write_text(header + "\n".join(rows) + "\n")
     for command in ("summarize", "analyze"):
-        assert cli_main([command, "--runs", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert cli_main([command, "--runs", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+    corr = (tmp_path / "correlations.csv").read_text().splitlines()
+    assert corr[1] == "0.0,3,,,sums overflow the float range"
 
 
 def test_cli_reports_os_errors(tmp_path, capsys):

@@ -276,6 +276,19 @@ def test_required_quorum_values():
     assert required_quorum(3, 0.85) == 3
     # 0.28 * 25 floats to 7.000000000000001; the rounding guard keeps it at 7
     assert required_quorum(25, 0.28) == 7
+    # a product that rounds to 0 still needs one robot
+    assert required_quorum(8, 1e-11) == 1
+    assert required_quorum(1, 5e-324) == 1
+
+
+def test_tiny_quorum_is_not_reached_by_uncertain_robots():
+    truth = [False, True, False]
+    tracker = ConsensusTracker(truth, 8, 1e-11)
+    report = tracker.report([new_belief_vector(3) for _ in range(8)])
+    assert report.required == 1
+    assert report.t_full_consensus is None
+    assert not report.tp_consensus
+    assert report.fp_consensus_nodes == ()
 
 
 def test_required_quorum_rejects_bad_fraction():
@@ -497,3 +510,17 @@ def test_pearson_rejects_degenerate_input():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([1e308, -1e308, 0.0], [1.0, 2.0, 4.0]),  # a square overflows
+        ([1e308, 1e308, 1e307], [1.0, 2.0, 4.0]),  # the mean is inf
+        ([1e100, 0.0, 3e100], [1e100, 2e100, 0.0]),  # sxx * syy is inf
+        ([1e-160, 2e-160, 4e-160], [1e-160, 3e-160, 2e-160]),  # sxx * syy is 0
+    ],
+)
+def test_pearson_reports_sums_outside_the_float_range(xs, ys):
+    with pytest.raises(OverflowError):
+        pearson(xs, ys)
