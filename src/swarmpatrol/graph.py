@@ -46,7 +46,7 @@ class PatrolGraph:
     connected, free of self-loops and parallel edges, with positive lengths.
     """
 
-    __slots__ = ("coords", "edges", "adjacency", "_length", "_sp_cache", "_mean_edge")
+    __slots__ = ("coords", "edges", "adjacency", "_length", "_sp_cache", "_rows", "_mean_edge")
 
     def __init__(
         self,
@@ -89,6 +89,7 @@ class PatrolGraph:
         )
         self._length = length
         self._sp_cache: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {}
+        self._rows: list[tuple[float, ...] | None] = [None] * m
         self._mean_edge = sum(d for _, _, d in norm) / len(norm) if norm else 0.0
         self._check_connected()
 
@@ -172,8 +173,16 @@ class PatrolGraph:
         dist, path = self._single_source(a)[b]
         return list(path), dist
 
+    def distances(self, a: int) -> tuple[float, ...]:
+        """Shortest-path distance from a to every node, by node id; built on first use."""
+        row = self._rows[a]
+        if row is None:
+            settled = self._single_source(a)
+            row = self._rows[a] = tuple(settled[v][0] for v in range(self.node_count))
+        return row
+
     def shortest_distance(self, a: int, b: int) -> float:
-        return self._single_source(a)[b][0]
+        return self.distances(a)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +290,12 @@ def _visit_order(g: PatrolGraph) -> list[int]:
     order = [0]
     remaining = set(range(1, m))
     while remaining:
-        here = order[-1]
-        dists = g._single_source(here)
-        best = min(remaining, key=lambda v: (dists[v][0], v))
+        dists = g.distances(order[-1])
+        best = min(remaining, key=lambda v: (dists[v], v))
         order.append(best)
         remaining.remove(best)
 
-    def d(a: int, b: int) -> float:
-        return g.shortest_distance(a, b)
-
+    d = [g.distances(v) for v in range(m)]
     improved = True
     while improved:
         improved = False
@@ -297,7 +303,7 @@ def _visit_order(g: PatrolGraph) -> list[int]:
             for j in range(i + 1, m):
                 a, b = order[i - 1], order[i]
                 c, e = order[j], order[(j + 1) % m]
-                delta = d(a, c) + d(b, e) - d(a, b) - d(c, e)
+                delta = d[a][c] + d[b][e] - d[a][b] - d[c][e]
                 if delta < -1e-12:
                     order[i : j + 1] = reversed(order[i : j + 1])
                     improved = True

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .beliefs import digest, format_belief
+from .beliefs import belief_at, digest, format_belief
 from .comms import CommConfig, CommState, tick_comms
 from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
@@ -146,6 +146,8 @@ class ExperimentConfig:
         for p in self.noise_levels:
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"noise level must be in [0, 1], got {p}")
+        # -0.0 is 0.0, but its repr would give it other cell seeds and log names
+        object.__setattr__(self, "noise_levels", tuple(abs(p) for p in self.noise_levels))
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if not self.strategies:
@@ -413,12 +415,11 @@ def run_one(
                 if arrived is None:
                     continue
                 idleness_before = t - last_visit[arrived]
-                b = visit(r, tracker, world, arrived, t, noise, sense_rngs[rid])
+                visit(r, tracker, world, arrived, t, noise, sense_rngs[rid])
                 consensus.visited(t, rid, arrived, r.beliefs)
                 if log_lines is not None:
-                    log_lines.append(
-                        f"{t:.3f} visit robot={rid} node={arrived} belief={format_belief(b)}"
-                    )
+                    b = format_belief(belief_at(r.beliefs, arrived))
+                    log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
                 policy.visited(rid, arrived, idleness_before)
                 if arrived == r.goal:
                     idleness = [t - lv for lv in last_visit]
@@ -605,15 +606,25 @@ def write_runs_csv(path: Path, records: Sequence[RunRecord]) -> None:
     _write_table(path, RUN_COLUMNS, rows)
 
 
-def _finite(text: str) -> float:
-    x = float(text)
+def _within(
+    row: dict[str, str], column: str, high: float = math.inf, parse: Callable = float
+) -> float:
+    """The row's number in `column`, which must be finite and lie in [0, high]."""
+    x = parse(row[column])
     if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise ValueError(f"{row[column]!r} is not a finite number")
+    if not 0 <= x <= high:
+        raise ValueError(f"{column} {x} outside [0, {high}]")
     return x
 
 
 def read_runs_csv(path: Path) -> list[RunRecord]:
-    """Read a runs.csv back; a non-finite number or a noise outside [0, 1] is a ConfigError."""
+    """Read a runs.csv back; a value write_runs_csv never writes is a ConfigError.
+
+    Numbers must be finite; noise, final_error and f_score lie in [0, 1],
+    avg_graph_idleness and lambda2 are at least 0, t_consensus is empty or
+    positive, tp_consensus is 0 or 1 and fp_consensus_count at least 0.
+    """
     records: list[RunRecord] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -621,21 +632,21 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
             raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
             try:
-                noise = _finite(row["noise"])
-                if not 0.0 <= noise <= 1.0:
-                    raise ValueError(f"noise {noise} outside [0, 1]")
+                t_consensus = _within(row, "t_consensus") if row["t_consensus"] else None
+                if t_consensus == 0.0:
+                    raise ValueError("t_consensus 0.0 is not positive")
                 records.append(
                     RunRecord(
                         strategy=row["strategy"],
-                        noise=noise,
+                        noise=_within(row, "noise", 1),
                         seed=int(row["seed"]),
-                        avg_graph_idleness=_finite(row["avg_graph_idleness"]),
-                        final_error=_finite(row["final_error"]),
-                        f_score=_finite(row["f_score"]),
-                        lambda2=_finite(row["lambda2"]),
-                        t_consensus=_finite(row["t_consensus"]) if row["t_consensus"] else None,
-                        tp_consensus=bool(int(row["tp_consensus"])),
-                        fp_consensus_count=int(row["fp_consensus_count"]),
+                        avg_graph_idleness=_within(row, "avg_graph_idleness"),
+                        final_error=_within(row, "final_error", 1),
+                        f_score=_within(row, "f_score", 1),
+                        lambda2=_within(row, "lambda2"),
+                        t_consensus=t_consensus,
+                        tp_consensus=bool(_within(row, "tp_consensus", 1, int)),
+                        fp_consensus_count=_within(row, "fp_consensus_count", parse=int),
                     )
                 )
             except (TypeError, ValueError) as exc:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from .comms import _RANGE_EPS
 from .graph import PatrolGraph, Route, build_cyclic_route
-from .world import RngStream, RobotState
+from .world import RngStream, RobotState, max_step
 
 __all__ = [
     "StrategyKind",
@@ -31,6 +32,7 @@ __all__ = [
     "dtap_auction",
     "retarget",
     "travel_distance",
+    "travel_distances",
 ]
 
 
@@ -155,15 +157,15 @@ class HPCC(Policy):
     """HCR's scoring widened to every node, over shortest-path distances."""
 
     def decide(self, robot_id, node, idleness, rng):
-        g = self.g
-        candidates = [v for v in range(g.node_count) if v != node]
+        dist = self.g.distances(node)
+        candidates = [v for v in range(self.g.node_count) if v != node]
         max_idl = max(idleness[v] for v in candidates)
-        max_d = max(g.shortest_distance(node, v) for v in candidates)
+        max_d = max(dist[v] for v in candidates)
         return _argmax(
             (
                 v,
                 0.5 * (idleness[v] / max_idl if max_idl > 0.0 else 1.0)
-                + 0.5 * (1.0 - g.shortest_distance(node, v) / max_d),
+                + 0.5 * (1.0 - dist[v] / max_d),
             )
             for v in candidates
         )
@@ -292,11 +294,13 @@ class _ClaimPolicy(Policy):
         self.claims: dict[int, int] = {}
         self.claim: list[Optional[int]] = [None] * n_robots
 
-    def _release(self, robot_id: int, node: int) -> None:
-        """Drop the robot's claim if it has just reached the claimed node."""
-        if self.claim[robot_id] == node:
-            del self.claims[node]
-            self.claim[robot_id] = None
+    def _release(self, robot_id: int, node: int) -> bool:
+        """Drop the robot's claim if it has just reached the claimed node; True if it did."""
+        if self.claim[robot_id] != node:
+            return False
+        del self.claims[node]
+        self.claim[robot_id] = None
+        return True
 
 
 class DTAG(_ClaimPolicy):
@@ -304,12 +308,12 @@ class DTAG(_ClaimPolicy):
 
     def decide(self, robot_id, node, idleness, rng):
         self._release(robot_id, node)
-        g = self.g
         claims = self.claims
         w = self.params.task_distance_weight
+        dist = self.g.distances(node)
         best_v = _argmax(
-            (v, idleness[v] - w * g.shortest_distance(node, v))
-            for v in range(g.node_count)
+            (v, idleness[v] - w * dist[v])
+            for v in range(self.g.node_count)
             if v != node and v not in claims
         )
         if best_v < 0:
@@ -321,25 +325,42 @@ class DTAG(_ClaimPolicy):
 
 
 class DTAP(_ClaimPolicy):
-    """Tasks are awarded by a periodic auction; between tasks, patrol as CR."""
+    """Tasks are awarded by a periodic auction; between tasks, patrol as CR.
+
+    The auction is held only on ticks where it could award something. Only
+    a claimless robot can win, and between group rounds only one out of
+    range of every other robot; an auction that awards nothing changes
+    nothing. So after each auction the hook is next due on the next tick
+    if a claimless robot is out of range of everyone, and otherwise on the
+    next group round or the first tick on which a claimless robot could
+    have lost its last peer, whichever comes first. Robots move at most
+    max_step in the plane a tick (world.max_step, as the radio's schedule
+    uses), so a peer D meters away after tick k - 1 is still in range
+    after tick k - 1 + j for every j <= floor((range - D - eps) /
+    (2 * max_step)), eps being the radio's _RANGE_EPS. A decision that
+    frees a claim makes the hook due on the next tick.
+    """
 
     def __init__(self, g, n_robots, params, comm_range, dt):
         super().__init__(g, n_robots, params, comm_range, dt)
         self.comm_range = comm_range
         self.period_ticks = int(round(params.dtap_period_s / dt))
+        self._due = 0  # next auction tick while a robot is claimless; 0 for the next tick
+        self._max_step: Optional[float] = None  # set on the first auction
 
     def decide(self, robot_id, node, idleness, rng):
-        self._release(robot_id, node)
+        if self._release(robot_id, node):
+            self._due = 0
         return super().decide(robot_id, node, idleness, rng)
 
     def next_tick(self):
         # only a claimless robot can win a task, and only decide frees one
-        return 0 if None in self.claim else math.inf
+        return self._due if None in self.claim else math.inf
 
     def tick(self, k, t, robots, last_visit):
         for r in robots:
             r.sync(k - 1)
-        return dtap_auction(
+        awards = dtap_auction(
             robots,
             self.g,
             [t - lv for lv in last_visit],
@@ -349,6 +370,30 @@ class DTAP(_ClaimPolicy):
             self.params,
             k % self.period_ticks == 0,
         )
+        self._due = self._next_auction(k, robots)
+        return awards
+
+    def _next_auction(self, k: int, robots: Sequence[RobotState]) -> int:
+        """Earliest tick after k whose auction could award something, from the poses of k - 1."""
+        if self._max_step is None:
+            # a robot's stride is the run's speed * dt, so this is the radio's max_step
+            self._max_step = max_step(self.g, robots[0].stride, 1.0)
+        range_m = self.comm_range
+        due = (k // self.period_ticks + 1) * self.period_ticks
+        for r in robots:
+            if self.claim[r.id] is None:
+                # the nearest peer's squared distance, as the auction's range test has it
+                d2 = math.inf
+                for q in robots:
+                    if q is not r:
+                        dx = r.x - q.x
+                        dy = r.y - q.y
+                        d2 = min(d2, dx * dx + dy * dy)
+                if d2 > range_m * range_m:
+                    return k + 1
+                keep = (range_m - math.sqrt(d2) - _RANGE_EPS) / (2.0 * self._max_step)
+                due = min(due, k + max(math.floor(keep), 0) + 1)
+        return due
 
 
 POLICIES: dict[StrategyKind, type[Policy]] = {
@@ -385,11 +430,21 @@ def decide_next(
 def travel_distance(robot: RobotState, g: PatrolGraph, v: int) -> float:
     """Shortest travel distance from the robot's last synced pose to node v."""
     if robot.edge is None:
-        return g.shortest_distance(robot.node, v)
+        return g.distances(robot.node)[v]
     a, b = robot.edge
-    via_b = (robot._edge_len - robot.offset) + g.shortest_distance(b, v)
-    via_a = robot.offset + g.shortest_distance(a, v)
+    via_b = (robot._edge_len - robot.offset) + g.distances(b)[v]
+    via_a = robot.offset + g.distances(a)[v]
     return min(via_a, via_b)
+
+
+def travel_distances(robot: RobotState, g: PatrolGraph) -> Sequence[float]:
+    """travel_distance to every node, by node id."""
+    if robot.edge is None:
+        return g.distances(robot.node)
+    a, b = robot.edge
+    back = robot.offset
+    ahead = robot._edge_len - back
+    return [min(back + da, ahead + db) for da, db in zip(g.distances(a), g.distances(b))]
 
 
 def retarget(robot: RobotState, g: PatrolGraph, goal: int, k: int) -> None:
@@ -405,8 +460,8 @@ def retarget(robot: RobotState, g: PatrolGraph, goal: int, k: int) -> None:
         return
     robot.sync(k - 1)
     a, b = robot.edge
-    via_b = (robot._edge_len - robot.offset) + g.shortest_distance(b, goal)
-    via_a = robot.offset + g.shortest_distance(a, goal)
+    via_b = (robot._edge_len - robot.offset) + g.distances(b)[goal]
+    via_a = robot.offset + g.distances(a)[goal]
     if via_a < via_b:
         robot.reverse_edge(g, k)
         robot.path = [a] + g.shortest_path(a, goal)[0][1:]
@@ -452,6 +507,10 @@ def dtap_auction(
             if dx * dx + dy * dy <= range_sq:
                 connected[i] = True
                 connected[j] = True
+    # each bidding robot's travel distance to every node
+    travel = {
+        r.id: travel_distances(r, g) for r in bidders if group_round or not connected[r.id]
+    }
     awards: list[tuple[int, int]] = []
 
     if group_round:
@@ -462,16 +521,14 @@ def dtap_auction(
                 pool = [v for v in unclaimed if v != r.node]
                 if not pool:
                     continue
-                best_v = max(
-                    pool,
-                    key=lambda v: (idleness[v] - w * travel_distance(r, g, v), -v),
-                )
+                row = travel[r.id]
+                best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
                 proposals.setdefault(best_v, []).append(r)
             if not proposals:
                 break
             group = []
             for v, rs in sorted(proposals.items()):
-                winner = min(rs, key=lambda r: (travel_distance(r, g, v), r.id))
+                winner = min(rs, key=lambda r: (travel[r.id][v], r.id))
                 claims[v] = winner.id
                 claim[winner.id] = v
                 awards.append((winner.id, v))
@@ -484,10 +541,8 @@ def dtap_auction(
         pool = [v for v in unclaimed if v != r.node]
         if not pool:
             continue
-        best_v = max(
-            pool,
-            key=lambda v: (idleness[v] - w * travel_distance(r, g, v), -v),
-        )
+        row = travel[r.id]
+        best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
         claims[best_v] = r.id
         claim[r.id] = best_v
         awards.append((r.id, best_v))

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .beliefs import Belief, BeliefVector, belief_at, measurement_update, new_belief_vector
+from .beliefs import BeliefVector, measurement_update, new_belief_vector
 from .graph import PatrolGraph
 
 __all__ = [
@@ -298,12 +298,8 @@ def visit(
     t: float,
     noise_p: float,
     rng: RngStream,
-) -> Belief:
-    """Handle an arrival at node at time t: sense, update belief, reset idleness.
-
-    Returns the robot's belief about the node after the update.
-    """
+) -> None:
+    """Handle an arrival at node at time t: sense, update belief, reset idleness."""
     observation = sense(world, node, noise_p, rng)
-    robot.beliefs = beliefs = measurement_update(robot.beliefs, node, observation)
+    robot.beliefs = measurement_update(robot.beliefs, node, observation)
     tracker.record_visit(node, t)
-    return belief_at(beliefs, node)

@@ -1,5 +1,6 @@
 """Independent brute-force oracles; nothing here imports the package."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -92,6 +93,35 @@ def per_tick_robot_class(robot_class):
             reverse(self, g)
 
     return PerTickRobot
+
+
+def per_tick_dtap_class(dtap_class, auction):
+    """A subclass of dtap_class that holds auction on every tick while a robot is claimless.
+
+    This is DTAP's hook without a schedule: poses synced to the previous
+    tick, a group round whenever k is a multiple of the period. `auction`
+    has dtap_auction's signature.
+    """
+
+    class PerTickDTAP(dtap_class):
+        def next_tick(self):
+            return 0 if None in self.claim else math.inf
+
+        def tick(self, k, t, robots, last_visit):
+            for r in robots:
+                r.sync(k - 1)
+            return auction(
+                robots,
+                self.g,
+                [t - lv for lv in last_visit],
+                self.claims,
+                self.claim,
+                self.comm_range,
+                self.params,
+                k % self.period_ticks == 0,
+            )
+
+    return PerTickDTAP
 
 
 def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):

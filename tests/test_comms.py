@@ -205,9 +205,10 @@ def test_tick_comms_matches_brute_force_scan(case):
 
 
 def _visit_false_reading(robot, node):
-    # a noiseless visit to a node of the all-normal world reads false
+    # a noiseless visit to a node of the all-normal world reads false; returns the new belief
     world = WorldState(truth=[False] * 3, anomaly_node=0)
-    return visit(robot, IdlenessTracker(3), world, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
+    visit(robot, IdlenessTracker(3), world, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
+    return belief_at(robot.beliefs, node)
 
 
 def test_exchange_fuses_both_ways_without_aliasing():

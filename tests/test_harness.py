@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import brute_consensus_replay, eligible_pairs, per_tick_robot_class
+from _oracles import (
+    brute_consensus_replay,
+    eligible_pairs,
+    per_tick_dtap_class,
+    per_tick_robot_class,
+)
 from swarmpatrol import harness
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.comms import exchange
@@ -33,7 +38,7 @@ from swarmpatrol.harness import (
     summarize,
     write_runs_csv,
 )
-from swarmpatrol.strategies import StrategyKind
+from swarmpatrol.strategies import DTAP, StrategyKind, dtap_auction
 from swarmpatrol.world import RobotState
 
 PATH3 = "node 0 0 0\nnode 1 1 0\nnode 2 2 0\nedge 0 1\nedge 1 2\n"
@@ -464,6 +469,36 @@ def test_event_driven_runs_match_per_tick_stepping(
     _assert_same_runs(tmp_path, events, stepped)
 
 
+@_ORACLE_CONFIGS
+def test_scheduled_auctions_match_an_auction_on_every_tick(
+    tmp_path, default_graph, monkeypatch, overrides, factors
+):
+    g, cfg = _oracle_case(default_graph, overrides, factors)
+    held = []  # ticks the schedule holds an auction on
+    tick = DTAP.tick
+    monkeypatch.setattr(DTAP, "tick", lambda self, k, *a: held.append(k) or tick(self, k, *a))
+    scheduled = run_one(cfg, g, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "a")
+
+    every_tick = []  # (tick, awards) of each auction the oracle holds
+
+    class Recorded(per_tick_dtap_class(DTAP, dtap_auction)):
+        def tick(self, k, *args):
+            awards = super().tick(k, *args)
+            every_tick.append((k, awards))
+            return awards
+
+    monkeypatch.setitem(harness.POLICIES, StrategyKind.DTAP, Recorded)
+    oracle = run_one(cfg, g, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "b")
+    assert scheduled == oracle
+    log = "DTAP_0p2_r0.log"
+    assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
+    assert set(held) <= {k for k, _ in every_tick}
+    # unless one tick's travel can take a peer out of range, some ticks are skipped
+    assert len(held) < len(every_tick) or 2 * cfg.speed * cfg.dt > cfg.comm_range
+    # a skipped auction would have awarded nothing
+    assert [awards for k, awards in every_tick if k not in set(held) and awards] == []
+
+
 # ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------
@@ -517,6 +552,52 @@ def test_read_runs_csv_rejects_foreign_columns(tmp_path):
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(ConfigError):
             read_runs_csv(path)
+
+
+_GOOD_ROW = dict(
+    strategy="CR", noise="0.2", seed="7", avg_graph_idleness="12.5", final_error="0.25",
+    f_score="0.7500", lambda2="1.5", t_consensus="30.0", tp_consensus="1",
+    fp_consensus_count="0",
+)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # the row CHANGES reported as read without error
+        dict(tp_consensus="7", fp_consensus_count="-4", f_score="7", avg_graph_idleness="-5"),
+        dict(tp_consensus="7"),
+        dict(tp_consensus="-1"),
+        dict(fp_consensus_count="-4"),
+        dict(f_score="7"),
+        dict(f_score="-0.5"),
+        dict(final_error="1.5"),
+        dict(final_error="-0.25"),
+        dict(avg_graph_idleness="-5"),
+        dict(lambda2="-1e-3"),
+        dict(t_consensus="0.0"),
+        dict(t_consensus="-3.0"),
+    ],
+)
+def test_read_runs_csv_rejects_values_never_written(tmp_path, capsys, bad):
+    (tmp_path / "runs.csv").write_text(
+        ",".join(RUN_COLUMNS) + "\n" + ",".join({**_GOOD_ROW, **bad}[c] for c in RUN_COLUMNS) + "\n"
+    )
+    with pytest.raises(ConfigError, match="bad row"):
+        read_runs_csv(tmp_path / "runs.csv")
+    assert cli_main(["summarize", "--runs", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_read_runs_csv_accepts_the_bounds(tmp_path):
+    edges = dict(avg_graph_idleness="0.0", final_error="1.0", f_score="0.0000", lambda2="0.0",
+                 t_consensus="", tp_consensus="0", fp_consensus_count="0")
+    (tmp_path / "runs.csv").write_text(
+        ",".join(RUN_COLUMNS) + "\n" + ",".join({**_GOOD_ROW, **edges}[c] for c in RUN_COLUMNS) + "\n"
+    )
+    (rec,) = read_runs_csv(tmp_path / "runs.csv")
+    assert (rec.t_consensus, rec.tp_consensus, rec.final_error) == (None, False, 1.0)
 
 
 def test_summarize_recomputes_group_statistics(micro_matrix):
@@ -696,7 +777,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     rows = [
         f"CR,0.0,{k},{idleness},0.5,0.5,{lam},{t},1,0"
         for k, (idleness, lam, t) in enumerate(
-            [(1e308, 1e308, 10.0), (-1e308, -1e308, 20.0), (0.0, 0.0, 40.0)]
+            [(1e308, 1e308, 10.0), (0.0, 0.0, 20.0), (0.0, 0.0, 40.0)]
         )
     ]
     (tmp_path / "runs.csv").write_text(header + "\n".join(rows) + "\n")
@@ -843,6 +924,31 @@ def test_cli_fuzzed_config_runs_or_fails_cleanly(fuzz_dir, case):
         assert code == 2
         assert "error:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+def test_negative_zero_noise_is_zero_noise(tmp_path):
+    (tmp_path / "tiny.map").write_text(PATH3)
+    cfg_path = tmp_path / "exp.cfg"
+    base = f"map = {tmp_path / 'tiny.map'}\nrobots = 2\nduration = 30\nanomaly = 1\nreps = 2\n"
+    cfg_path.write_text(base + "noises = 0.2\nstrategies = cr, rand\n")
+    outs = []
+    for noise in ("0", "-0", "-0.0"):
+        outs.append(tmp_path / f"noise{noise}")
+        args = ["simulate", "--config", str(cfg_path), "--noise", noise, "--out", str(outs[-1])]
+        assert cli_main(args) == 0
+    # a config file's noises go through the same ExperimentConfig
+    cfg_path.write_text(base + "noises = -0\nstrategies = cr, rand\n")
+    outs.append(tmp_path / "file")
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    assert ExperimentConfig.from_file(cfg_path).noise_levels == (0.0,)
+    assert math.copysign(1.0, ExperimentConfig.from_file(cfg_path).noise_levels[0]) == 1.0
+    want = {p.name: p.read_bytes() for p in outs[0].iterdir()}
+    assert sorted(want) == [
+        "CR_0p0_r0.log", "CR_0p0_r1.log", "RAND_0p0_r0.log", "RAND_0p0_r1.log",
+        "runs.csv", "social_edges.csv", "summary.csv",
+    ]
+    for out in outs[1:]:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == want
 
 
 def test_cli_strategy_and_noise_overrides(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import per_tick_dtap_class
 from swarmpatrol import strategies
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import (
@@ -16,8 +17,9 @@ from swarmpatrol.strategies import (
     dtap_auction,
     retarget,
     travel_distance,
+    travel_distances,
 )
-from swarmpatrol.world import RngStream, RobotState
+from swarmpatrol.world import RngStream, RobotState, max_step
 
 K = StrategyKind
 
@@ -525,6 +527,120 @@ def test_dtap_tick_awards_through_the_auction():
     assert dtap.tick(dtap.period_ticks, 50.0, robots, last_visit) == [(1, 3), (0, 0)]
     assert dtap.claim == [0, 3]
     assert dtap.tick(dtap.period_ticks, 50.0, robots, last_visit) == []
+
+
+def _drifting_apart(dtap_class):
+    # robot 1 holds a claim and stays at node 0; claimless robot 0 leaves
+    # node 0 on tick 1 along a 10 m edge at 0.1 m a tick, out of the 5 m range
+    # about 50 ticks later, long before the group round on tick 200
+    g = _path(spacing=10.0)
+    dtap = dtap_class(g, 2, StrategyParams(), 5.0, 0.1)
+    robots = [RobotState.at_node(i, g, 0, stride=0.1) for i in range(2)]
+    robots[0].goal = 1
+    robots[0].path = [1]
+    robots[0].step(g, 1)
+    dtap.claim[1] = 2
+    dtap.claims[2] = 1
+    return g, dtap, robots
+
+
+def _auctions_until_an_award(dtap, robots):
+    """(tick, awards) of each auction, driven as run_one does, up to the first award."""
+    held = []
+    k = 1
+    while not held or not held[-1][1]:
+        k = max(k + 1, dtap.next_tick())
+        assert k < dtap.period_ticks
+        held.append((k, dtap.tick(k, k * 0.1, robots, [0.0] * 3)))
+    return held
+
+
+def test_dtap_waiting_robot_is_auctioned_once_it_drifts_out_of_range():
+    g, dtap, robots = _drifting_apart(POLICIES[K.DTAP])
+    held = _auctions_until_an_award(dtap, robots)
+    _, oracle, oracle_robots = _drifting_apart(per_tick_dtap_class(POLICIES[K.DTAP], dtap_auction))
+    every_tick = _auctions_until_an_award(oracle, oracle_robots)
+    # the same award on the same tick: the first whose poses are out of range
+    assert held[-1] == every_tick[-1] == (every_tick[-1][0], [(0, 1)])
+    assert robots[0].x > 5.0
+    assert [k for k, _ in every_tick] == list(range(2, held[-1][0] + 1))
+    # each wait is the bound's: the peer's distance after tick k - 1, less the
+    # range and the margin, over twice the farthest a robot moves in a tick
+    closing = 2.0 * max_step(g, 1.0, 0.1)
+    for (k, _), (later, _) in zip(held, held[1:]):
+        gap = 5.0 - robots[0]._offs[k - 1 - robots[0]._base] - 1e-6
+        assert later == k + max(0, math.floor(gap / closing)) + 1
+    assert len(held) < 12
+
+
+def test_dtap_isolated_robot_with_nothing_to_claim_is_auctioned_again_next_tick():
+    # robots 1 and 2 hold nodes 0 and 2, 10 m either side of claimless robot 0;
+    # at node 1 it has nothing left to claim, but once it leaves node 1 it has
+    g = _path(spacing=10.0)
+    dtap = _policy(K.DTAP, g, 3)
+    robots = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate([1, 0, 2])]
+    dtap.claim[1:] = [0, 2]
+    dtap.claims.update({0: 1, 2: 2})
+    assert dtap.tick(1, 0.1, robots, [0.0] * 3) == []
+    assert dtap.next_tick() == 2
+    robots[0].goal = 0
+    robots[0].path = [0]
+    robots[0].step(g, 1)
+    assert dtap.tick(2, 0.2, robots, [0.0] * 3) == [(0, 1)]
+
+
+def test_dtap_waiting_robots_far_inside_the_range_skip_to_the_group_round():
+    g = _path(spacing=2.0, n=4)
+    dtap = _policy(K.DTAP, g, 2, comm_range=1000.0)
+    robots = [RobotState.at_node(i, g, i + 1, stride=0.1) for i in range(2)]
+    assert dtap.tick(1, 0.1, robots, [0.0] * 4) == []
+    # 2 m apart, they need about 4990 ticks to part, and the round is on tick 200
+    assert dtap.next_tick() == dtap.period_ticks
+    assert dtap.tick(dtap.period_ticks, 20.0, robots, [0.0] * 4) != []
+    assert dtap.next_tick() == math.inf
+
+
+@st.composite
+def _maps_and_poses(draw):
+    """A random connected map, some edges shorter than the straight line, and robot poses on it."""
+    m = draw(st.integers(2, 8))
+    coords = [(draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 40.0))) for _ in range(m)]
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    for _ in range(draw(st.integers(0, m))):
+        a, b = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
+        links.add((a, b))
+    edges = []
+    for a, b in sorted(links):
+        factor = draw(st.sampled_from([1.0, 1.0, 0.2, 0.5, 0.9, 1.7]))
+        edges.append((a, b, max(math.dist(coords[a], coords[b]) * factor, 0.5)))
+    g = PatrolGraph(coords, edges)
+    robots = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, m - 1))
+        r = RobotState.at_node(len(robots), g, a, stride=draw(st.floats(0.01, 0.5)))
+        if draw(st.booleans()):
+            r.goal = g.neighbors(a)[draw(st.integers(0, len(g.neighbors(a)) - 1))][0]
+            r.path = [r.goal]
+            r.step(g, 1)
+            if r.edge is not None:
+                r.sync(draw(st.integers(1, r.due - 1)))
+        robots.append(r)
+    return g, robots
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_maps_and_poses())
+def test_distance_rows_equal_shortest_paths_and_travel_distance(case):
+    g, robots = case
+    for a in range(g.node_count):
+        row = g.distances(a)
+        assert row is g.distances(a)  # built once
+        # bit for bit, not approximately
+        assert list(row) == [g.shortest_path(a, b)[1] for b in range(g.node_count)]
+        assert [g.shortest_distance(a, b) for b in range(g.node_count)] == list(row)
+    for r in robots:
+        want = [travel_distance(r, g, v) for v in range(g.node_count)]
+        assert list(travel_distances(r, g)) == want
 
 
 # ---------------------------------------------------------------------------
