@@ -30,6 +30,8 @@ __all__ = [
     "POLICIES",
     "decide_next",
     "dtap_auction",
+    "in_range",
+    "nearest_peer_sq",
     "retarget",
     "travel_distance",
     "travel_distances",
@@ -360,6 +362,7 @@ class DTAP(_ClaimPolicy):
     def tick(self, k, t, robots, last_visit):
         for r in robots:
             r.sync(k - 1)
+        nearest = nearest_peer_sq(robots)
         awards = dtap_auction(
             robots,
             self.g,
@@ -369,30 +372,31 @@ class DTAP(_ClaimPolicy):
             self.comm_range,
             self.params,
             k % self.period_ticks == 0,
+            nearest=nearest,
         )
-        self._due = self._next_auction(k, robots)
+        self._due = self._next_auction(k, robots, nearest)
         return awards
 
-    def _next_auction(self, k: int, robots: Sequence[RobotState]) -> int:
+    def _next_auction(
+        self, k: int, robots: Sequence[RobotState], nearest: Sequence[Optional[float]]
+    ) -> int:
         """Earliest tick after k whose auction could award something, from the poses of k - 1."""
         if self._max_step is None:
             # a robot's stride is the run's speed * dt, so this is the radio's max_step
             self._max_step = max_step(self.g, robots[0].stride, 1.0)
         range_m = self.comm_range
+        range_sq = range_m * range_m
         due = (k // self.period_ticks + 1) * self.period_ticks
         for r in robots:
             if self.claim[r.id] is None:
-                # the nearest peer's squared distance, as the auction's range test has it
-                d2 = math.inf
-                for q in robots:
-                    if q is not r:
-                        dx = r.x - q.x
-                        dy = r.y - q.y
-                        d2 = min(d2, dx * dx + dy * dy)
-                if d2 > range_m * range_m:
+                d2 = nearest[r.id]
+                if not in_range(d2, range_sq):
                     return k + 1
                 keep = (range_m - math.sqrt(d2) - _RANGE_EPS) / (2.0 * self._max_step)
-                due = min(due, k + max(math.floor(keep), 0) + 1)
+                # floor(keep) < due - k - 1 exactly when keep is; an infinite
+                # keep (an infinite or huge range) never reaches floor
+                if keep < due - k - 1:
+                    due = k + max(math.floor(keep), 0) + 1
         return due
 
 
@@ -469,6 +473,27 @@ def retarget(robot: RobotState, g: PatrolGraph, goal: int, k: int) -> None:
         robot.path = [b] + g.shortest_path(b, goal)[0][1:]
 
 
+def nearest_peer_sq(robots: Sequence[RobotState]) -> list[Optional[float]]:
+    """Each robot's squared plane distance to its nearest other robot, by id; None if alone."""
+    nearest: list[Optional[float]] = [None] * len(robots)
+    for i in range(len(robots)):
+        xi, yi = robots[i].x, robots[i].y
+        for j in range(i + 1, len(robots)):
+            dx = xi - robots[j].x
+            dy = yi - robots[j].y
+            d2 = dx * dx + dy * dy
+            if nearest[i] is None or d2 < nearest[i]:
+                nearest[i] = d2
+            if nearest[j] is None or d2 < nearest[j]:
+                nearest[j] = d2
+    return nearest
+
+
+def in_range(d2: Optional[float], range_sq: float) -> bool:
+    """The auction's connectivity test on a nearest_peer_sq entry: some peer within range."""
+    return d2 is not None and d2 <= range_sq
+
+
 def dtap_auction(
     robots: Sequence[RobotState],
     g: PatrolGraph,
@@ -478,6 +503,7 @@ def dtap_auction(
     comm_range: float,
     params: StrategyParams,
     group_round: bool = True,
+    nearest: Optional[Sequence[Optional[float]]] = None,
 ) -> list[tuple[int, int]]:
     """One task-award pass; returns (robot_id, awarded node) pairs.
 
@@ -489,6 +515,7 @@ def dtap_auction(
     travel distance (ties to the lowest robot id), and losers re-propose
     against the shrunken pool. Robots holding an award sit out. Each award
     is written to `claims` (node -> robot) and `claim` (robot -> node).
+    `nearest` is nearest_peer_sq(robots), computed here when not given.
     """
     bidders = [r for r in robots if claim[r.id] is None]
     if not bidders:
@@ -498,15 +525,9 @@ def dtap_auction(
         return []
     w = params.task_distance_weight
     range_sq = comm_range * comm_range
-    connected = [False] * len(robots)
-    for i in range(len(robots)):
-        xi, yi = robots[i].x, robots[i].y
-        for j in range(i + 1, len(robots)):
-            dx = xi - robots[j].x
-            dy = yi - robots[j].y
-            if dx * dx + dy * dy <= range_sq:
-                connected[i] = True
-                connected[j] = True
+    if nearest is None:
+        nearest = nearest_peer_sq(robots)
+    connected = [in_range(d2, range_sq) for d2 in nearest]
     # each bidding robot's travel distance to every node
     travel = {
         r.id: travel_distances(r, g) for r in bidders if group_round or not connected[r.id]

@@ -499,6 +499,29 @@ def test_scheduled_auctions_match_an_auction_on_every_tick(
     assert [awards for k, awards in every_tick if k not in set(held) and awards] == []
 
 
+@pytest.mark.parametrize(
+    "comm_range, n_robots", [(math.inf, 1), (math.inf, 2), (1e308, 1), (1e308, 2), (1e308, 8)]
+)
+def test_dtap_runs_with_an_unbounded_range(
+    tmp_path, default_graph, monkeypatch, comm_range, n_robots
+):
+    # range - D over twice the step is infinite here (1e308 / 0.2 overflows),
+    # and a lone robot has no peer at all, so is out of range of everyone
+    cfg = _micro_cfg(
+        comm_range=comm_range, n_robots=n_robots, duration=60.0, strategies=(StrategyKind.DTAP,)
+    )
+    held = []
+    tick = DTAP.tick
+    monkeypatch.setattr(DTAP, "tick", lambda self, k, *a: held.append(k) or tick(self, k, *a))
+    scheduled = run_one(cfg, default_graph, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "a")
+    monkeypatch.setitem(harness.POLICIES, StrategyKind.DTAP, per_tick_dtap_class(DTAP, dtap_auction))
+    oracle = run_one(cfg, default_graph, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "b")
+    assert scheduled == oracle
+    log = "DTAP_0p2_r0.log"
+    assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
+    assert held
+
+
 # ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------

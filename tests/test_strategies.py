@@ -15,6 +15,8 @@ from swarmpatrol.strategies import (
     StrategyParams,
     decide_next,
     dtap_auction,
+    in_range,
+    nearest_peer_sq,
     retarget,
     travel_distance,
     travel_distances,
@@ -475,7 +477,7 @@ def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
     assert every == 200  # the default 20 s period at dt 0.1
     held = []
     monkeypatch.setattr(
-        strategies, "dtap_auction", lambda *args: held.append(args[-1]) or []
+        strategies, "dtap_auction", lambda *args, **kwargs: held.append(args[-1]) or []
     )
     dtap.claim[:] = [0, 3]
     dtap.claims.update({0: 0, 3: 1})
@@ -598,6 +600,34 @@ def test_dtap_waiting_robots_far_inside_the_range_skip_to_the_group_round():
     assert dtap.next_tick() == dtap.period_ticks
     assert dtap.tick(dtap.period_ticks, 20.0, robots, [0.0] * 4) != []
     assert dtap.next_tick() == math.inf
+
+
+def test_nearest_peer_sq_is_the_auction_range_test():
+    g = _path(spacing=3.0, n=4)
+    # robots 0 and 2 meet their nearest peer last in the pair order, not first
+    robots = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate([3, 0, 1])]
+    assert nearest_peer_sq(robots) == [36.0, 9.0, 9.0]
+    assert nearest_peer_sq(robots[:1]) == [None]
+    # a lone robot has no peer in range, however far the radio reaches
+    assert not in_range(None, math.inf)
+    assert in_range(9.0, 9.0) and not in_range(9.0, 8.999)
+
+
+@pytest.mark.parametrize("comm_range", [math.inf, 1e308])
+def test_dtap_waiting_robots_with_an_unbounded_range_wait_for_the_group_round(comm_range):
+    # (range - D) / (2 * max_step) is infinite, so no tick before the round can part them
+    g = _path(spacing=2.0, n=4)
+    dtap = _policy(K.DTAP, g, 2, comm_range=comm_range)
+    robots = [RobotState.at_node(i, g, i + 1, stride=0.1) for i in range(2)]
+    assert dtap.tick(1, 0.1, robots, [0.0] * 4) == []
+    assert dtap.next_tick() == dtap.period_ticks
+    # alone, a robot is auctioned again on the next tick until it holds a claim
+    lone = _policy(K.DTAP, g, 1, comm_range=comm_range)
+    lone.claims[0] = 1  # every node but its own claimed, as by robots it cannot hear
+    lone.claims[2] = 1
+    lone.claims[3] = 1
+    assert lone.tick(1, 0.1, robots[:1], [0.0] * 4) == []
+    assert lone.next_tick() == 2
 
 
 @st.composite
