@@ -8,7 +8,7 @@ idleness, consensus and communication-connectivity metrics.
 """
 
 from .beliefs import Belief, fuse, fuse_vectors, measurement_update
-from .comms import CommConfig, CommState, exchange, tick_comms
+from .comms import CommConfig, CommState, tick_comms
 from .graph import (
     PatrolGraph,
     Route,
@@ -51,7 +51,6 @@ __all__ = [
     "measurement_update",
     "CommConfig",
     "CommState",
-    "exchange",
     "tick_comms",
     "PatrolGraph",
     "Route",

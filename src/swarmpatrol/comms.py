@@ -8,8 +8,11 @@ the results of earlier fusions.
 
 A pair is not tested on every tick: CommState schedules each pair for the
 earliest tick at which it could pass the test again, from how far apart its
-robots are and how long its cooldown still runs. It also keeps each pair's
-last exchange time and exchange count: the run's only record of exchanges.
+robots are and how long its cooldown still runs. A pair found in range is
+known to stay in range for as many ticks as its robots, moving apart at full
+speed, need to reach the edge of the range; on those ticks it exchanges
+without a range test. CommState also keeps each pair's last exchange time
+and exchange count: the run's only record of exchanges.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .beliefs import BeliefVector, fuse_vectors
 from .world import RobotState
@@ -25,7 +28,7 @@ from .world import RobotState
 __all__ = [
     "CommConfig",
     "CommState",
-    "exchange",
+    "closing_ticks",
     "tick_comms",
 ]
 
@@ -40,6 +43,27 @@ _COOLDOWN_SLACK = 1e-9
 # 1e-6 m leaves six orders of magnitude for the interpolation, the snap to a
 # node's coordinates and the distance itself.
 _RANGE_EPS = 1e-6
+
+# The radio's cap on closing_ticks. No run lasts this many ticks, and a
+# capped bound is still a lower bound: at worst it costs one more test.
+_FOREVER = 1 << 62
+
+
+def closing_ticks(gap: float, max_step: float, cap: int) -> int:
+    """Ticks, at most cap, over which two robots stay on their side of the range's edge.
+
+    gap is how far the pair's distance D is from the range: D - range for a
+    pair out of range, range - D for one in range. Each robot moves at most
+    max_step in the plane a tick, so D changes by at most 2 * max_step a
+    tick, and the pair stays on its side for floor((gap - eps) /
+    (2 * max_step)) more ticks, eps being _RANGE_EPS. The result can be
+    negative. The quotient is compared with cap before it is floored
+    (floor(x) < cap exactly when x < cap, for a whole cap), so an infinite
+    or NaN gap, or a quotient that overflows, gives cap and never reaches
+    floor.
+    """
+    ticks = (gap - _RANGE_EPS) / (2.0 * max_step)
+    return math.floor(ticks) if ticks < cap else cap
 
 
 @dataclass(frozen=True)
@@ -66,24 +90,32 @@ class CommState:
     Ticks count from 0 at t = 0 in steps of dt, and max_step is the farthest
     a robot moves in the plane in one tick (world.max_step, which allows for
     map edges shorter than the straight line between their ends). Every pair
-    is due on the first tick. After a pair is tested on tick k it is due
+    is due on the first tick. After a pair is handled on tick k it is due
     again on tick k + w, where w >= 1 is a lower bound on the ticks before
-    the exact test can pass:
+    it can exchange again:
 
     - Out of range at distance D: the gap closes by at most 2 * max_step a
-      tick, so the pair stays out of range for floor((D - range - eps) /
-      (2 * max_step)) ticks, eps being _RANGE_EPS.
+      tick, so the pair stays out of range for closing_ticks(D - range)
+      ticks.
     - Cooling down since time last: the test passes from time
       last + timeout - 1e-9 on. Counted in ticks from now and rounded up,
       that is the first tick it can pass; one tick less absorbs the float
       error of the tick clock for any run under about 1e15 ticks.
 
-    A due pair is tested with the exact predicate, so a bound that is too
-    cautious costs one more test and never moves an exchange; only a bound
-    that overshoots could. A pair whose cooldown never ends is dropped.
+    A pair found in range at distance D on tick k stays in range through
+    tick in_range_until[p] = k + closing_ticks(range - D), by the same
+    bound. A due pair past its cooldown exchanges on those ticks without a
+    range test; on any other tick it is tested with the exact predicate.
+    So a bound that is too cautious costs one more test and never moves an
+    exchange; only a bound that overshoots could. Both bounds come from
+    poses alone, never from beliefs. A pair whose cooldown never ends is
+    dropped.
     """
 
-    __slots__ = ("cfg", "dt", "max_step", "pairs", "last", "exchanges", "_due", "_ticks")
+    __slots__ = (
+        "cfg", "dt", "max_step", "pairs", "last", "exchanges", "in_range_until",
+        "_due", "_ticks", "_synced",
+    )
 
     def __init__(self, n_robots: int, cfg: CommConfig, dt: float, max_step: float):
         if not (dt > 0.0 and max_step > 0.0):
@@ -94,31 +126,14 @@ class CommState:
         self.pairs = [(i, j) for i in range(n_robots) for j in range(i + 1, n_robots)]
         self.last = [-math.inf] * len(self.pairs)
         self.exchanges = [0] * len(self.pairs)
+        self.in_range_until = [-1] * len(self.pairs)
         self._due: dict[int, list[int]] = {0: list(range(len(self.pairs)))}
         self._ticks = [0]  # heap of the keys of _due
+        self._synced = [-1] * n_robots  # the tick each robot was last synced to here
 
     def next_tick(self) -> float:
         """Earliest tick with a pair due; inf when no pair is due ever again."""
         return self._ticks[0] if self._ticks else math.inf
-
-    def _cooldown_wait(self, last: float, t: float) -> Optional[int]:
-        """Ticks from time t before a pair last exchanged at `last` can pass; None for never."""
-        ticks = (last + self.cfg.timeout_s - _COOLDOWN_SLACK - t) / self.dt
-        if ticks == math.inf:
-            return None
-        return math.ceil(ticks) - 1
-
-
-def exchange(ri: RobotState, rj: RobotState, t: float, state: CommState, p: int) -> BeliefVector:
-    """Fuse the beliefs of pair p's robots at time t; both then hold the fused vector.
-
-    Returns the fused vector. A packed vector is immutable, so the robots
-    can share it. Fusion costs the same whatever the robots hold.
-    """
-    fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
-    state.last[p] = t
-    state.exchanges[p] += 1
-    return fused
 
 
 def tick_comms(
@@ -128,72 +143,88 @@ def tick_comms(
 ) -> list[tuple[int, int, BeliefVector]]:
     """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
 
-    Only the pairs due by tick k are tested, and only their robots are
-    synced to tick k, each once. A pair qualifies when its
-    straight-line separation is within range and at least the cooldown has
-    elapsed since its previous exchange (a gap of exactly the cooldown is
-    eligible). Eligibility is evaluated once against the positions of tick
-    k, then the exchanges apply sequentially in ascending pair order. Each
-    triple holds the vector that exchange fused; a later exchange in the
-    same tick may have changed what robots i and j hold since.
+    Only the pairs due by tick k are handled, in ascending pair order. A
+    pair qualifies when its straight-line separation is within range and
+    at least the cooldown has elapsed since its previous exchange (a gap of
+    exactly the cooldown is eligible). A pair past its cooldown is
+    range-tested against the positions of tick k unless it is known to be
+    in range on tick k (see CommState); each robot of a tested pair is
+    synced to tick k once. A qualifying pair exchanges at once: both robots
+    then hold the fusion of their vectors, which a packed vector's
+    immutability lets them share. Positions do not depend on beliefs, so
+    this is the same as testing every pair first. Each triple holds the
+    vector that exchange fused; a later exchange in the same tick may have
+    changed what robots i and j hold since.
     """
     due, ticks = state._due, state._ticks
-    tested: list[int] = []
+    batch: list[int] = []
     while ticks and ticks[0] <= k:
-        tested += due.pop(heappop(ticks))
-    if not tested:
+        batch += due.pop(heappop(ticks))
+    if not batch:
         return []
-    tested.sort()
-    t = k * state.dt
-    pairs, last_exchange = state.pairs, state.last
+    batch.sort()
+    dt = state.dt
+    t = k * dt
+    pairs, last_exchange, exchanges = state.pairs, state.last, state.exchanges
+    until, synced = state.in_range_until, state._synced
+    max_step = state.max_step
     range_m = state.cfg.range_m
     range_sq = range_m * range_m
-    closing = 2.0 * state.max_step
-    horizon = t - state.cfg.timeout_s + _COOLDOWN_SLACK
+    timeout = state.cfg.timeout_s
+    horizon = t - timeout + _COOLDOWN_SLACK
+    done: list[tuple[int, int, BeliefVector]] = []
+    exchanged: list[int] = []
     # A pair is filed in the bucket of the tick it is next due, which is new
     # when it is empty. Most such ticks get one pair, so grouping the pairs
     # by tick first, or a call per pair, costs more than it saves.
-    near: list[int] = []
-    for p in tested:
+    for p in batch:
         last = last_exchange[p]
-        if last <= horizon:
-            near.append(p)
-            continue
-        wait = state._cooldown_wait(last, t)
-        if wait is not None:
-            later = k + max(1, wait)
-            bucket = due.setdefault(later, [])
-            if not bucket:
-                heappush(ticks, later)
-            bucket.append(p)
-    for rid in {rid for p in near for rid in pairs[p]}:
-        robots[rid].sync(k)
-    eligible: list[int] = []
-    for p in near:
-        i, j = pairs[p]
-        ri, rj = robots[i], robots[j]
-        dx = ri.x - rj.x
-        dy = ri.y - rj.y
-        d2 = dx * dx + dy * dy
-        if d2 <= range_sq:
-            eligible.append(p)
+        if last > horizon:
+            # due one tick before the first tick its cooldown can have ended
+            wait = (last + timeout - _COOLDOWN_SLACK - t) / dt
+            if wait == math.inf:
+                continue
+            later = k + max(1, math.ceil(wait) - 1)
         else:
-            wait = math.floor((math.sqrt(d2) - range_m - _RANGE_EPS) / closing)
-            later = k + max(1, wait)
-            bucket = due.setdefault(later, [])
-            if not bucket:
-                heappush(ticks, later)
+            i, j = pairs[p]
+            ri, rj = robots[i], robots[j]
+            later = None
+            if until[p] < k:
+                if synced[i] != k:
+                    ri.sync(k)
+                    synced[i] = k
+                if synced[j] != k:
+                    rj.sync(k)
+                    synced[j] = k
+                dx = ri.x - rj.x
+                dy = ri.y - rj.y
+                d2 = dx * dx + dy * dy
+                if d2 > range_sq:
+                    later = k + max(1, closing_ticks(math.sqrt(d2) - range_m, max_step, _FOREVER))
+                else:
+                    until[p] = k + closing_ticks(range_m - math.sqrt(d2), max_step, _FOREVER)
+            if later is None:
+                fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
+                last_exchange[p] = t
+                exchanges[p] += 1
+                done.append((i, j, fused))
+                exchanged.append(p)
+                continue
+        bucket = due.get(later)
+        if bucket is None:
+            due[later] = [p]
+            heappush(ticks, later)
+        else:
             bucket.append(p)
-    done = []
-    for p in eligible:
-        i, j = pairs[p]
-        done.append((i, j, exchange(robots[i], robots[j], t, state, p)))
-    if eligible:
-        wait = state._cooldown_wait(t, t)
-        if wait is not None:
-            later = k + max(1, wait)
-            bucket = due.setdefault(later, [])
-            if not bucket:
+    if exchanged:
+        # the pairs that exchanged all wait out one cooldown from t
+        wait = (t + timeout - _COOLDOWN_SLACK - t) / dt
+        if wait != math.inf:
+            later = k + max(1, math.ceil(wait) - 1)
+            bucket = due.get(later)
+            if bucket is None:
+                due[later] = exchanged
                 heappush(ticks, later)
-            bucket += eligible
+            else:
+                bucket += exchanged
     return done

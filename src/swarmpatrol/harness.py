@@ -422,19 +422,20 @@ def run_one(
                     log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
                 policy.visited(rid, arrived, idleness_before)
                 if arrived == r.goal:
-                    idleness = [t - lv for lv in last_visit]
-                    goal = decide_next(policy, rid, arrived, idleness, strat_rngs[rid])
+                    goal = decide_next(policy, rid, arrived, t, last_visit, strat_rngs[rid])
                     r.goal = goal
                     r.path = g.shortest_path(arrived, goal)[0][1:]
                     if log_lines is not None:
                         log_lines.append(f"{t:.3f} goal robot={rid} node={goal}")
-        # every exchange of the tick has run, so the digest is end-of-tick state
-        for i, j, fused in tick_comms(robots, comm, k):
-            consensus.exchanged(t, i, j, fused)
+        exchanged = tick_comms(robots, comm, k)
+        if exchanged:
+            consensus.exchanged(t, exchanged)
             if log_lines is not None:
-                log_lines.append(
-                    f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs, m)}"
-                )
+                # every exchange of the tick has run, so the digest is end-of-tick state
+                for i, j, _ in exchanged:
+                    log_lines.append(
+                        f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs, m)}"
+                    )
         if k == next_sample:
             tracker.sample(t)
             next_sample = next(samples, math.inf)

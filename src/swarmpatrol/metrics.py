@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -222,10 +222,10 @@ class ConsensusTracker:
     """Quorum consensus and misinformation, updated as each belief changes.
 
     Feed it every belief change of a run in execution order: `visited` after
-    each node visit and `exchanged` after each pairwise exchange, with the
-    fused vector that exchange produced (exchanges within one tick chain, so
-    a quorum reached after one can be lost by the next). Whether each robot's
-    vector equals the truth is kept as one flag per robot.
+    each node visit and `exchanged` after each tick's pairwise exchanges,
+    with the fused vector each exchange produced (exchanges within one tick
+    chain, so a quorum reached after one can be lost by the next). Whether
+    each robot's vector equals the truth is kept as one flag per robot.
 
     t_full is the time of the first change after which at least `required`
     robots hold a belief vector exactly equal to the truth, or None.
@@ -266,17 +266,22 @@ class ConsensusTracker:
             self.misinformed = True
         self._set_exact(t, robot, beliefs == self._truth)
 
-    def exchanged(self, t: float, i: int, j: int, fused: BeliefVector) -> None:
-        """Robots i and j both now hold `fused`.
+    def exchanged(self, t: float, triples: Iterable[tuple[int, int, BeliefVector]]) -> None:
+        """The exchanges of one tick, at time t, in the order they ran.
 
+        After each (i, j, fused) triple, robots i and j both hold `fused`.
         An exchange never misinforms: fusion yields 2 only if one input was
         2, and 0 only if one input was 0. So a certain belief in `fused` that
         contradicts the truth was already held by robot i or j, and the visit
         that set it was flagged by `visited`.
         """
-        exact = fused == self._truth
-        self._set_exact(t, i, exact)
-        self._set_exact(t, j, exact)
+        truth, is_exact = self._truth, self._is_exact
+        for i, j, fused in triples:
+            exact = fused == truth
+            if is_exact[i] != exact:
+                self._set_exact(t, i, exact)
+            if is_exact[j] != exact:
+                self._set_exact(t, j, exact)
 
     def report(self, vectors: Sequence[BeliefVector]) -> ConsensusReport:
         """Milestones of the run, with tp/fp consensus judged on the final vectors.

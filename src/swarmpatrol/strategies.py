@@ -7,9 +7,10 @@ move goals (only DTAP's auction does, and only it reads robots' poses),
 through `decide_next`, picks the next goal when a robot reaches its current
 one. The base class `Policy` is Conscientious Reactive (CR). The other
 reactive policies (RAND, HCR, HPCC, GBS) read only the graph and per-node
-idleness; the coordinated ones also keep run-wide state: announced travel
-intentions (SEBS, CBLS), a fixed cyclic route (CGG) or a claim table (DTAG,
-DTAP). No policy ever reads a robot's beliefs.
+idleness, the time since each node's last visit; the coordinated ones also
+keep run-wide state: announced travel intentions (SEBS, CBLS), a fixed
+cyclic route (CGG) or a claim table (DTAG, DTAP). No policy ever reads a
+robot's beliefs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .comms import _RANGE_EPS
+from .comms import closing_ticks
 from .graph import PatrolGraph, Route, build_cyclic_route
 from .world import RngStream, RobotState, max_step
 
@@ -110,11 +111,15 @@ class Policy:
         self.params = params
 
     def decide(
-        self, robot_id: int, node: int, idleness: Sequence[float], rng: RngStream
+        self, robot_id: int, node: int, t: float, last_visit: Sequence[float], rng: RngStream
     ) -> int:
-        """Next goal of robot `robot_id`, which has just reached its goal `node`."""
+        """Next goal of robot `robot_id`, which has just reached its goal `node` at time t.
+
+        Node v's idleness is t - last_visit[v]; a policy computes it only for
+        the nodes it scores.
+        """
         # neighbors come in ascending id, so ties go to the lowest node id
-        return _argmax((v, idleness[v]) for v, _ in self.g.neighbors(node))
+        return _argmax((v, t - last_visit[v]) for v, _ in self.g.neighbors(node))
 
     def visited(self, robot_id: int, node: int, idleness_before: float) -> None:
         """Robot `robot_id` arrived at `node`, which had been idle `idleness_before` s."""
@@ -137,7 +142,7 @@ class Policy:
 class RAND(Policy):
     """A uniformly random neighbor."""
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         nbrs = self.g.neighbors(node)
         return nbrs[rng.index(len(nbrs))][0]
 
@@ -145,20 +150,22 @@ class RAND(Policy):
 class HCR(Policy):
     """Neighbors scored half on relative idleness, half on closeness."""
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         nbrs = self.g.neighbors(node)
-        max_idl = max(idleness[v] for v, _ in nbrs)
+        idleness = [t - last_visit[v] for v, _ in nbrs]
+        max_idl = max(idleness)
         max_d = max(d for _, d in nbrs)
         return _argmax(
-            (v, 0.5 * (idleness[v] / max_idl if max_idl > 0.0 else 1.0) + 0.5 * (1.0 - d / max_d))
-            for v, d in nbrs
+            (v, 0.5 * (idl / max_idl if max_idl > 0.0 else 1.0) + 0.5 * (1.0 - d / max_d))
+            for (v, d), idl in zip(nbrs, idleness)
         )
 
 
 class HPCC(Policy):
     """HCR's scoring widened to every node, over shortest-path distances."""
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
+        idleness = [t - lv for lv in last_visit]
         dist = self.g.distances(node)
         candidates = [v for v in range(self.g.node_count) if v != node]
         max_idl = max(idleness[v] for v in candidates)
@@ -183,7 +190,7 @@ class CGG(Policy):
         # position on the route; None until the robot first reaches its entry
         self.route_idx: list[Optional[int]] = [None] * n_robots
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         nodes = self.route.nodes
         idx = self.route_idx[robot_id]
         if idx is None:
@@ -222,11 +229,19 @@ class GBS(Policy):
     """Idleness discounted by 2^(-edge length / mean edge length)."""
 
     def _scores(self, node: int, idleness: Sequence[float]) -> list[tuple[int, float]]:
+        """(neighbor, score) of each neighbor of node; idleness is by neighbor, in order."""
         mean_edge = self.g.mean_edge_length
-        return [(v, idleness[v] * 2.0 ** (-d / mean_edge)) for v, d in self.g.neighbors(node)]
+        return [
+            (v, idl * 2.0 ** (-d / mean_edge))
+            for (v, d), idl in zip(self.g.neighbors(node), idleness)
+        ]
 
-    def decide(self, robot_id, node, idleness, rng):
-        return _argmax(self._scores(node, idleness))
+    def _idleness(self, node: int, t: float, last_visit: Sequence[float]) -> list[float]:
+        """Idleness at time t of each neighbor of node, in order."""
+        return [t - last_visit[v] for v, _ in self.g.neighbors(node)]
+
+    def decide(self, robot_id, node, t, last_visit, rng):
+        return _argmax(self._scores(node, self._idleness(node, t, last_visit)))
 
 
 class SEBS(GBS):
@@ -253,8 +268,8 @@ class SEBS(GBS):
         self._intend(robot_id, goal)
         return goal
 
-    def decide(self, robot_id, node, idleness, rng):
-        return self._announce(robot_id, self._scores(node, idleness))
+    def decide(self, robot_id, node, t, last_visit, rng):
+        return self._announce(robot_id, self._scores(node, self._idleness(node, t, last_visit)))
 
 
 class CBLS(SEBS):
@@ -273,7 +288,7 @@ class CBLS(SEBS):
         a = self.params.cbls_alpha
         learned[node] = (1.0 - a) * learned[node] + a * idleness_before
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         # the epsilon coin is the first draw of every decision
         if rng.random() < self.params.cbls_epsilon:
             nbrs = self.g.neighbors(node)
@@ -284,7 +299,7 @@ class CBLS(SEBS):
         # neighbor must still win, and a flat learned 0 prior would trap the
         # robot inside its already-visited pocket
         learned = self.learned[robot_id]
-        floored = [max(idl, est) for idl, est in zip(idleness, learned)]
+        floored = [max(t - last_visit[v], learned[v]) for v, _ in self.g.neighbors(node)]
         return self._announce(robot_id, self._scores(node, floored))
 
 
@@ -308,19 +323,19 @@ class _ClaimPolicy(Policy):
 class DTAG(_ClaimPolicy):
     """Claim the unclaimed node of best idleness minus weighted path distance."""
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         self._release(robot_id, node)
         claims = self.claims
         w = self.params.task_distance_weight
         dist = self.g.distances(node)
         best_v = _argmax(
-            (v, idleness[v] - w * dist[v])
+            (v, t - last_visit[v] - w * dist[v])
             for v in range(self.g.node_count)
             if v != node and v not in claims
         )
         if best_v < 0:
             # every other node claimed; fall back to the most idle neighbor
-            return super().decide(robot_id, node, idleness, rng)
+            return super().decide(robot_id, node, t, last_visit, rng)
         claims[best_v] = robot_id
         self.claim[robot_id] = best_v
         return best_v
@@ -338,9 +353,9 @@ class DTAP(_ClaimPolicy):
     have lost its last peer, whichever comes first. Robots move at most
     max_step in the plane a tick (world.max_step, as the radio's schedule
     uses), so a peer D meters away after tick k - 1 is still in range
-    after tick k - 1 + j for every j <= floor((range - D - eps) /
-    (2 * max_step)), eps being the radio's _RANGE_EPS. A decision that
-    frees a claim makes the hook due on the next tick.
+    after tick k - 1 + j for every j <= comms.closing_ticks(range - D), the
+    radio's own bound. A decision that frees a claim makes the hook due on
+    the next tick.
     """
 
     def __init__(self, g, n_robots, params, comm_range, dt):
@@ -350,10 +365,10 @@ class DTAP(_ClaimPolicy):
         self._due = 0  # next auction tick while a robot is claimless; 0 for the next tick
         self._max_step: Optional[float] = None  # set on the first auction
 
-    def decide(self, robot_id, node, idleness, rng):
+    def decide(self, robot_id, node, t, last_visit, rng):
         if self._release(robot_id, node):
             self._due = 0
-        return super().decide(robot_id, node, idleness, rng)
+        return super().decide(robot_id, node, t, last_visit, rng)
 
     def next_tick(self):
         # only a claimless robot can win a task, and only decide frees one
@@ -392,11 +407,8 @@ class DTAP(_ClaimPolicy):
                 d2 = nearest[r.id]
                 if not in_range(d2, range_sq):
                     return k + 1
-                keep = (range_m - math.sqrt(d2) - _RANGE_EPS) / (2.0 * self._max_step)
-                # floor(keep) < due - k - 1 exactly when keep is; an infinite
-                # keep (an infinite or huge range) never reaches floor
-                if keep < due - k - 1:
-                    due = k + max(math.floor(keep), 0) + 1
+                keep = closing_ticks(range_m - math.sqrt(d2), self._max_step, due - k - 1)
+                due = k + max(keep, 0) + 1
         return due
 
 
@@ -415,10 +427,15 @@ POLICIES: dict[StrategyKind, type[Policy]] = {
 
 
 def decide_next(
-    policy: Policy, robot_id: int, node: int, idleness: Sequence[float], rng: RngStream
+    policy: Policy,
+    robot_id: int,
+    node: int,
+    t: float,
+    last_visit: Sequence[float],
+    rng: RngStream,
 ) -> int:
-    """Pick the next goal; always a valid node different from the current one."""
-    goal = policy.decide(robot_id, node, idleness, rng)
+    """Pick the next goal at time t; always a valid node different from the current one."""
+    goal = policy.decide(robot_id, node, t, last_visit, rng)
     if not (0 <= goal < policy.g.node_count) or goal == node:
         raise AssertionError(
             f"{type(policy).__name__} chose invalid goal {goal} from node {node}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from _oracles import eligible_pairs, fuse_lists, unpack
 from swarmpatrol import comms
 from swarmpatrol.beliefs import Belief, belief_at, fuse_vectors, new_belief_vector, pack
-from swarmpatrol.comms import CommConfig, CommState, exchange, tick_comms
+from swarmpatrol.comms import CommConfig, CommState, closing_ticks, tick_comms
 from swarmpatrol.graph import parse_map
 from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, WorldState, max_step, visit
 
@@ -141,13 +141,94 @@ def test_far_pair_waits_for_its_scheduled_tick():
 
 
 def test_tick_comms_syncs_each_robot_of_a_tested_pair_once():
-    # robot 3 is far from the rest, so after tick 0 only its pairs wait;
-    # robots 0-2 are in range and every one of their pairs is due again
+    # robot 3 is far from the rest, so after tick 0 only its pairs wait.
+    # Robots 0-2 are in range, and every one of their pairs is due again on
+    # every tick; 1 or 2 m apart with a 5 m range and 1 m steps, each pair is
+    # known to stay in range for floor((5 - 2 - eps) / 2) = 1 more tick, so
+    # they are range-tested, and their robots synced, every other tick
     state = _state(4, timeout_s=0.0)
     robots = [_Probe(0, 0.0), _Probe(1, 1.0), _Probe(2, 2.0), _Probe(3, 500.0)]
     for k in range(5):
         assert _pairs(tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
-    assert [r.synced for r in robots] == [[0, 1, 2, 3, 4]] * 3 + [[0]]
+    assert [r.synced for r in robots] == [[0, 2, 4]] * 3 + [[0]]
+
+
+@pytest.mark.parametrize(
+    "walkers, tested",
+    [
+        # the gap grows 1 m a tick, but the window allows for 2 m: at 0 m the
+        # pair stays in range through tick floor((20.5 - eps) / 2) = 10, at
+        # 11 m through 11 + floor((9.5 - eps) / 2) = 15, and so on; out of
+        # range from tick 21, it waits as a far pair does
+        ((1,), [0, 11, 16, 19, 20, 21, 22, 23, 24, 25, 27, 30, 34]),
+        # both walk apart, so the window is exact: 20 m on tick 10, 22 m on 11
+        ((0, 1), [0, 11, 12, 13, 15, 19, 27]),
+    ],
+    ids=["one-walks", "both-walk"],
+)
+def test_near_pair_is_range_tested_only_when_its_window_ends(walkers, tested):
+    # two robots start together, deep in a 20.5 m range, with no cooldown,
+    # and walk apart at the full max_step of 1 m a tick
+    step = 1.0
+    robots = [_Probe(0, 0.0), _Probe(1, 0.0)]
+    state = _state(2, range_m=20.5, timeout_s=0.0, step=step)
+    last = {(0, 1): -math.inf}
+    got_tested, got, want = [], [], []
+    for k in range(40):
+        if k:
+            robots[1].pos_x += step
+            if 0 in walkers:
+                robots[0].pos_x -= step
+        reads = robots[1].reads
+        if tick_comms(robots, state, k):
+            got.append(k)
+        if robots[1].reads > reads:
+            got_tested.append(k)
+        positions = [(r.pos_x, r.y) for r in robots]
+        for pair in eligible_pairs(positions, last, k * DT, 20.5, 0.0):
+            last[pair] = k * DT
+            want.append(k)
+    assert got_tested == tested
+    assert got == want == list(range(21 if walkers == (1,) else 11))
+    assert robots[0].synced == robots[1].synced == tested
+    assert state.exchanges == [len(want)]
+
+
+@pytest.mark.parametrize("range_m", [math.inf, 1e308])
+def test_unbounded_range_with_no_cooldown_never_overflows(range_m):
+    # (range - D - eps) / (2 * max_step) is infinite here (1e308 / 0.2
+    # overflows): each pair is known to be in range for good, so it is
+    # range-tested once and exchanges on every tick
+    step = 0.1
+    robots = [_Probe(0, 0.0), _Probe(1, 3.0), _Probe(2, 1e6)]
+    state = _state(3, range_m=range_m, timeout_s=0.0, step=step)
+    for k in range(50):
+        robots[2].pos_x += step
+        assert _pairs(tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
+    assert state.exchanges == [50] * 3
+    assert [r.synced for r in robots] == [[0]] * 3
+    assert state.in_range_until == [1 << 62] * 3
+
+
+def test_pair_too_far_apart_for_a_finite_distance_waits_without_overflowing():
+    # dx * dx overflows, so the gap to the range is infinite
+    robots = [_Probe(0, -1e200), _Probe(1, 1e200)]
+    state = _state(2)
+    assert [k for k in range(100) if tick_comms(robots, state, k)] == []
+    assert robots[1].synced == [0]
+    assert state.next_tick() == 1 << 62
+
+
+def test_closing_ticks_is_the_closing_bound_capped_before_floor():
+    # 2 m a tick, less the 1e-6 m margin: 9.999999 m is 4 whole ticks
+    assert closing_ticks(10.0, 1.0, 100) == 4
+    assert closing_ticks(10.0000009, 1.0, 100) == 4
+    assert closing_ticks(10.0000011, 1.0, 100) == 5
+    assert closing_ticks(0.0, 1.0, 100) == -1
+    assert closing_ticks(10.0, 1.0, 3) == 3
+    assert closing_ticks(10.0, 1.0, 4) == 4
+    for gap in (math.inf, 1e308, math.nan):
+        assert closing_ticks(gap, 0.1, 7) == 7
 
 
 @st.composite
@@ -216,7 +297,7 @@ def test_exchange_fuses_both_ways_without_aliasing():
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = pack([T, F, U])
     rj.beliefs = pack([U, T, U])
-    fused = exchange(ri, rj, 42.0, state, 0)
+    [(_, _, fused)] = tick_comms([ri, rj], state, 420)  # t = 42.0
     assert fused is ri.beliefs
     assert ri.beliefs == pack([T, U, U])
     assert rj.beliefs == pack([T, U, U])
@@ -234,11 +315,11 @@ def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
     # run's cost does not depend on its sensing draws
     calls = []
     monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
-    state = _state(2)
+    state = _state(2, timeout_s=0.0)
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
     ri.beliefs = pack([T, F, U])
     rj.beliefs = pack([T, F, U])
-    fused = exchange(ri, rj, 42.0, state, 0)
+    [(_, _, fused)] = tick_comms([ri, rj], state, 420)  # t = 42.0
     assert fused is ri.beliefs
     assert ri.beliefs == rj.beliefs == pack([T, F, U])
     assert calls == [1]
@@ -249,7 +330,7 @@ def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
     assert ri.beliefs == pack([T, F, U])
     assert rj.beliefs == pack([T, F, F])
     rj.beliefs = pack([U, F, U])
-    assert exchange(ri, rj, 43.0, state, 0) == pack([T, F, U])
+    assert tick_comms([ri, rj], state, 430) == [(0, 1, pack([T, F, U]))]  # t = 43.0
     assert calls == [1, 1]
 
 

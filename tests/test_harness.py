@@ -21,9 +21,9 @@ from _oracles import (
     per_tick_dtap_class,
     per_tick_robot_class,
 )
-from swarmpatrol import harness
+from swarmpatrol import comms, harness
+from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
-from swarmpatrol.comms import exchange
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.harness import (
     RUN_COLUMNS,
@@ -336,7 +336,15 @@ def _brute_tick_comms(robots, state, k):
     last_exchange = dict(zip(state.pairs, state.last))
     pairs = eligible_pairs(positions, last_exchange, t, cfg.range_m, cfg.timeout_s)
     ids = {pair: p for p, pair in enumerate(state.pairs)}
-    return [(i, j, exchange(robots[i], robots[j], t, state, ids[(i, j)])) for i, j in pairs]
+    done = []
+    for i, j in pairs:
+        ri, rj = robots[i], robots[j]
+        fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
+        p = ids[(i, j)]
+        state.last[p] = t
+        state.exchanges[p] += 1
+        done.append((i, j, fused))
+    return done
 
 
 def _rescaled(g, factors):
@@ -358,6 +366,8 @@ _ORACLE_CONFIGS = pytest.mark.parametrize(
         (dict(comm_timeout=7.25), (1.0,)),  # not a multiple of dt
         (dict(dt=1 / 3), (1.0,)),
         (dict(comm_range=70.0), (1.0,)),
+        # every pair in range on every tick, and free to exchange again at once
+        (dict(comm_range=70.0, comm_timeout=0.0, duration=60.0), (1.0,)),
         (dict(n_robots=2), (1.0,)),
         (dict(n_robots=16), (1.0,)),
         # map lengths shorter than the straight line move robots faster in the plane
@@ -367,7 +377,7 @@ _ORACLE_CONFIGS = pytest.mark.parametrize(
         (dict(speed=1e-200, dt=1e-200, duration=1e-197), (1.0,)),
     ],
     ids=["default", "step-is-shortest-edge", "no-cooldown", "cooldown-off-grid",
-         "dt-third", "range-70", "robots-2", "robots-16", "edges-shorter-than-straight",
+         "dt-third", "range-70", "range-70-no-cooldown", "robots-2", "robots-16", "edges-shorter-than-straight",
          "step-subnormal", "step-underflows"],
 )
 
@@ -391,6 +401,7 @@ _PER_TICK_DIGESTS = {
     "cooldown-off-grid": "b2ae4e7f6210aa17f1aefbe9b717e649e21e9ca258826f90bccf39703399dd2a",
     "dt-third": "9c609e7b40f931fd9b856022bcac43066a7e9e1540db37bc3ef8c4ec745ede08",
     "range-70": "8a83cf9c7163ba91ca8d349a44867a8e601fc7c36bc67e02b46c5d95b92951e3",
+    "range-70-no-cooldown": "0048af0610948fd39f190b8df6e585694eb266ca0651529ebeb2bc58cdde2224",
     "robots-2": "51f60e6ec9fbfc95b946376b4b7a9b273987b516dceae9fb9232ee6aee4a4146",
     "robots-16": "00fd7ae3223788cc0670ee12ad8d3fe9023e7b61a4be811ccf660db181e9aa8c",
     "edges-shorter-than-straight": "365c58df5e696ec8df03afe6efd4a032ec382c3242171a5e597c9aa19a9b05ea",
@@ -520,6 +531,39 @@ def test_dtap_runs_with_an_unbounded_range(
     log = "DTAP_0p2_r0.log"
     assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
     assert held
+
+
+def test_dense_runs_do_the_same_work_on_every_seed(default_graph, monkeypatch):
+    # the radio covers the map and there is no cooldown, so every pair fuses
+    # on every tick. Which pairs are range-tested comes from poses alone, and
+    # SEBS and CR draw none of them from the seed, so the sensing draws the
+    # seed changes move no count
+    fusions, syncs = [], []
+    fuse, sync = comms.fuse_vectors, RobotState.sync
+    monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
+    monkeypatch.setattr(RobotState, "sync", lambda r, k: syncs.append(1) or sync(r, k))
+    cfg = replace(
+        ExperimentConfig(),
+        duration=30.0,
+        comm_range=70.0,
+        comm_timeout=0.0,
+        noise_levels=(0.2,),
+        strategies=(StrategyKind.SEBS, StrategyKind.CR),
+        reps=1,
+    )
+    counts, outcomes = [], []
+    for seed in (0, 5):
+        fusions.clear()
+        syncs.clear()
+        records, _ = run_matrix(replace(cfg, master_seed=seed), g=default_graph)
+        counts.append((len(fusions), len(syncs)))
+        outcomes.append([(r.final_error, r.t_consensus) for r in records])
+    assert outcomes[0] != outcomes[1]
+    assert counts[0] == counts[1]
+    runs, pairs, ticks = 2, 28, 300
+    assert counts[0][0] == runs * pairs * ticks
+    # a pair is range-tested only when its window runs out
+    assert counts[0][1] < runs * cfg.n_robots * ticks / 4
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _track(m, n_robots, truth, events, quorum):
             tracker.visited(t, a, b, vectors[a])
         else:
             fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
-            tracker.exchanged(t, a, b, fused)
+            tracker.exchanged(t, [(a, b, fused)])
     return tracker.report(vectors), tracker.misinformed
 
 
@@ -467,7 +467,7 @@ def test_tracker_flags_match_list_oracle(m, data):
     other = data.draw(_near_truth(truth))
     tracker = ConsensusTracker(truth, 2, 1.0)
     fused = fuse_vectors(pack(values), pack(other))
-    tracker.exchanged(2.0, 0, 1, fused)
+    tracker.exchanged(2.0, [(0, 1, fused)])
     assert (tracker.t_full is not None) == (fuse_lists(values, other) == want)
     assert tracker.misinformed is False
 

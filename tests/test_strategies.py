@@ -54,11 +54,15 @@ def _policy(kind, g, n_robots=2, params=None, comm_range=5.0, dt=0.1):
 
 
 def _decide(policy, *, robot_id=0, node=0, idleness=None, rng=None) -> int:
+    # at t = 0 a node idle for x seconds was last visited at -x, and 0 - (-x) is x exactly
+    if idleness is None:
+        idleness = [0.0] * policy.g.node_count
     return decide_next(
         policy,
         robot_id,
         node,
-        idleness if idleness is not None else [0.0] * policy.g.node_count,
+        0.0,
+        [-idl for idl in idleness],
         rng if rng is not None else RngStream(0, "strategy", robot_id),
     )
 
@@ -698,7 +702,7 @@ def test_every_policy_returns_a_valid_move(kind, default_graph):
 
 def test_decide_next_rejects_an_invalid_goal():
     class Stay(POLICIES[K.CR]):
-        def decide(self, robot_id, node, idleness, rng):
+        def decide(self, robot_id, node, t, last_visit, rng):
             return node
 
     with pytest.raises(AssertionError, match="Stay chose invalid goal 1 from node 1"):
