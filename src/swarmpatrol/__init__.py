@@ -8,7 +8,7 @@ idleness, consensus and communication-connectivity metrics.
 """
 
 from .beliefs import Belief, fuse, fuse_vectors, measurement_update
-from .comms import CommConfig, CommState, tick_comms
+from .comms import CommState, tick_comms
 from .graph import (
     PatrolGraph,
     Route,
@@ -49,7 +49,6 @@ __all__ = [
     "fuse",
     "fuse_vectors",
     "measurement_update",
-    "CommConfig",
     "CommState",
     "tick_comms",
     "PatrolGraph",

@@ -4,7 +4,9 @@ Two robots within straight-line communication range exchange belief vectors:
 both end up holding the elementwise fusion of the two. A pair that has
 exchanged must wait out a cooldown before exchanging again. Within a tick,
 eligible pairs run sequentially in ascending (i, j) order, so later pairs see
-the results of earlier fusions.
+the results of earlier fusions. Two robots that already hold equal vectors
+still exchange, but fusing a vector with itself gives it back, so they skip
+the fusion.
 
 A pair is not tested on every tick: CommState schedules each pair for the
 earliest tick at which it could pass the test again, from how far apart its
@@ -18,15 +20,13 @@ and exchange count: the run's only record of exchanges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .beliefs import BeliefVector, fuse_vectors
 from .world import RobotState
 
 __all__ = [
-    "CommConfig",
     "CommState",
     "closing_ticks",
     "tick_comms",
@@ -66,26 +66,14 @@ def closing_ticks(gap: float, max_step: float, cap: int) -> int:
     return math.floor(ticks) if ticks < cap else cap
 
 
-@dataclass(frozen=True)
-class CommConfig:
-    """Exchange gating parameters."""
-
-    range_m: float = 5.0
-    timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if not (self.range_m > 0.0):
-            raise ValueError(f"range_m must be positive, got {self.range_m}")
-        if self.timeout_s < 0.0:
-            raise ValueError(f"timeout_s must be non-negative, got {self.timeout_s}")
-
-
 class CommState:
     """Per-pair exchange records and the pair schedule of one run.
 
-    pairs holds the robot pairs (i, j), i < j, in ascending order, indexed by
-    pair id p; last[p] is p's latest exchange time (-inf before any) and
-    exchanges[p] how many exchanges p has made.
+    Robots exchange within range_m meters of each other (range_m > 0), and
+    a pair waits timeout_s seconds (>= 0) between exchanges. pairs holds the
+    robot pairs (i, j), i < j, in ascending order, indexed by pair id p;
+    last[p] is p's latest exchange time (-inf before any) and exchanges[p]
+    how many exchanges p has made.
 
     Ticks count from 0 at t = 0 in steps of dt, and max_step is the farthest
     a robot moves in the plane in one tick (world.max_step, which allows for
@@ -113,14 +101,21 @@ class CommState:
     """
 
     __slots__ = (
-        "cfg", "dt", "max_step", "pairs", "last", "exchanges", "in_range_until",
-        "_due", "_ticks", "_synced",
+        "range_m", "timeout_s", "dt", "max_step", "pairs", "last", "exchanges",
+        "in_range_until", "_due", "_ticks", "_synced",
     )
 
-    def __init__(self, n_robots: int, cfg: CommConfig, dt: float, max_step: float):
+    def __init__(
+        self, n_robots: int, range_m: float, timeout_s: float, dt: float, max_step: float
+    ):
+        if not (range_m > 0.0):
+            raise ValueError(f"range_m must be positive, got {range_m}")
+        if not (timeout_s >= 0.0):
+            raise ValueError(f"timeout_s must be non-negative, got {timeout_s}")
         if not (dt > 0.0 and max_step > 0.0):
             raise ValueError(f"dt and max_step must be positive, got {dt} and {max_step}")
-        self.cfg = cfg
+        self.range_m = range_m
+        self.timeout_s = timeout_s
         self.dt = dt
         self.max_step = max_step
         self.pairs = [(i, j) for i in range(n_robots) for j in range(i + 1, n_robots)]
@@ -140,7 +135,7 @@ def tick_comms(
     robots: Sequence[RobotState],
     state: CommState,
     k: int,
-) -> list[tuple[int, int, BeliefVector]]:
+) -> list[tuple[int, int, Optional[BeliefVector]]]:
     """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
 
     Only the pairs due by tick k are handled, in ascending pair order. A
@@ -154,7 +149,10 @@ def tick_comms(
     immutability lets them share. Positions do not depend on beliefs, so
     this is the same as testing every pair first. Each triple holds the
     vector that exchange fused; a later exchange in the same tick may have
-    changed what robots i and j hold since.
+    changed what robots i and j hold since. Robots that already hold equal
+    vectors keep them, since fusion would give the same vector back: their
+    triple holds None, as the exchange changed nothing. Every exchange,
+    changing or not, has its triple and its last and exchanges records.
     """
     due, ticks = state._due, state._ticks
     batch: list[int] = []
@@ -168,11 +166,11 @@ def tick_comms(
     pairs, last_exchange, exchanges = state.pairs, state.last, state.exchanges
     until, synced = state.in_range_until, state._synced
     max_step = state.max_step
-    range_m = state.cfg.range_m
+    range_m = state.range_m
     range_sq = range_m * range_m
-    timeout = state.cfg.timeout_s
+    timeout = state.timeout_s
     horizon = t - timeout + _COOLDOWN_SLACK
-    done: list[tuple[int, int, BeliefVector]] = []
+    done: list[tuple[int, int, Optional[BeliefVector]]] = []
     exchanged: list[int] = []
     # A pair is filed in the bucket of the tick it is next due, which is new
     # when it is empty. Most such ticks get one pair, so grouping the pairs
@@ -204,10 +202,14 @@ def tick_comms(
                 else:
                     until[p] = k + closing_ticks(range_m - math.sqrt(d2), max_step, _FOREVER)
             if later is None:
-                fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
+                bi, bj = ri.beliefs, rj.beliefs
+                if bi == bj:
+                    done.append((i, j, None))
+                else:
+                    fused = ri.beliefs = rj.beliefs = fuse_vectors(bi, bj)
+                    done.append((i, j, fused))
                 last_exchange[p] = t
                 exchanges[p] += 1
-                done.append((i, j, fused))
                 exchanged.append(p)
                 continue
         bucket = due.get(later)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .beliefs import belief_at, digest, format_belief
-from .comms import CommConfig, CommState, tick_comms
+from .comms import CommState, tick_comms
 from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
     CommGraph,
@@ -99,6 +99,13 @@ class ConfigError(ValueError):
     """Raised on unreadable or inconsistent experiment configuration."""
 
 
+# The radio keeps a record for each of the n(n - 1)/2 robot pairs from the
+# start (523,776 at 1024 robots), and run_matrix lists every cell before it
+# runs one, so both are bounded before anything is allocated.
+MAX_ROBOTS = 1024
+MAX_REPS = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment matrix."""
@@ -125,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError("give either map_file or map_seed, not both")
         if self.map_seed is not None and self.map_seed < 0:
             raise ConfigError(f"map_seed must be >= 0, got {self.map_seed}")
-        if self.n_robots < 1:
-            raise ConfigError(f"n_robots must be >= 1, got {self.n_robots}")
+        if not (1 <= self.n_robots <= MAX_ROBOTS):
+            raise ConfigError(f"n_robots must be in 1..{MAX_ROBOTS}, got {self.n_robots}")
         if not (self.speed > 0.0):
             raise ConfigError(f"speed must be positive, got {self.speed}")
         if not (self.dt > 0.0):
@@ -148,8 +155,8 @@ class ExperimentConfig:
                 raise ConfigError(f"noise level must be in [0, 1], got {p}")
         # -0.0 is 0.0, but its repr would give it other cell seeds and log names
         object.__setattr__(self, "noise_levels", tuple(abs(p) for p in self.noise_levels))
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if not (1 <= self.reps <= MAX_REPS):
+            raise ConfigError(f"reps must be in 1..{MAX_REPS}, got {self.reps}")
         if not self.strategies:
             raise ConfigError("strategies must not be empty")
         if not self.noise_levels:
@@ -360,10 +367,10 @@ def run_one(
         )
     world = WorldState.single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
-    policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt)
+    motion = max_step(g, cfg.speed, cfg.dt)
+    policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
     robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
-    comm_cfg = CommConfig(range_m=cfg.comm_range, timeout_s=cfg.comm_timeout)
-    comm = CommState(n, comm_cfg, cfg.dt, max_step(g, cfg.speed, cfg.dt))
+    comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     consensus = ConsensusTracker(world.truth, n, cfg.quorum)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .comms import closing_ticks
 from .graph import PatrolGraph, Route, build_cyclic_route
-from .world import RngStream, RobotState, max_step
+from .world import RngStream, RobotState
 
 __all__ = [
     "StrategyKind",
@@ -106,6 +106,7 @@ class Policy:
         params: StrategyParams,
         comm_range: float,
         dt: float,
+        max_step: float,
     ):
         self.g = g
         self.params = params
@@ -183,8 +184,8 @@ class HPCC(Policy):
 class CGG(Policy):
     """Walk one fixed cyclic route, robots entering it evenly spaced."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt):
-        super().__init__(g, n_robots, params, comm_range, dt)
+    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
+        super().__init__(g, n_robots, params, comm_range, dt, max_step)
         self.route = build_cyclic_route(g)
         self.entry_index = _entry_indices(self.route, g, n_robots)
         # position on the route; None until the robot first reaches its entry
@@ -247,8 +248,8 @@ class GBS(Policy):
 class SEBS(GBS):
     """GBS halved once per other robot that announced the same goal."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt):
-        super().__init__(g, n_robots, params, comm_range, dt)
+    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
+        super().__init__(g, n_robots, params, comm_range, dt, max_step)
         # each robot's announced goal; None before its first decision
         self.intentions: list[Optional[int]] = [None] * n_robots
         # how many robots announced each node
@@ -279,8 +280,8 @@ class CBLS(SEBS):
     at each node (`learned`); a decision scores max(idleness, learned).
     """
 
-    def __init__(self, g, n_robots, params, comm_range, dt):
-        super().__init__(g, n_robots, params, comm_range, dt)
+    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
+        super().__init__(g, n_robots, params, comm_range, dt, max_step)
         self.learned = [[0.0] * g.node_count for _ in range(n_robots)]
 
     def visited(self, robot_id, node, idleness_before):
@@ -306,8 +307,8 @@ class CBLS(SEBS):
 class _ClaimPolicy(Policy):
     """A claim table: `claims` maps node -> robot, `claim[r]` is robot r's node."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt):
-        super().__init__(g, n_robots, params, comm_range, dt)
+    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
+        super().__init__(g, n_robots, params, comm_range, dt, max_step)
         self.claims: dict[int, int] = {}
         self.claim: list[Optional[int]] = [None] * n_robots
 
@@ -351,19 +352,19 @@ class DTAP(_ClaimPolicy):
     if a claimless robot is out of range of everyone, and otherwise on the
     next group round or the first tick on which a claimless robot could
     have lost its last peer, whichever comes first. Robots move at most
-    max_step in the plane a tick (world.max_step, as the radio's schedule
-    uses), so a peer D meters away after tick k - 1 is still in range
-    after tick k - 1 + j for every j <= comms.closing_ticks(range - D), the
-    radio's own bound. A decision that frees a claim makes the hook due on
-    the next tick.
+    max_step in the plane a tick (the run's world.max_step, which the
+    radio's schedule gets too), so a peer D meters away after tick k - 1
+    is still in range after tick k - 1 + j for every j <=
+    comms.closing_ticks(range - D), the radio's own bound. A decision that
+    frees a claim makes the hook due on the next tick.
     """
 
-    def __init__(self, g, n_robots, params, comm_range, dt):
-        super().__init__(g, n_robots, params, comm_range, dt)
+    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
+        super().__init__(g, n_robots, params, comm_range, dt, max_step)
         self.comm_range = comm_range
         self.period_ticks = int(round(params.dtap_period_s / dt))
+        self.max_step = max_step
         self._due = 0  # next auction tick while a robot is claimless; 0 for the next tick
-        self._max_step: Optional[float] = None  # set on the first auction
 
     def decide(self, robot_id, node, t, last_visit, rng):
         if self._release(robot_id, node):
@@ -396,9 +397,6 @@ class DTAP(_ClaimPolicy):
         self, k: int, robots: Sequence[RobotState], nearest: Sequence[Optional[float]]
     ) -> int:
         """Earliest tick after k whose auction could award something, from the poses of k - 1."""
-        if self._max_step is None:
-            # a robot's stride is the run's speed * dt, so this is the radio's max_step
-            self._max_step = max_step(self.g, robots[0].stride, 1.0)
         range_m = self.comm_range
         range_sq = range_m * range_m
         due = (k // self.period_ticks + 1) * self.period_ticks
@@ -407,7 +405,7 @@ class DTAP(_ClaimPolicy):
                 d2 = nearest[r.id]
                 if not in_range(d2, range_sq):
                     return k + 1
-                keep = closing_ticks(range_m - math.sqrt(d2), self._max_step, due - k - 1)
+                keep = closing_ticks(range_m - math.sqrt(d2), self.max_step, due - k - 1)
                 due = k + max(keep, 0) + 1
         return due
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from _oracles import eligible_pairs, fuse_lists, unpack
 from swarmpatrol import comms
 from swarmpatrol.beliefs import Belief, belief_at, fuse_vectors, new_belief_vector, pack
-from swarmpatrol.comms import CommConfig, CommState, closing_ticks, tick_comms
+from swarmpatrol.comms import CommState, closing_ticks, tick_comms
 from swarmpatrol.graph import parse_map
 from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, WorldState, max_step, visit
 
@@ -39,22 +39,26 @@ def _robots_at(*coords):
 
 
 def _state(n, range_m=5.0, timeout_s=30.0, step=1.0):
-    return CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), DT, step)
+    return CommState(n, range_m, timeout_s, DT, step)
 
 
 def _pairs(done):
     return [(i, j) for i, j, _ in done]
 
 
-def test_comm_config_validates():
+def test_comm_state_validates():
     with pytest.raises(ValueError):
-        CommConfig(range_m=0.0)
+        CommState(2, 0.0, 30.0, DT, 1.0)
     with pytest.raises(ValueError):
-        CommConfig(timeout_s=-1.0)
+        CommState(2, math.nan, 30.0, DT, 1.0)
     with pytest.raises(ValueError):
-        CommState(2, CommConfig(), 0.0, 1.0)
+        CommState(2, 5.0, -1.0, DT, 1.0)
     with pytest.raises(ValueError):
-        CommState(2, CommConfig(), DT, 0.0)
+        CommState(2, 5.0, math.nan, DT, 1.0)
+    with pytest.raises(ValueError):
+        CommState(2, 5.0, 30.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        CommState(2, 5.0, 30.0, DT, 0.0)
 
 
 def test_range_boundary_is_inclusive():
@@ -267,7 +271,7 @@ def test_tick_comms_matches_brute_force_scan(case):
     step = max_step(_line_graph(n), speed, dt)
     spread = rng.choice([2.0, 10.0, 40.0]) * range_m
     robots = _robots_at(*[(rng.uniform(0, spread), rng.uniform(0, spread)) for _ in range(n)])
-    state = CommState(n, CommConfig(range_m=range_m, timeout_s=timeout_s), dt, step)
+    state = CommState(n, range_m, timeout_s, dt, step)
     last = dict.fromkeys(state.pairs, -math.inf)
     log = []
     for k in range(ticks + 1):
@@ -310,19 +314,19 @@ def test_exchange_fuses_both_ways_without_aliasing():
     assert state.exchanges == [1]
 
 
-def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
-    # an exchange does the same work whether or not the robots agree, so a
-    # run's cost does not depend on its sensing draws
+def test_exchange_between_agreeing_robots_skips_fusion(monkeypatch):
+    # fusing a vector with itself gives it back, so robots that already agree
+    # keep their own vectors; the exchange is still recorded, and its triple
+    # is marked with None
     calls = []
     monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
     state = _state(2, timeout_s=0.0)
     ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
-    ri.beliefs = pack([T, F, U])
-    rj.beliefs = pack([T, F, U])
-    [(_, _, fused)] = tick_comms([ri, rj], state, 420)  # t = 42.0
-    assert fused is ri.beliefs
-    assert ri.beliefs == rj.beliefs == pack([T, F, U])
-    assert calls == [1]
+    bi, bj = pack([T, F, U]), pack([T, F, U])
+    ri.beliefs, rj.beliefs = bi, bj
+    assert tick_comms([ri, rj], state, 420) == [(0, 1, None)]  # t = 42.0
+    assert calls == []
+    assert ri.beliefs is bi and rj.beliefs is bj
     assert state.last == [42.0]
     assert state.exchanges == [1]
     # a later visit by one robot leaves the other's vector as it was
@@ -331,7 +335,9 @@ def test_exchange_between_agreeing_robots_fuses_like_any_other(monkeypatch):
     assert rj.beliefs == pack([T, F, F])
     rj.beliefs = pack([U, F, U])
     assert tick_comms([ri, rj], state, 430) == [(0, 1, pack([T, F, U]))]  # t = 43.0
-    assert calls == [1, 1]
+    assert calls == [1]
+    assert state.last == [43.0]
+    assert state.exchanges == [2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,11 +357,15 @@ def test_tick_comms_triples_carry_each_exchange_own_vector(data):
     want = []
     for i in range(n):
         for j in range(i + 1, n):
+            # an exchange between equal lists changes nothing and is marked
+            if held[i] == held[j]:
+                want.append((i, j, None))
+                continue
             fused = fuse_lists(held[i], held[j])
             held[i], held[j] = fused, list(fused)
             want.append((i, j, fused))
     done = tick_comms(robots, _state(n), 0)
-    assert [(i, j, unpack(fused, m)) for i, j, fused in done] == want
+    assert [(i, j, None if fused is None else unpack(fused, m)) for i, j, fused in done] == want
     assert [unpack(r.beliefs, m) for r in robots] == held
     # a later visit by robot 0 leaves every other robot's vector as it was
     _visit_false_reading(robots[0], 0)
@@ -364,15 +374,15 @@ def test_tick_comms_triples_carry_each_exchange_own_vector(data):
 
 def test_tick_comms_chains_fusion_through_pair_order():
     # pair order (0,1), (0,2), (1,2): robot 2 learns robot 0's certainty
-    # in the same tick, relayed via the second exchange
+    # in the same tick, relayed via the second exchange, so (1,2) meets two
+    # robots that already hold [T] and changes nothing
     state = _state(3)
     robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
     robots[0].beliefs = pack([T])
     robots[1].beliefs = pack([U])
     robots[2].beliefs = pack([U])
     done = tick_comms(robots, state, 50)
-    assert [(i, j) for i, j, _ in done] == [(0, 1), (0, 2), (1, 2)]
-    assert [fused for _, _, fused in done] == [pack([T])] * 3
+    assert done == [(0, 1, pack([T])), (0, 2, pack([T])), (1, 2, None)]
     assert [r.beliefs for r in robots] == [pack([T])] * 3
     assert state.last == [5.0] * 3
     assert state.exchanges == [1] * 3

@@ -26,6 +26,8 @@ from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.harness import (
+    MAX_REPS,
+    MAX_ROBOTS,
     RUN_COLUMNS,
     SOCIAL_COLUMNS,
     ConfigError,
@@ -149,6 +151,26 @@ def test_config_from_file_rejects_bad_input(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+
+
+def test_fleet_size_and_reps_are_bounded(tmp_path):
+    # checked at construction alone: no run is started at the bounds
+    assert ExperimentConfig(n_robots=MAX_ROBOTS, reps=MAX_REPS).n_robots == 1024
+    for overrides in (
+        {"n_robots": MAX_ROBOTS + 1},
+        {"n_robots": 10**6},
+        {"reps": MAX_REPS + 1},
+        {"reps": 10**9},
+    ):
+        with pytest.raises(ConfigError, match="must be in 1.."):
+            ExperimentConfig(**overrides)
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"robots = {MAX_ROBOTS}\nreps = {MAX_REPS}\n")
+    assert ExperimentConfig.from_file(path).reps == MAX_REPS
+    for line in (f"robots = {MAX_ROBOTS + 1}", f"reps = {MAX_REPS + 1}"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(path)
 
 
 def test_config_map_file_and_seed_are_exclusive(tmp_path):
@@ -332,9 +354,8 @@ def _brute_tick_comms(robots, state, k):
     for r in robots:
         r.sync(k)
     positions = [(r.x, r.y) for r in robots]
-    cfg = state.cfg
     last_exchange = dict(zip(state.pairs, state.last))
-    pairs = eligible_pairs(positions, last_exchange, t, cfg.range_m, cfg.timeout_s)
+    pairs = eligible_pairs(positions, last_exchange, t, state.range_m, state.timeout_s)
     ids = {pair: p for p, pair in enumerate(state.pairs)}
     done = []
     for i, j in pairs:
@@ -533,15 +554,30 @@ def test_dtap_runs_with_an_unbounded_range(
     assert held
 
 
-def test_dense_runs_do_the_same_work_on_every_seed(default_graph, monkeypatch):
-    # the radio covers the map and there is no cooldown, so every pair fuses
-    # on every tick. Which pairs are range-tested comes from poses alone, and
-    # SEBS and CR draw none of them from the seed, so the sensing draws the
-    # seed changes move no count
-    fusions, syncs = [], []
-    fuse, sync = comms.fuse_vectors, RobotState.sync
+def test_dense_runs_fuse_only_the_exchanges_whose_vectors_differ(default_graph, monkeypatch):
+    # the radio covers the map and there is no cooldown, so every pair
+    # exchanges on every tick. Which pairs are range-tested comes from poses
+    # alone, and SEBS and CR draw none of them from the seed, so the sensing
+    # draws the seed changes move no sync count. They do move how many
+    # exchanges meet robots that still disagree, and only those fuse
+    fusions, syncs, exchanges, differing = [], [], [], []
+    fuse, sync, tick = comms.fuse_vectors, RobotState.sync, harness.tick_comms
     monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
     monkeypatch.setattr(RobotState, "sync", lambda r, k: syncs.append(1) or sync(r, k))
+
+    def replayed(robots, state, k):
+        # replay the tick's exchanges, in order, on the vectors held before it
+        held = [r.beliefs for r in robots]
+        done = tick(robots, state, k)
+        for i, j, _ in done:
+            exchanges.append(1)
+            if held[i] != held[j]:
+                differing.append(1)
+                held[i] = held[j] = fuse_vectors(held[i], held[j])
+        assert held == [r.beliefs for r in robots]
+        return done
+
+    monkeypatch.setattr(harness, "tick_comms", replayed)
     cfg = replace(
         ExperimentConfig(),
         duration=30.0,
@@ -553,17 +589,20 @@ def test_dense_runs_do_the_same_work_on_every_seed(default_graph, monkeypatch):
     )
     counts, outcomes = [], []
     for seed in (0, 5):
-        fusions.clear()
-        syncs.clear()
+        for tally in (fusions, syncs, exchanges, differing):
+            tally.clear()
         records, _ = run_matrix(replace(cfg, master_seed=seed), g=default_graph)
-        counts.append((len(fusions), len(syncs)))
+        counts.append((len(fusions), len(differing), len(exchanges), len(syncs)))
         outcomes.append([(r.final_error, r.t_consensus) for r in records])
     assert outcomes[0] != outcomes[1]
-    assert counts[0] == counts[1]
     runs, pairs, ticks = 2, 28, 300
-    assert counts[0][0] == runs * pairs * ticks
-    # a pair is range-tested only when its window runs out
-    assert counts[0][1] < runs * cfg.n_robots * ticks / 4
+    for fused, differed, exchanged, synced in counts:
+        assert exchanged == runs * pairs * ticks
+        assert fused == differed < exchanged
+        # a pair is range-tested only when its window runs out
+        assert synced == counts[0][3] < runs * cfg.n_robots * ticks / 4
+    # the fusions follow the sensing draws
+    assert counts[0][0] != counts[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -906,6 +945,8 @@ def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monke
         ("task_weight = inf", "task_distance_weight"),
         ("speed = 1000", "shortest edge"),
         ("duration = 0\ndt = 5e-324", "1/dt"),
+        ("robots = 1025", "n_robots must be in 1..1024"),
+        ("reps = 1000000000", "reps must be in 1..10000"),
     ],
 )
 def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):

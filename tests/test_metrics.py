@@ -297,11 +297,13 @@ def test_required_quorum_rejects_bad_fraction():
             required_quorum(8, q)
 
 
-def _track(m, n_robots, truth, events, quorum):
+def _track(m, n_robots, truth, events, quorum, mark_agreeing=False):
     """Feed a ConsensusTracker the way run_one does; return (report, misinformed).
 
     events are ("visit", t, robot, node, belief) and ("comm", t, i, j), as
-    the brute-force replay reads them.
+    the brute-force replay reads them. With mark_agreeing, an exchange
+    between robots that hold equal vectors is fed as (i, j, None), as
+    tick_comms reports it; otherwise every exchange is fed its fused vector.
     """
     tracker = ConsensusTracker(truth, n_robots, quorum)
     vectors = [new_belief_vector(m) for _ in range(n_robots)]
@@ -311,6 +313,8 @@ def _track(m, n_robots, truth, events, quorum):
             values[b] = rest[0]
             vectors[a] = pack(values)
             tracker.visited(t, a, b, vectors[a])
+        elif mark_agreeing and vectors[a] == vectors[b]:
+            tracker.exchanged(t, [(a, b, None)])
         else:
             fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
             tracker.exchanged(t, [(a, b, fused)])
@@ -435,6 +439,40 @@ def test_tracker_matches_brute_force_replay(case):
         report.fp_consensus_nodes,
         misinformed,
     ) == brute_consensus_replay(m, n_robots, truth, events, required)
+
+
+# robots 0 and 1 both know the truth after their first exchange, so the
+# second changes nothing; the quorum of 3 is reached only when robot 2 learns
+# it too, at t = 2.5
+_AGREEING_BEFORE_QUORUM = (
+    2,
+    3,
+    [False, True],
+    3,
+    [
+        ("visit", 1.0, 0, 0, 0),
+        ("visit", 1.0, 0, 1, 2),
+        ("comm", 1.5, 0, 1),
+        ("comm", 2.0, 0, 1),
+        ("comm", 2.5, 1, 2),
+        ("comm", 2.5, 0, 2),
+    ],
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=_QUORUM_LOST_IN_TICK)
+@example(case=_AGREEING_BEFORE_QUORUM)
+@given(case=_belief_event_streams())
+def test_tracker_skipping_agreeing_exchanges_matches_every_fusion_fed(case):
+    # an exchange between robots that hold equal vectors changes neither, so
+    # a tracker that skips it ends where one fed its fused vector does
+    m, n_robots, truth, required, events = case
+    quorum = required / n_robots
+    marked = _track(m, n_robots, truth, events, quorum, mark_agreeing=True)
+    assert marked == _track(m, n_robots, truth, events, quorum)
+    if case is _AGREEING_BEFORE_QUORUM:
+        assert marked[0].t_full_consensus == 2.5
 
 
 @st.composite

@@ -50,7 +50,9 @@ def _ring(n: int = 6) -> PatrolGraph:
 
 
 def _policy(kind, g, n_robots=2, params=None, comm_range=5.0, dt=0.1):
-    return POLICIES[kind](g, n_robots, params or StrategyParams(), comm_range, dt)
+    # robots move at 1 m/s, as the tests' robots with a stride of dt do
+    step = max_step(g, 1.0, dt)
+    return POLICIES[kind](g, n_robots, params or StrategyParams(), comm_range, dt, step)
 
 
 def _decide(policy, *, robot_id=0, node=0, idleness=None, rng=None) -> int:
@@ -540,7 +542,7 @@ def _drifting_apart(dtap_class):
     # node 0 on tick 1 along a 10 m edge at 0.1 m a tick, out of the 5 m range
     # about 50 ticks later, long before the group round on tick 200
     g = _path(spacing=10.0)
-    dtap = dtap_class(g, 2, StrategyParams(), 5.0, 0.1)
+    dtap = dtap_class(g, 2, StrategyParams(), 5.0, 0.1, max_step(g, 1.0, 0.1))
     robots = [RobotState.at_node(i, g, 0, stride=0.1) for i in range(2)]
     robots[0].goal = 1
     robots[0].path = [1]
@@ -706,4 +708,4 @@ def test_decide_next_rejects_an_invalid_goal():
             return node
 
     with pytest.raises(AssertionError, match="Stay chose invalid goal 1 from node 1"):
-        _decide(Stay(_star(), 1, StrategyParams(), 5.0, 0.1), node=1)
+        _decide(Stay(_star(), 1, StrategyParams(), 5.0, 0.1, 0.1), node=1)
