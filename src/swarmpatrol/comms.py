@@ -13,8 +13,9 @@ earliest tick at which it could pass the test again, from how far apart its
 robots are and how long its cooldown still runs. A pair found in range is
 known to stay in range for as many ticks as its robots, moving apart at full
 speed, need to reach the edge of the range; on those ticks it exchanges
-without a range test. CommState also keeps each pair's last exchange time
-and exchange count: the run's only record of exchanges.
+without a range test. closing_ticks defines both bounds; tick_comms writes
+it out for each pair it tests. CommState also keeps each pair's last
+exchange time and exchange count: the run's only record of exchanges.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ def closing_ticks(gap: float, max_step: float, cap: int) -> int:
     max_step in the plane a tick, so D changes by at most 2 * max_step a
     tick, and the pair stays on its side for floor((gap - eps) /
     (2 * max_step)) more ticks, eps being _RANGE_EPS. The result can be
-    negative. The quotient is compared with cap before it is floored
+    negative. The quotient is clamped to [-cap, cap] before it is floored
     (floor(x) < cap exactly when x < cap, for a whole cap), so an infinite
-    or NaN gap, or a quotient that overflows, gives cap and never reaches
-    floor.
+    or NaN gap, or a quotient that overflows, never reaches floor: NaN
+    gives cap.
     """
     ticks = (gap - _RANGE_EPS) / (2.0 * max_step)
-    return math.floor(ticks) if ticks < cap else cap
+    if ticks < cap:
+        return math.floor(ticks) if ticks > -cap else -cap
+    return cap
 
 
 class CommState:
@@ -153,6 +156,11 @@ def tick_comms(
     vectors keep them, since fusion would give the same vector back: their
     triple holds None, as the exchange changed nothing. Every exchange,
     changing or not, has its triple and its last and exchanges records.
+
+    A tested pair's bounds are closing_ticks written out, with the same
+    float operations in the same order and max(1, w) as a comparison: the
+    loop runs once per tested pair, and two calls there cost more than the
+    arithmetic.
     """
     due, ticks = state._due, state._ticks
     batch: list[int] = []
@@ -165,11 +173,13 @@ def tick_comms(
     t = k * dt
     pairs, last_exchange, exchanges = state.pairs, state.last, state.exchanges
     until, synced = state.in_range_until, state._synced
-    max_step = state.max_step
     range_m = state.range_m
     range_sq = range_m * range_m
     timeout = state.timeout_s
     horizon = t - timeout + _COOLDOWN_SLACK
+    sqrt, floor, ceil = math.sqrt, math.floor, math.ceil
+    eps, forever = _RANGE_EPS, _FOREVER
+    per_tick = 2.0 * state.max_step  # the most a pair's distance changes in a tick
     done: list[tuple[int, int, Optional[BeliefVector]]] = []
     exchanged: list[int] = []
     # A pair is filed in the bucket of the tick it is next due, which is new
@@ -182,7 +192,9 @@ def tick_comms(
             wait = (last + timeout - _COOLDOWN_SLACK - t) / dt
             if wait == math.inf:
                 continue
-            later = k + max(1, math.ceil(wait) - 1)
+            # k + max(1, ceil(wait) - 1)
+            w = ceil(wait)
+            later = k + w - 1 if w > 2 else k + 1
         else:
             i, j = pairs[p]
             ri, rj = robots[i], robots[j]
@@ -198,9 +210,21 @@ def tick_comms(
                 dy = ri.y - rj.y
                 d2 = dx * dx + dy * dy
                 if d2 > range_sq:
-                    later = k + max(1, closing_ticks(math.sqrt(d2) - range_m, max_step, _FOREVER))
+                    # k + max(1, closing_ticks(D - range))
+                    q = (sqrt(d2) - range_m - eps) / per_tick
+                    if q < 2.0:
+                        later = k + 1
+                    elif q < forever:
+                        later = k + floor(q)
+                    else:
+                        later = k + forever
                 else:
-                    until[p] = k + closing_ticks(range_m - math.sqrt(d2), max_step, _FOREVER)
+                    # k + closing_ticks(range - D)
+                    q = (range_m - sqrt(d2) - eps) / per_tick
+                    if q < forever:
+                        until[p] = k + floor(q) if q > -forever else k - forever
+                    else:
+                        until[p] = k + forever
             if later is None:
                 bi, bj = ri.beliefs, rj.beliefs
                 if bi == bj:
@@ -222,7 +246,8 @@ def tick_comms(
         # the pairs that exchanged all wait out one cooldown from t
         wait = (t + timeout - _COOLDOWN_SLACK - t) / dt
         if wait != math.inf:
-            later = k + max(1, math.ceil(wait) - 1)
+            w = ceil(wait)
+            later = k + w - 1 if w > 2 else k + 1
             bucket = due.get(later)
             if bucket is None:
                 due[later] = exchanged

@@ -130,9 +130,6 @@ class PatrolGraph:
         except KeyError:
             raise KeyError(f"no edge between {a} and {b}") from None
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._length
-
     def euclidean(self, a: int, b: int) -> float:
         (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
         return math.hypot(xa - xb, ya - yb)
@@ -180,9 +177,6 @@ class PatrolGraph:
             settled = self._single_source(a)
             row = self._rows[a] = tuple(settled[v][0] for v in range(self.node_count))
         return row
-
-    def shortest_distance(self, a: int, b: int) -> float:
-        return self.distances(a)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +322,6 @@ def build_cyclic_route(g: PatrolGraph) -> Route:
         walk.extend(path[:-1])
         total += dist
     return Route(nodes=tuple(walk), length=total)
-
-
-def route_is_valid(g: PatrolGraph, route: Route) -> bool:
-    """Closed, adjacency-respecting, and covering every node."""
-    nodes = route.nodes
-    if len(nodes) < g.node_count:
-        return False
-    if set(nodes) != set(range(g.node_count)):
-        return False
-    for k in range(len(nodes)):
-        a, b = nodes[k], nodes[(k + 1) % len(nodes)]
-        if not g.has_edge(a, b):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,14 @@ def run_one(
     samples = sample_ticks(dt, ticks)
     next_sample = next(samples, math.inf)
 
+    def take_samples(before: float) -> None:
+        # last_visit changes only when robots move, so a sample taken later
+        # for a tick with no moves since reads what that tick left
+        nonlocal next_sample
+        while next_sample < before:
+            tracker.sample(next_sample * dt)
+            next_sample = next(samples, math.inf)
+
     def schedule(r: RobotState) -> None:
         bucket = moves.get(r.due)
         if bucket is None:
@@ -396,8 +404,8 @@ def run_one(
     k = 0
     while True:
         hook = policy.next_tick()
-        # a tick where no robot, pair, sample or policy hook is due changes nothing
-        k = max(k + 1, min(move_ticks[0], comm.next_tick(), next_sample, hook))
+        # a tick where no robot, pair or policy hook is due changes nothing
+        k = max(k + 1, min(move_ticks[0], comm.next_tick(), hook))
         if k > ticks:
             break
         t = k * dt
@@ -413,6 +421,7 @@ def run_one(
                     log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
         if move_ticks[0] == k:
             heappop(move_ticks)
+            take_samples(k)
             # in ascending id: last_visit and announced intentions carry one
             # robot's decision to the next
             for rid in sorted(moves.pop(k)):
@@ -443,9 +452,7 @@ def run_one(
                     log_lines.append(
                         f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs, m)}"
                     )
-        if k == next_sample:
-            tracker.sample(t)
-            next_sample = next(samples, math.inf)
+    take_samples(math.inf)
 
     vectors = [r.beliefs for r in robots]
     counts = classify(vectors, world.truth)

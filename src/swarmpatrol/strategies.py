@@ -34,7 +34,6 @@ __all__ = [
     "in_range",
     "nearest_peer_sq",
     "retarget",
-    "travel_distance",
     "travel_distances",
 ]
 
@@ -446,18 +445,8 @@ def decide_next(
 # ---------------------------------------------------------------------------
 
 
-def travel_distance(robot: RobotState, g: PatrolGraph, v: int) -> float:
-    """Shortest travel distance from the robot's last synced pose to node v."""
-    if robot.edge is None:
-        return g.distances(robot.node)[v]
-    a, b = robot.edge
-    via_b = (robot._edge_len - robot.offset) + g.distances(b)[v]
-    via_a = robot.offset + g.distances(a)[v]
-    return min(via_a, via_b)
-
-
 def travel_distances(robot: RobotState, g: PatrolGraph) -> Sequence[float]:
-    """travel_distance to every node, by node id."""
+    """Shortest travel distance from the robot's last synced pose to every node, by node id."""
     if robot.edge is None:
         return g.distances(robot.node)
     a, b = robot.edge

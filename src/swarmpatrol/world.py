@@ -232,9 +232,6 @@ class IdlenessTracker:
         self.sample_sum = 0.0
         self.sample_count = 0
 
-    def record_visit(self, node: int, clock: float) -> None:
-        self.last_visit[node] = clock
-
     def sample(self, clock: float) -> None:
         lv = self.last_visit
         self.sample_sum += (clock * len(lv) - sum(lv)) / len(lv)
@@ -302,4 +299,4 @@ def visit(
     """Handle an arrival at node at time t: sense, update belief, reset idleness."""
     observation = sense(world, node, noise_p, rng)
     robot.beliefs = measurement_update(robot.beliefs, node, observation)
-    tracker.record_visit(node, t)
+    tracker.last_visit[node] = t

@@ -25,6 +25,49 @@ def eigenvalues_by_charpoly(matrix: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)
 
 
+def has_edge(g, a, b):
+    """Whether a and b are adjacent, read from a's neighbor list."""
+    return any(v == b for v, _ in g.neighbors(a))
+
+
+def route_is_valid(g, route):
+    """Closed, adjacency-respecting, and covering every node."""
+    nodes = route.nodes
+    if set(nodes) != set(range(g.node_count)):
+        return False
+    return all(has_edge(g, a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+
+
+def shortest_distance(g, a, b):
+    """Shortest-path distance from a to b, by Bellman-Ford relaxation over g.edges.
+
+    Every candidate is a settled distance plus one edge length, as in
+    Dijkstra, and float addition is monotone, so both settle on the same
+    float bit for bit.
+    """
+    dist = [math.inf] * g.node_count
+    dist[a] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for u, v, d in g.edges:
+            for x, y in ((u, v), (v, u)):
+                if dist[x] + d < dist[y]:
+                    dist[y] = dist[x] + d
+                    changed = True
+    return dist[b]
+
+
+def travel_distance(robot, g, v):
+    """Shortest travel from the robot's last synced pose to node v: to either end of its edge, then on."""
+    if robot.edge is None:
+        return shortest_distance(g, robot.node, v)
+    a, b = robot.edge
+    via_b = (robot._edge_len - robot.offset) + shortest_distance(g, b, v)
+    via_a = robot.offset + shortest_distance(g, a, v)
+    return min(via_a, via_b)
+
+
 def advance(robot, g, stride):
     """Move the robot one tick of `stride` meters; return the node reached, if any.
 

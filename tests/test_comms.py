@@ -223,6 +223,16 @@ def test_pair_too_far_apart_for_a_finite_distance_waits_without_overflowing():
     assert state.next_tick() == 1 << 62
 
 
+def test_pair_in_range_too_far_apart_for_a_finite_distance_is_tested_on_every_tick():
+    # dx * dx and range * range both overflow, so the pair is in range while
+    # range - D is -inf: nothing bounds its window, and it never overflows
+    robots = [_Probe(0, -1e200), _Probe(1, 1e200)]
+    state = _state(2, range_m=1e308, timeout_s=0.0)
+    assert [k for k in range(5) if tick_comms(robots, state, k)] == list(range(5))
+    assert robots[1].synced == list(range(5))
+    assert state.in_range_until == [4 - (1 << 62)]
+
+
 def test_closing_ticks_is_the_closing_bound_capped_before_floor():
     # 2 m a tick, less the 1e-6 m margin: 9.999999 m is 4 whole ticks
     assert closing_ticks(10.0, 1.0, 100) == 4
@@ -233,6 +243,60 @@ def test_closing_ticks_is_the_closing_bound_capped_before_floor():
     assert closing_ticks(10.0, 1.0, 4) == 4
     for gap in (math.inf, 1e308, math.nan):
         assert closing_ticks(gap, 0.1, 7) == 7
+    for gap in (-math.inf, -1e308):
+        assert closing_ticks(gap, 0.1, 7) == -7
+
+
+@st.composite
+def _probe_pair(draw):
+    """A range, a max_step, a tick, how far apart two robots stand on it and
+    how many ticks of their cooldown are left (None: they never exchanged)."""
+    range_m = draw(st.sampled_from([math.inf, 1e308, 5.0, 3e9]) | st.floats(1e-3, 1e12))
+    step = draw(st.sampled_from([1e-300, 1e-9, 0.1, 1.0]) | st.floats(1e-300, 1e3))
+    apart = draw(
+        st.sampled_from([0.0, range_m, range_m + 1e-7, range_m - 1e-7, 1e200])
+        | st.floats(0.0, 1e6)
+        | st.floats(0.0, 4.0).map(lambda f: f * range_m).filter(lambda d: not math.isnan(d))
+        | st.floats(-6.0, 6.0).map(lambda w: range_m + w * 2.0 * step)  # a few ticks either side
+        | st.integers(1, 6).map(lambda w: range_m + w * 2.0 * step + 5e-7)  # inside the margin
+    )
+    k = draw(st.integers(0, 10**6))
+    timeout_s = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.1 + 1e-9, 0.25, 0.3, 30.0, math.inf]))
+    left = draw(st.none() | st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) | st.floats(0.0, 400.0))
+    return range_m, step, abs(apart), k, timeout_s, left
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_probe_pair())
+def test_due_pair_is_filed_by_closing_ticks(case):
+    # the radio writes closing_ticks out in its loop; both give the same ticks
+    range_m, step, apart, k, timeout_s, left = case
+    cap = 1 << 62
+    robots = [_Probe(0, 0.0), _Probe(1, apart)]
+    state = _state(2, range_m=range_m, timeout_s=timeout_s, step=step)
+    t = k * DT
+    last = -math.inf if left is None else min(t, t - timeout_s + left * DT)
+    state.last[0] = last
+    near = eligible_pairs([(0.0, 0.0), (apart, 0.0)], {(0, 1): last}, t, range_m, timeout_s)
+    done = tick_comms(robots, state, k)
+    dist = math.sqrt(apart * apart)
+    if last > t - timeout_s + 1e-9:
+        # still cooling down: no test, and due one tick before it can end
+        assert done == [] and robots[1].synced == []
+        wait = (last + timeout_s - 1e-9 - t) / DT
+    elif near:
+        assert _pairs(done) == [(0, 1)] and robots[1].synced == [k]
+        assert state.in_range_until == [k + closing_ticks(range_m - dist, step, cap)]
+        wait = (t + timeout_s - 1e-9 - t) / DT
+    else:
+        assert done == [] and robots[1].synced == [k]
+        assert state.in_range_until == [-1]
+        wait = None
+    if wait is None:
+        want = k + max(1, closing_ticks(dist - range_m, step, cap))
+    else:
+        want = math.inf if wait == math.inf else k + max(1, math.ceil(wait) - 1)
+    assert state.next_tick() == want
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import has_edge, route_is_valid, shortest_distance
 from swarmpatrol.graph import (
     GraphValidationError,
     MapFormatError,
@@ -15,7 +16,6 @@ from swarmpatrol.graph import (
     build_cyclic_route,
     generate_default_map,
     parse_map,
-    route_is_valid,
     serialize_map,
 )
 
@@ -153,8 +153,8 @@ def test_edge_length_missing_edge_raises():
     g = _diamond()
     with pytest.raises(KeyError):
         g.edge_length(0, 3)
-    assert not g.has_edge(0, 3)
-    assert g.has_edge(0, 1)
+    assert not has_edge(g, 0, 3)
+    assert has_edge(g, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_shortest_path_prefers_lexicographically_smaller_tie():
 def test_shortest_path_trivial_and_symmetry():
     g = _diamond()
     assert g.shortest_path(2, 2) == ([2], 0.0)
-    assert g.shortest_distance(1, 2) == pytest.approx(g.shortest_distance(2, 1))
+    assert shortest_distance(g, 1, 2) == pytest.approx(shortest_distance(g, 2, 1))
 
 
 def test_shortest_path_weighted_detour():
@@ -212,7 +212,7 @@ def _brute_force_tour_length(g: PatrolGraph) -> float:
     for perm in permutations(rest):
         order = (0, *perm)
         total = sum(
-            g.shortest_distance(order[k], order[(k + 1) % len(order)])
+            shortest_distance(g, order[k], order[(k + 1) % len(order)])
             for k in range(len(order))
         )
         best = min(best, total)
@@ -271,10 +271,10 @@ def test_random_graph_shortest_path_properties(g, data):
     c = data.draw(st.integers(min_value=0, max_value=g.node_count - 1))
     path, dist = g.shortest_path(a, b)
     assert path[0] == a and path[-1] == b
-    assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+    assert all(has_edge(g, u, v) for u, v in zip(path, path[1:]))
     assert dist == pytest.approx(sum(g.edge_length(u, v) for u, v in zip(path, path[1:])))
-    assert dist == pytest.approx(g.shortest_distance(b, a))
-    assert g.shortest_distance(a, c) <= dist + g.shortest_distance(b, c) + 1e-9
+    assert dist == pytest.approx(shortest_distance(g, b, a))
+    assert shortest_distance(g, a, c) <= dist + shortest_distance(g, b, c) + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,52 @@ def test_dense_runs_fuse_only_the_exchanges_whose_vectors_differ(default_graph, 
     assert counts[0][0] != counts[1][0]
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.25, 1 / 3, 0.3, 1.0, 2.5])
+def test_idleness_samples_taken_late_equal_samples_taken_on_their_tick(
+    default_graph, monkeypatch, dt
+):
+    # the loop takes a tick's idleness sample only when robots next move, or
+    # at the end of the run; the oracle visits every tick and takes each
+    # sample at the end of its own tick, as the loop once did
+    cfg = replace(ExperimentConfig(), dt=dt, duration=90.0)
+    kinds = (StrategyKind.SEBS, StrategyKind.RAND)
+    lazy = [run_one(cfg, default_graph, kind, 0.2, 0) for kind in kinds]
+
+    trackers = []
+
+    class Tracked(harness.IdlenessTracker):
+        def __init__(self, m):
+            super().__init__(m)
+            trackers.append(self)
+
+    class EveryTick(harness.CommState):
+        def next_tick(self):
+            return -math.inf
+
+    ticks = int(round(cfg.duration / dt))
+    due = set(harness.sample_ticks(dt, ticks))
+    sums, tick = [], harness.tick_comms
+
+    def sampled(robots, state, k):
+        done = tick(robots, state, k)
+        if k in due:
+            lv = trackers[-1].last_visit
+            sums[-1].append((k * dt * len(lv) - sum(lv)) / len(lv))
+        return done
+
+    monkeypatch.setattr(harness, "IdlenessTracker", Tracked)
+    monkeypatch.setattr(harness, "CommState", EveryTick)
+    monkeypatch.setattr(harness, "tick_comms", sampled)
+    for kind, rec in zip(kinds, lazy):
+        sums.append([])
+        assert run_one(cfg, default_graph, kind, 0.2, 0) == rec
+        assert len(sums[-1]) == len(due) == trackers[-1].sample_count > 0
+        total = 0.0
+        for x in sums[-1]:
+            total += x
+        assert rec.avg_graph_idleness == total / len(due)
+
+
 # ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------

