@@ -7,7 +7,7 @@ matrices under derived per-run seeds and reduces each run to accuracy,
 idleness, consensus and communication-connectivity metrics.
 """
 
-from .beliefs import Belief, fuse, fuse_vectors, measurement_update
+from .beliefs import fuse_vectors, measurement_update
 from .comms import CommState, tick_comms
 from .graph import (
     PatrolGraph,
@@ -40,13 +40,11 @@ from .metrics import (
     system_error,
 )
 from .strategies import StrategyKind, StrategyParams
-from .world import IdlenessTracker, RngStream, RobotState, WorldState
+from .world import IdlenessTracker, RngStream, RobotState
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Belief",
-    "fuse",
     "fuse_vectors",
     "measurement_update",
     "CommState",
@@ -80,6 +78,5 @@ __all__ = [
     "IdlenessTracker",
     "RngStream",
     "RobotState",
-    "WorldState",
     "__version__",
 ]

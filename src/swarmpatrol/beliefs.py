@@ -1,70 +1,40 @@
-"""Ternary belief algebra with conflict-absorbing pairwise fusion.
+"""Packed ternary beliefs with conflict-absorbing pairwise fusion.
 
 A belief about one node is one of three states: certain-false, uncertain,
-certain-true. States are stored in half-units (ints 0, 1, 2) so every
-operation is exact integer arithmetic; the float values 0.0/0.5/1.0 appear
-only at serialization and metric boundaries.
+certain-true, or 0, 1 and 2 in half-units of truth. A robot holds its
+beliefs over every node as one packed vector of two bitmasks, and fusion,
+sensing and the log renderings all work on that vector directly; the float
+values 0.0/0.5/1.0 appear only at serialization and metric boundaries.
 """
 
 from __future__ import annotations
 
-from enum import IntEnum
-from typing import Sequence
-
 __all__ = [
-    "Belief",
     "BeliefVector",
-    "fuse",
     "fuse_vectors",
     "measurement_update",
-    "new_belief_vector",
-    "pack",
-    "belief_at",
     "format_belief",
     "digest",
 ]
 
 # A robot's beliefs over m nodes, packed into one immutable pair (T, F) of
 # ints: bit v of T is set when node v is certain-true, bit v of F when it is
-# certain-false. T & F is 0 and no bit at or above m is set.
+# certain-false. T & F is 0 and no bit at or above m is set. The ground truth
+# is the same pair with every node certain.
 BeliefVector = tuple[int, int]
 
-
-class Belief(IntEnum):
-    """One robot's opinion about one node, in half-units of truth."""
-
-    FALSE = 0
-    UNCERTAIN = 1
-    TRUE = 2
-
-
-# The 3x3 table is the specification of fusion: in half-units it is
-# clamp(a + b - 1, 0, 2). fuse_vectors computes it for every node at once.
-_FUSION: tuple[tuple[Belief, ...], ...] = tuple(
-    tuple(Belief(min(max(a + b - 1, 0), 2)) for b in range(3)) for a in range(3)
-)
-
-_MEMBERS = tuple(Belief)
 _STR_OF = ("0", "0.5", "1")
 _DIGEST_OF = bytes.maketrans(b"/02", b"0u1")  # bytes 47, 48, 50 of digest
 
 
-def fuse(a: int, b: int) -> Belief:
-    """Combine two opinions symmetrically.
-
-    Agreement keeps the shared value, the uncertain state is the identity,
-    and opposing certainties cancel to uncertain. Equivalent closed form on
-    the unit scale: clamp(a + b - 1/2, 0, 1).
-    """
-    return _FUSION[a][b]
-
-
 def fuse_vectors(u: BeliefVector, v: BeliefVector) -> BeliefVector:
-    """Fuse two packed vectors node by node, as `fuse` does one node.
+    """Fuse two packed vectors node by node.
 
     A node comes out certain-true when one side holds it true and the
     other does not hold it false, and likewise for false; every other node
-    comes out uncertain. That is clamp(a + b - 1, 0, 2) on every bit.
+    comes out uncertain. That is clamp(a + b - 1, 0, 2) in half-units on
+    every bit: agreement keeps the shared value, uncertain is the identity,
+    and opposing certainties cancel to uncertain.
     """
     ut, uf = u
     vt, vf = v
@@ -86,28 +56,10 @@ def measurement_update(prior: BeliefVector, node: int, observation: bool) -> Bel
     return t & ~bit, f | (bit & ~t)
 
 
-def new_belief_vector(m: int) -> BeliefVector:
-    """Initial all-uncertain vector over m nodes."""
-    if m <= 0:
-        raise ValueError(f"node count must be positive, got {m}")
-    return 0, 0
-
-
-def pack(values: Sequence[int]) -> BeliefVector:
-    """The packed vector of a sequence of half-unit beliefs, node 0 first."""
-    t = sum(1 << node for node, b in enumerate(values) if b == 2)
-    return t, sum(1 << node for node, b in enumerate(values) if b == 0)
-
-
-def belief_at(vector: BeliefVector, node: int) -> Belief:
-    """The belief a packed vector holds about one node."""
+def format_belief(vector: BeliefVector, node: int) -> str:
+    """Render a vector's belief about one node for event logs: '0', '0.5' or '1'."""
     t, f = vector
-    return _MEMBERS[1 + (t >> node & 1) - (f >> node & 1)]
-
-
-def format_belief(b: int) -> str:
-    """Render a belief for event logs: '0', '0.5' or '1'."""
-    return _STR_OF[b]
+    return _STR_OF[1 + (t >> node & 1) - (f >> node & 1)]
 
 
 def digest(vector: BeliefVector, m: int) -> str:

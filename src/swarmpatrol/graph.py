@@ -40,7 +40,7 @@ class MapFormatError(ValueError):
 class PatrolGraph:
     """Immutable undirected metric graph with plane-embedded nodes.
 
-    Nodes are dense ids 0..m-1 with (x, y) coordinates in meters. Edge
+    Nodes are dense ids 0..m-1 with finite (x, y) coordinates in meters. Edge
     lengths default to the Euclidean distance between endpoints; an explicit
     override is allowed when loaded from a map file. The graph must be
     connected, free of self-loops and parallel edges, with positive lengths.
@@ -59,6 +59,9 @@ class PatrolGraph:
         self.coords: tuple[tuple[float, float], ...] = tuple(
             (float(x), float(y)) for x, y in coords
         )
+        for v, (x, y) in enumerate(self.coords):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GraphValidationError(f"node {v} has a non-finite coordinate ({x}, {y})")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int, float]] = []
         adjacency: list[list[tuple[int, float]]] = [[] for _ in range(m)]

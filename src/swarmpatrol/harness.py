@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .beliefs import belief_at, digest, format_belief
+from .beliefs import digest, format_belief
 from .comms import CommState, tick_comms
 from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
@@ -34,10 +34,10 @@ from .world import (
     IdlenessTracker,
     RngStream,
     RobotState,
-    WorldState,
     label_seed,
     max_step,
     sample_ticks,
+    single_anomaly,
     visit,
 )
 
@@ -365,7 +365,7 @@ def run_one(
             f"speed {cfg.speed} x dt {cfg.dt} = {step} m a tick is longer than "
             f"the map's shortest edge of {shortest_edge} m"
         )
-    world = WorldState.single_anomaly(m, cfg.anomaly_node)
+    truth = single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
     motion = max_step(g, cfg.speed, cfg.dt)
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
@@ -373,7 +373,7 @@ def run_one(
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
-    consensus = ConsensusTracker(world.truth, n, cfg.quorum)
+    consensus = ConsensusTracker(truth, n, cfg.quorum)
     log_lines: Optional[list[str]] = [] if out_dir is not None else None
 
     dt = cfg.dt
@@ -431,10 +431,10 @@ def run_one(
                 if arrived is None:
                     continue
                 idleness_before = t - last_visit[arrived]
-                visit(r, tracker, world, arrived, t, noise, sense_rngs[rid])
+                visit(r, tracker, truth, arrived, t, noise, sense_rngs[rid])
                 consensus.visited(t, rid, arrived, r.beliefs)
                 if log_lines is not None:
-                    b = format_belief(belief_at(r.beliefs, arrived))
+                    b = format_belief(r.beliefs, arrived)
                     log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
                 policy.visited(rid, arrived, idleness_before)
                 if arrived == r.goal:
@@ -455,7 +455,7 @@ def run_one(
     take_samples(math.inf)
 
     vectors = [r.beliefs for r in robots]
-    counts = classify(vectors, world.truth)
+    counts = classify(vectors, truth)
     report = consensus.report(vectors)
     lam2 = algebraic_connectivity(CommGraph.from_exchanges(n, comm.pairs, comm.exchanges))
     record = RunRecord(

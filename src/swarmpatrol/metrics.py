@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .beliefs import BeliefVector, pack
+from .beliefs import BeliefVector
 
 __all__ = [
     "ConfusionCounts",
@@ -53,15 +53,16 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn + self.u
 
 
-def classify(vectors: Sequence[BeliefVector], truth: Sequence[bool]) -> ConfusionCounts:
-    """Bucket every belief entry of the packed vectors against the ground truth.
+def classify(vectors: Sequence[BeliefVector], truth: BeliefVector) -> ConfusionCounts:
+    """Bucket every belief entry of the packed vectors against the packed truth.
 
     Certain-true at a true node counts tp, at a false node fp; certain-false
-    at a false node tn, at a true node fn; uncertain always u. Entries total
-    n_robots * n_nodes.
+    at a false node tn, at a true node fn; uncertain always u. The truth is
+    certain at every node, so its node count m is (T | F).bit_length().
+    Entries total n_robots * m.
     """
-    m = len(truth)
-    anomalous, normal = pack([2 if v else 0 for v in truth])
+    anomalous, normal = truth
+    m = (anomalous | normal).bit_length()
     tp = tn = fp = fn = 0
     for t, f in vectors:
         if t & f or (t | f) >> m:
@@ -208,7 +209,6 @@ def required_quorum(n_robots: int, quorum: float) -> int:
 class ConsensusReport:
     """Quorum consensus milestones for one run."""
 
-    required: int
     t_full_consensus: Optional[float]
     tp_consensus: bool
     fp_consensus_nodes: tuple[int, ...]
@@ -225,8 +225,9 @@ class ConsensusTracker:
     each node visit and `exchanged` after each tick's pairwise exchanges,
     with the fused vector each exchange produced, or None for one that
     changed nothing (exchanges within one tick chain, so a quorum reached
-    after one can be lost by the next). Whether each robot's vector equals
-    the truth is kept as one flag per robot.
+    after one can be lost by the next). The truth is the packed vector of a
+    robot certain about every node, and whether each robot's vector equals
+    it is kept as one flag per robot.
 
     t_full is the time of the first change after which at least `required`
     robots hold a belief vector exactly equal to the truth, or None.
@@ -236,13 +237,13 @@ class ConsensusTracker:
 
     __slots__ = ("required", "t_full", "misinformed", "_m", "_truth", "_is_exact", "_exact")
 
-    def __init__(self, truth: Sequence[bool], n_robots: int, quorum: float):
+    def __init__(self, truth: BeliefVector, n_robots: int, quorum: float):
         self.required = required_quorum(n_robots, quorum)
         self.t_full: Optional[float] = None
         self.misinformed = False
-        self._m = len(truth)
-        # the packed vector of a robot that knows the truth exactly
-        self._truth = pack([2 if v else 0 for v in truth])
+        # the truth is certain at every node, so its highest set bit is node m - 1
+        self._m = (truth[0] | truth[1]).bit_length()
+        self._truth = truth
         # the all-uncertain start differs from the truth everywhere
         self._is_exact = [False] * n_robots
         self._exact = 0
@@ -301,7 +302,6 @@ class ConsensusTracker:
         agreed = [sum(t >> v & 1 for t, _ in vectors) >= self.required for v in range(self._m)]
         anomalies = [v for v in range(self._m) if anomalous >> v & 1]
         return ConsensusReport(
-            required=self.required,
             t_full_consensus=self.t_full,
             tp_consensus=bool(anomalies) and all(agreed[v] for v in anomalies),
             fp_consensus_nodes=tuple(

@@ -506,8 +506,8 @@ def dtap_auction(
     claim: list[Optional[int]],
     comm_range: float,
     params: StrategyParams,
-    group_round: bool = True,
-    nearest: Optional[Sequence[Optional[float]]] = None,
+    group_round: bool,
+    nearest: Sequence[Optional[float]],
 ) -> list[tuple[int, int]]:
     """One task-award pass; returns (robot_id, awarded node) pairs.
 
@@ -519,7 +519,8 @@ def dtap_auction(
     travel distance (ties to the lowest robot id), and losers re-propose
     against the shrunken pool. Robots holding an award sit out. Each award
     is written to `claims` (node -> robot) and `claim` (robot -> node).
-    `nearest` is nearest_peer_sq(robots), computed here when not given.
+    `group_round` says whether this pass is a group round, and `nearest` is
+    nearest_peer_sq(robots).
     """
     bidders = [r for r in robots if claim[r.id] is None]
     if not bidders:
@@ -529,8 +530,6 @@ def dtap_auction(
         return []
     w = params.task_distance_weight
     range_sq = comm_range * comm_range
-    if nearest is None:
-        nearest = nearest_peer_sq(robots)
     connected = [in_range(d2, range_sq) for d2 in nearest]
     # each bidding robot's travel distance to every node
     travel = {

@@ -1,8 +1,9 @@
 """World state and robot kinematics on the patrol graph.
 
-Holds the planted ground truth, per-robot pose and belief state, noisy node
-sensing, per-node idleness bookkeeping, and the deterministic RNG streams
-that make every run reproducible from a single integer seed.
+Builds the planted ground truth and holds per-robot pose and belief state;
+covers noisy node sensing, per-node idleness bookkeeping, and the
+deterministic RNG streams that make every run reproducible from a single
+integer seed.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .beliefs import BeliefVector, measurement_update, new_belief_vector
+from .beliefs import BeliefVector, measurement_update
 from .graph import PatrolGraph
 
 __all__ = [
     "RngStream",
-    "WorldState",
     "RobotState",
     "IdlenessTracker",
     "label_seed",
+    "single_anomaly",
     "sense",
     "max_step",
     "sample_ticks",
@@ -51,12 +52,9 @@ class RngStream:
     shifts another.
     """
 
-    __slots__ = ("master_seed", "purpose", "robot_id", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, master_seed: int, purpose: str, robot_id: int = 0):
-        self.master_seed = master_seed
-        self.purpose = purpose
-        self.robot_id = robot_id
         self._gen = np.random.default_rng(label_seed(f"{master_seed}|{purpose}|{robot_id}"))
 
     def random(self) -> float:
@@ -68,19 +66,15 @@ class RngStream:
         return int(self._gen.integers(n))
 
 
-@dataclass
-class WorldState:
-    """Ground truth over the nodes."""
+def single_anomaly(m: int, anomaly_node: int) -> BeliefVector:
+    """The ground truth over m nodes with one anomaly, as a packed vector.
 
-    truth: list[bool]
-    anomaly_node: int
-
-    @classmethod
-    def single_anomaly(cls, m: int, anomaly_node: int) -> "WorldState":
-        if not (0 <= anomaly_node < m):
-            raise ValueError(f"anomaly node {anomaly_node} outside 0..{m - 1}")
-        truth = [v == anomaly_node for v in range(m)]
-        return cls(truth=truth, anomaly_node=anomaly_node)
+    It is the vector of a robot that knows every node for certain: bit
+    anomaly_node of T, and every other bit below m of F. The caller checks
+    that anomaly_node is one of the m nodes.
+    """
+    bit = 1 << anomaly_node
+    return bit, ((1 << m) - 1) ^ bit
 
 
 @dataclass(slots=True)
@@ -130,7 +124,7 @@ class RobotState:
             y=y,
             goal=node,
             stride=stride,
-            beliefs=new_belief_vector(g.node_count),
+            beliefs=(0, 0),
         )
 
     def enter_edge(self, g: PatrolGraph, nxt: int, k: int) -> None:
@@ -260,13 +254,13 @@ def sample_ticks(dt: float, ticks: int) -> Iterator[int]:
         s += 1
 
 
-def sense(world: WorldState, node: int, noise_p: float, rng: RngStream) -> bool:
-    """Read the node's truth through a symmetric noisy channel.
+def sense(truth: BeliefVector, node: int, noise_p: float, rng: RngStream) -> bool:
+    """Read the node's bit of the packed truth through a symmetric noisy channel.
 
-    Returns truth with probability 1 - noise_p, else its negation; consumes
-    exactly one draw per call.
+    Returns whether the node is anomalous with probability 1 - noise_p, else
+    its negation; consumes exactly one draw per call.
     """
-    value = world.truth[node]
+    value = truth[0] >> node & 1 == 1
     if rng.random() < noise_p:
         return not value
     return value
@@ -290,13 +284,13 @@ def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
 def visit(
     robot: RobotState,
     tracker: IdlenessTracker,
-    world: WorldState,
+    truth: BeliefVector,
     node: int,
     t: float,
     noise_p: float,
     rng: RngStream,
 ) -> None:
     """Handle an arrival at node at time t: sense, update belief, reset idleness."""
-    observation = sense(world, node, noise_p, rng)
+    observation = sense(truth, node, noise_p, rng)
     robot.beliefs = measurement_update(robot.beliefs, node, observation)
     tracker.last_visit[node] = t

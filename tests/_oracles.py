@@ -142,8 +142,9 @@ def per_tick_dtap_class(dtap_class, auction):
     """A subclass of dtap_class that holds auction on every tick while a robot is claimless.
 
     This is DTAP's hook without a schedule: poses synced to the previous
-    tick, a group round whenever k is a multiple of the period. `auction`
-    has dtap_auction's signature.
+    tick, a group round whenever k is a multiple of the period, and each
+    robot's nearest-peer distance found by scanning every other robot.
+    `auction` has dtap_auction's signature.
     """
 
     class PerTickDTAP(dtap_class):
@@ -162,9 +163,23 @@ def per_tick_dtap_class(dtap_class, auction):
                 self.comm_range,
                 self.params,
                 k % self.period_ticks == 0,
+                nearest_sq(robots),
             )
 
     return PerTickDTAP
+
+
+def nearest_sq(robots):
+    """Each robot's least squared plane distance to any other robot; None if alone."""
+    out = []
+    for r in robots:
+        d2 = []
+        for o in robots:
+            if o is not r:
+                dx, dy = r.x - o.x, r.y - o.y
+                d2.append(dx * dx + dy * dy)
+        out.append(min(d2, default=None))
+    return out
 
 
 def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):
@@ -222,6 +237,18 @@ def fuse_lists(u: Sequence[int], v: Sequence[int]) -> list[int]:
     if len(u) != len(v):
         raise ValueError(f"belief vector length mismatch: {len(u)} != {len(v)}")
     return [min(max(a + b - 1, 0), 2) for a, b in zip(u, v)]
+
+
+def pack(values: Sequence[int]) -> tuple[int, int]:
+    """The packed (T, F) vector of a half-unit list, node 0 first: bit v of T
+    for each 2, bit v of F for each 0."""
+    t = sum(1 << node for node, b in enumerate(values) if b == 2)
+    return t, sum(1 << node for node, b in enumerate(values) if b == 0)
+
+
+def pack_truth(truth: Sequence[bool]) -> tuple[int, int]:
+    """The packed vector of a boolean ground truth, certain at every node."""
+    return pack([2 if v else 0 for v in truth])
 
 
 def unpack(vector, m: int) -> list[int]:

@@ -17,8 +17,16 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from _oracles import brute_f_score, brute_system_error, eigenvalues_by_charpoly
-from swarmpatrol.beliefs import Belief, fuse, pack
+from _oracles import (
+    brute_f_score,
+    brute_system_error,
+    eigenvalues_by_charpoly,
+    fuse_lists,
+    pack,
+    pack_truth,
+    unpack,
+)
+from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.harness import ExperimentConfig, RunRecord, load_map, run_matrix
 from swarmpatrol.metrics import (
     CommGraph,
@@ -30,7 +38,7 @@ from swarmpatrol.metrics import (
     system_error,
 )
 
-F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
+F, U, T = 0, 1, 2  # half-units of truth
 
 HIGH_GROUP = ("CR", "HCR", "HPCC", "CGG")
 LOW_GROUP = ("DTAG", "DTAP")
@@ -71,6 +79,11 @@ def _mean(xs):
 # ---------------------------------------------------------------------------
 
 
+def _fuse(a, b):
+    # one node's fusion, read off fuse_vectors on one-node vectors
+    return unpack(fuse_vectors(pack([a]), pack([b])), 1)[0]
+
+
 def test_fusion_operator_is_exact(check):
     t0 = time.perf_counter()
     table = {
@@ -78,11 +91,13 @@ def test_fusion_operator_is_exact(check):
         (U, F): F, (U, U): U, (U, T): T,
         (T, F): U, (T, U): T, (T, T): T,
     }
-    cells_ok = all(fuse(a, b) is want for (a, b), want in table.items())
-    clamp_ok = all(
-        fuse(a, b) == min(max(a + b - 1, 0), 2) for a, b in product((0, 1, 2), repeat=2)
+    cells_ok = all(
+        _fuse(a, b) == want and fuse_lists([a], [b]) == [want] for (a, b), want in table.items()
     )
-    witness_ok = fuse(fuse(F, T), T) != fuse(F, fuse(T, T))
+    clamp_ok = all(
+        _fuse(a, b) == min(max(a + b - 1, 0), 2) for a, b in product((0, 1, 2), repeat=2)
+    )
+    witness_ok = _fuse(_fuse(F, T), T) != _fuse(F, _fuse(T, T))
     elapsed = time.perf_counter() - t0
     check(
         "belief fusion: 9-cell table exact, clamp-equivalent, non-associative",
@@ -127,7 +142,7 @@ def test_error_and_fscore_formulas_brute_forced(check):
         m = int(rng.integers(1, 41))
         vectors = [[int(b) for b in rng.integers(0, 3, size=m)] for _ in range(n_robots)]
         truth = [bool(v) for v in rng.integers(0, 2, size=m)]
-        counts = classify([pack(row) for row in vectors], truth)
+        counts = classify([pack(row) for row in vectors], pack_truth(truth))
         if system_error(counts) != brute_system_error(vectors, truth):
             mismatches += 1
         elif f_score(counts) != brute_f_score(vectors, truth):

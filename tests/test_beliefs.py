@@ -1,25 +1,17 @@
-"""Belief algebra: fusion table, packed vectors and their helpers against list oracles."""
+"""Packed belief vectors: the fusion table, fusion, sensing and renderings against list oracles."""
 
 from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fuse_lists, list_digest, unpack
-from swarmpatrol.beliefs import (
-    Belief,
-    belief_at,
-    digest,
-    format_belief,
-    fuse,
-    fuse_vectors,
-    measurement_update,
-    new_belief_vector,
-    pack,
-)
+from _oracles import fuse_lists, list_digest, pack, unpack
+from swarmpatrol.beliefs import digest, format_belief, fuse_vectors, measurement_update
+from swarmpatrol.graph import parse_map
+from swarmpatrol.world import RobotState
 
-F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
+# half-units of truth: certain-false, uncertain, certain-true
+F, U, T = 0, 1, 2
 
 # full fusion table: conflicting certainties soften to uncertain, uncertain
 # is the identity, agreement is absorbing
@@ -36,9 +28,15 @@ FUSION_TABLE = {
 }
 
 
+def fuse(a, b):
+    """One node's fusion, read off fuse_vectors on one-node vectors."""
+    return unpack(fuse_vectors(pack([a]), pack([b])), 1)[0]
+
+
 def test_fusion_table_all_nine_cells():
     for (a, b), want in FUSION_TABLE.items():
-        assert fuse(a, b) is want
+        assert fuse(a, b) == want
+        assert fuse_lists([a], [b]) == [want]
 
 
 def test_fuse_equals_clamped_sum():
@@ -47,23 +45,20 @@ def test_fuse_equals_clamped_sum():
         assert fuse(a, b) == min(max(a + b - 1, 0), 2)
 
 
-def test_fuse_returns_belief_enum():
-    assert all(isinstance(fuse(a, b), Belief) for a, b in product((0, 1, 2), repeat=2))
-
-
 def test_fuse_commutative_idempotent_identity():
     for a, b in product((F, U, T), repeat=2):
         assert fuse(a, b) == fuse(b, a)
     for a in (F, U, T):
-        assert fuse(a, a) is a
-        assert fuse(U, a) is a
+        assert fuse(a, a) == a
+        assert fuse(U, a) == a
 
 
 def test_fuse_is_not_associative():
     # (F + T) + T = T but F + (T + T) = U
-    assert fuse(fuse(F, T), T) is T
-    assert fuse(F, fuse(T, T)) is U
+    assert fuse(fuse(F, T), T) == T
+    assert fuse(F, fuse(T, T)) == U
     assert fuse(fuse(F, T), T) != fuse(F, fuse(T, T))
+    assert fuse_lists(fuse_lists([F], [T]), [T]) != fuse_lists([F], fuse_lists([T], [T]))
 
 
 def test_pack_sets_one_bit_per_certain_node():
@@ -76,8 +71,7 @@ def test_pack_sets_one_bit_per_certain_node():
 def test_fuse_vectors_elementwise():
     got = fuse_vectors(pack([F, F, T, U]), pack([T, U, T, U]))
     assert got == pack([U, F, T, U])
-    assert [belief_at(got, v) for v in range(4)] == [U, F, T, U]
-    assert all(isinstance(belief_at(got, v), Belief) for v in range(4))
+    assert [format_belief(got, v) for v in range(4)] == ["0.5", "0", "1", "0.5"]
 
 
 @given(
@@ -87,7 +81,7 @@ def test_fuse_vectors_elementwise():
 def test_fuse_vectors_matches_scalar_fuse(u, data):
     v = data.draw(st.lists(st.sampled_from([F, U, T]), min_size=len(u), max_size=len(u)))
     fused = fuse_vectors(pack(u), pack(v))
-    assert unpack(fused, len(u)) == [fuse(a, b) for a, b in zip(u, v)]
+    assert unpack(fused, len(u)) == [FUSION_TABLE[a, b] for a, b in zip(u, v)]
     assert fused == fuse_vectors(pack(v), pack(u))
 
 
@@ -126,11 +120,11 @@ def test_measurement_update_matches_list_oracle(m, data):
     observation = data.draw(st.booleans())
     updated = measurement_update(pack(prior), node, observation)
     want = list(prior)
-    want[node] = fuse(prior[node], 2 if observation else 0)
+    [want[node]] = fuse_lists([prior[node]], [2 if observation else 0])
     assert _is_packed_over(updated, m)
     assert unpack(updated, m) == want
     assert updated == fuse_vectors(pack(prior), pack([1] * node + [2 if observation else 0]))
-    assert belief_at(updated, node) is Belief(want[node])
+    assert format_belief(updated, node) == ("0", "0.5", "1")[want[node]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,19 +150,17 @@ def test_measurement_update_confirming_reading_keeps():
 
 
 def test_new_belief_vector_all_uncertain():
-    vec = new_belief_vector(5)
+    # a robot starts out uncertain about every node
+    g = parse_map("node 0 0 0\nnode 1 1 0\nnode 2 2 0\nedge 0 1\nedge 1 2\n")
+    vec = RobotState.at_node(0, g, 1, stride=0.1).beliefs
     assert vec == (0, 0)
-    assert all(belief_at(vec, v) is U for v in range(5))
-
-
-def test_new_belief_vector_rejects_non_positive():
-    for m in (0, -3):
-        with pytest.raises(ValueError):
-            new_belief_vector(m)
+    assert unpack(vec, 3) == [U, U, U]
+    assert [format_belief(vec, v) for v in range(3)] == ["0.5"] * 3
 
 
 def test_format_belief():
-    assert [format_belief(b) for b in (F, U, T)] == ["0", "0.5", "1"]
+    vec = pack([F, U, T])
+    assert [format_belief(vec, v) for v in range(3)] == ["0", "0.5", "1"]
 
 
 def test_digest():

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eligible_pairs, fuse_lists, unpack
+from _oracles import eligible_pairs, fuse_lists, pack, unpack
 from swarmpatrol import comms
-from swarmpatrol.beliefs import Belief, belief_at, fuse_vectors, new_belief_vector, pack
+from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.comms import CommState, closing_ticks, tick_comms
 from swarmpatrol.graph import parse_map
-from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, WorldState, max_step, visit
+from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, max_step, visit
 
-F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
+F, U, T = 0, 1, 2  # half-units of truth
 
 DT = 0.1
 
@@ -104,7 +104,7 @@ class _Probe:
         self.id = rid
         self.pos_x = x
         self.y = 0.0
-        self.beliefs = new_belief_vector(1)
+        self.beliefs = (0, 0)
         self.reads = 0
         self.synced = []
 
@@ -355,9 +355,9 @@ def test_tick_comms_matches_brute_force_scan(case):
 
 def _visit_false_reading(robot, node):
     # a noiseless visit to a node of the all-normal world reads false; returns the new belief
-    world = WorldState(truth=[False] * 3, anomaly_node=0)
-    visit(robot, IdlenessTracker(3), world, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
-    return belief_at(robot.beliefs, node)
+    truth = pack([F, F, F])
+    visit(robot, IdlenessTracker(3), truth, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
+    return unpack(robot.beliefs, 3)[node]
 
 
 def test_exchange_fuses_both_ways_without_aliasing():
@@ -370,9 +370,9 @@ def test_exchange_fuses_both_ways_without_aliasing():
     assert ri.beliefs == pack([T, U, U])
     assert rj.beliefs == pack([T, U, U])
     # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(ri, 0) is U
+    assert _visit_false_reading(ri, 0) == U
     assert ri.beliefs == pack([U, U, U])
-    assert belief_at(rj.beliefs, 0) is T
+    assert unpack(rj.beliefs, 3)[0] == T
     assert rj.beliefs == fused == pack([T, U, U])
     assert state.last == [42.0]
     assert state.exchanges == [1]
@@ -394,7 +394,7 @@ def test_exchange_between_agreeing_robots_skips_fusion(monkeypatch):
     assert state.last == [42.0]
     assert state.exchanges == [1]
     # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(rj, 2) is F
+    assert _visit_false_reading(rj, 2) == F
     assert ri.beliefs == pack([T, F, U])
     assert rj.beliefs == pack([T, F, F])
     rj.beliefs = pack([U, F, U])
@@ -417,7 +417,7 @@ def test_tick_comms_triples_carry_each_exchange_own_vector(data):
     robots = _robots_at(*[(float(i), 0.0) for i in range(n)])
     for r, v in zip(robots, vectors):
         r.beliefs = pack(v)
-    held = [[int(b) for b in v] for v in vectors]
+    held = [list(v) for v in vectors]
     want = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -141,6 +141,28 @@ def test_graph_rejects_bad_edges(edges):
         PatrolGraph(coords, edges)
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_graph_rejects_non_finite_coordinates(axis, value):
+    # edge lengths are given, so no distance is ever computed from the pose
+    point = [1.0, 0.0]
+    point[axis] = value
+    with pytest.raises(GraphValidationError, match="node 1 has a non-finite coordinate"):
+        PatrolGraph([(0.0, 0.0), tuple(point), (2.0, 0.0)], [(0, 1, 1.0), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_parse_map_rejects_non_finite_coordinates(token, axis):
+    x, y = (token, "0") if axis == "x" else ("0", token)
+    text = f"node 0 {x} {y}\nnode 1 1 0\nnode 2 2 0\nedge 0 1 1.0\nedge 1 2 1.0\n"
+    with pytest.raises(MapFormatError, match="node 0 has a non-finite coordinate"):
+        parse_map(text)
+
+
 def test_neighbors_sorted_and_degree():
     g = _diamond()
     assert [v for v, _ in g.neighbors(0)] == [1, 2]

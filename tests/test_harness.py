@@ -4,8 +4,10 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import math
+import pkgutil
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +23,7 @@ from _oracles import (
     per_tick_dtap_class,
     per_tick_robot_class,
 )
+import swarmpatrol
 from swarmpatrol import comms, harness
 from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
@@ -257,6 +260,13 @@ def test_run_one_start_node_out_of_range():
     cfg = _micro_cfg(start_node=7)
     with pytest.raises(ConfigError):
         run_one(cfg, g, StrategyKind.CR, 0.0, 0)
+
+
+@pytest.mark.parametrize("node", [-1, 3])
+def test_run_one_anomaly_node_out_of_range(node):
+    g = parse_map(PATH3)
+    with pytest.raises(ConfigError, match=f"anomaly_node {node} outside"):
+        run_one(_micro_cfg(anomaly_node=node), g, StrategyKind.CR, 0.0, 0)
 
 
 def test_run_one_step_may_equal_the_shortest_edge():
@@ -981,6 +991,7 @@ def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monke
         ("map = {tmp}/split.map", "connected"),
         ("map = {tmp}/garbled.map", "line 2"),
         ("map = {tmp}/binary.map", "decode"),
+        ("map = {tmp}/nan.map", "node 1 has a non-finite coordinate"),
         ("map_seed = -1", "map_seed"),
         ("duration = nan", "duration"),
         ("duration = inf", "duration"),
@@ -999,6 +1010,10 @@ def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
     (tmp_path / "split.map").write_text(PATH3 + "node 3 9 9\n")
     (tmp_path / "garbled.map").write_text("node 0 0 0\nnode 1 x 0\n")
     (tmp_path / "binary.map").write_bytes(b"\xff\xfe node")
+    # explicit lengths: no edge length is derived from the NaN pose
+    (tmp_path / "nan.map").write_text(
+        "node 0 0 0\nnode 1 nan 0\nnode 2 2 0\nedge 0 1 1.0\nedge 1 2 1.0\n"
+    )
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "duration = 10\nreps = 1\nstrategies = cr\nnoises = 0\n"
@@ -1122,3 +1137,21 @@ def test_cli_strategy_and_noise_overrides(tmp_path):
     assert [r.strategy for r in records] == ["RAND"]
     assert records[0].noise == 0.2
     assert records[0].seed == cell_seed(11, "RAND", 0.2, 0)
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in an __all__ would only fail a
+    # star import; read every export of the package and of each submodule
+    modules = [swarmpatrol] + [
+        importlib.import_module(f"swarmpatrol.{info.name}")
+        for info in pkgutil.iter_modules(swarmpatrol.__path__)
+    ]
+    assert len(modules) == 9
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

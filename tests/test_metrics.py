@@ -16,9 +16,11 @@ from _oracles import (
     contact_weights,
     eigenvalues_by_charpoly,
     fuse_lists,
+    pack,
+    pack_truth,
     unpack,
 )
-from swarmpatrol.beliefs import fuse_vectors, new_belief_vector, pack
+from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.metrics import (
     CommGraph,
     ConfusionCounts,
@@ -42,7 +44,7 @@ def _packed(vectors):
 
 
 def test_classify_buckets_each_entry():
-    counts = classify(_packed([[2, 0], [1, 2], [0, 1]]), [True, False])
+    counts = classify(_packed([[2, 0], [1, 2], [0, 1]]), pack_truth([True, False]))
     assert counts == ConfusionCounts(tp=1, tn=1, fp=1, fn=1, u=2)
     assert counts.total == 6
 
@@ -52,16 +54,16 @@ def test_classify_length_mismatch():
     # truth's last one, or a node both certain-true and certain-false, is not
     # a vector over the truth's nodes
     with pytest.raises(ValueError):
-        classify(_packed([[2, 0, 2]]), [True, False])
+        classify(_packed([[2, 0, 2]]), pack_truth([True, False]))
     with pytest.raises(ValueError):
-        classify(_packed([[1, 1, 0]]), [True, False])
+        classify(_packed([[1, 1, 0]]), pack_truth([True, False]))
     with pytest.raises(ValueError):
-        classify([(0b01, 0b01)], [True, False])
+        classify([(0b01, 0b01)], pack_truth([True, False]))
 
 
 def test_small_example_exact_values():
     vectors = _packed([[2, 0], [1, 2]])
-    truth = [True, False]
+    truth = pack_truth([True, False])
     assert system_error(classify(vectors, truth)) == Fraction(3, 8)
     assert f_score(classify(vectors, truth)) == Fraction(8, 11)
 
@@ -77,22 +79,22 @@ def test_fleet_example_exact_values():
         if r < 4:
             row[2] = 2
         vectors.append(row)
-    counts = classify(_packed(vectors), truth)
+    counts = classify(_packed(vectors), pack_truth(truth))
     assert counts == ConfusionCounts(tp=8, tn=300, fp=4, fn=0, u=8)
     assert f_score(counts) == Fraction(616, 624) == Fraction(77, 78)
     assert system_error(counts) == Fraction(1, 40)
 
 
 def test_all_uncertain_scores_zero():
-    vectors = [new_belief_vector(3)] * 4
-    truth = [False, True, False]
+    vectors = [(0, 0)] * 4
+    truth = pack_truth([False, True, False])
     assert f_score(classify(vectors, truth)) == Fraction(0)
     assert system_error(classify(vectors, truth)) == Fraction(1, 2)
 
 
 def test_results_are_exact_fractions():
     vectors = _packed([[2, 1, 0]])
-    truth = [True, False, False]
+    truth = pack_truth([True, False, False])
     assert isinstance(system_error(classify(vectors, truth)), Fraction)
     assert isinstance(f_score(classify(vectors, truth)), Fraction)
 
@@ -109,7 +111,7 @@ def test_error_and_fscore_match_brute_force(n_robots, m, data):
         for _ in range(n_robots)
     ]
     truth = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    counts = classify(_packed(vectors), truth)
+    counts = classify(_packed(vectors), pack_truth(truth))
     assert system_error(counts) == brute_system_error(vectors, truth)
     assert (counts.tp, counts.tn, counts.fp, counts.fn, counts.u) == brute_confusion(
         vectors, truth
@@ -283,9 +285,9 @@ def test_required_quorum_values():
 
 def test_tiny_quorum_is_not_reached_by_uncertain_robots():
     truth = [False, True, False]
-    tracker = ConsensusTracker(truth, 8, 1e-11)
-    report = tracker.report([new_belief_vector(3) for _ in range(8)])
-    assert report.required == 1
+    tracker = ConsensusTracker(pack_truth(truth), 8, 1e-11)
+    report = tracker.report([(0, 0)] * 8)
+    assert tracker.required == 1
     assert report.t_full_consensus is None
     assert not report.tp_consensus
     assert report.fp_consensus_nodes == ()
@@ -298,15 +300,15 @@ def test_required_quorum_rejects_bad_fraction():
 
 
 def _track(m, n_robots, truth, events, quorum, mark_agreeing=False):
-    """Feed a ConsensusTracker the way run_one does; return (report, misinformed).
+    """Feed a ConsensusTracker the way run_one does; return (report, misinformed, required).
 
     events are ("visit", t, robot, node, belief) and ("comm", t, i, j), as
     the brute-force replay reads them. With mark_agreeing, an exchange
     between robots that hold equal vectors is fed as (i, j, None), as
     tick_comms reports it; otherwise every exchange is fed its fused vector.
     """
-    tracker = ConsensusTracker(truth, n_robots, quorum)
-    vectors = [new_belief_vector(m) for _ in range(n_robots)]
+    tracker = ConsensusTracker(pack_truth(truth), n_robots, quorum)
+    vectors = [(0, 0)] * n_robots
     for kind, t, a, b, *rest in events:
         if kind == "visit":
             values = unpack(vectors[a], m)
@@ -318,7 +320,7 @@ def _track(m, n_robots, truth, events, quorum, mark_agreeing=False):
         else:
             fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
             tracker.exchanged(t, [(a, b, fused)])
-    return tracker.report(vectors), tracker.misinformed
+    return tracker.report(vectors), tracker.misinformed, tracker.required
 
 
 def _seed_events():
@@ -334,8 +336,8 @@ def _seed_events():
 
 def test_consensus_replay_frozen_scenario():
     truth = [False, True, False]
-    report, misinformed = _track(3, 3, truth, _seed_events(), 1.0)
-    assert report.required == 3
+    report, misinformed, required = _track(3, 3, truth, _seed_events(), 1.0)
+    assert required == 3
     assert report.t_full_consensus == 5.0
     assert report.tp_consensus is True
     assert report.fp_consensus_nodes == ()
@@ -346,15 +348,15 @@ def test_consensus_replay_frozen_scenario():
 def test_consensus_time_respects_quorum_size():
     truth = [False, True, False]
     # 2 of 3 robots exact already after the first exchange
-    report, _ = _track(3, 3, truth, _seed_events(), 0.6)
-    assert report.required == 2
+    report, _, required = _track(3, 3, truth, _seed_events(), 0.6)
+    assert required == 2
     assert report.t_full_consensus == 4.0
 
 
 def test_consensus_never_reached_is_none():
     truth = [False, True, False]
     events = [("visit", 1.0, 0, 1, 2)]
-    report, _ = _track(3, 3, truth, events, 1.0)
+    report, _, _ = _track(3, 3, truth, events, 1.0)
     assert report.t_full_consensus is None
     assert report.tp_consensus is False
 
@@ -362,7 +364,7 @@ def test_consensus_never_reached_is_none():
 def test_false_positive_consensus_detected():
     truth = [False, True, False]
     events = [("visit", float(r + 1), r, 0, 2) for r in range(3)]
-    report, misinformed = _track(3, 3, truth, events, 0.85)
+    report, misinformed, _ = _track(3, 3, truth, events, 0.85)
     assert report.fp_consensus_nodes == (0,)
     assert report.fp_consensus_count == 1
     assert report.tp_consensus is False
@@ -431,8 +433,8 @@ _QUORUM_LOST_IN_TICK = (
 @given(case=_belief_event_streams())
 def test_tracker_matches_brute_force_replay(case):
     m, n_robots, truth, required, events = case
-    report, misinformed = _track(m, n_robots, truth, events, required / n_robots)
-    assert report.required == required
+    report, misinformed, tracked_required = _track(m, n_robots, truth, events, required / n_robots)
+    assert tracked_required == required
     assert (
         report.t_full_consensus,
         report.tp_consensus,
@@ -496,14 +498,14 @@ def test_tracker_flags_match_list_oracle(m, data):
     # one robot, quorum of one: the visit completes it exactly when the
     # vector equals the truth, and misinforms when the node's belief is
     # certain and wrong
-    tracker = ConsensusTracker(truth, 1, 1.0)
+    tracker = ConsensusTracker(pack_truth(truth), 1, 1.0)
     tracker.visited(1.0, 0, node, pack(values))
     assert (tracker.t_full is not None) == (values == want)
     assert tracker.misinformed == (values[node] not in (1, want[node]))
     # two robots, quorum of two: an exchange completes it exactly when the
     # fused vector equals the truth
     other = data.draw(_near_truth(truth))
-    tracker = ConsensusTracker(truth, 2, 1.0)
+    tracker = ConsensusTracker(pack_truth(truth), 2, 1.0)
     fused = fuse_vectors(pack(values), pack(other))
     tracker.exchanged(2.0, [(0, 1, fused)])
     assert (tracker.t_full is not None) == (fuse_lists(values, other) == want)

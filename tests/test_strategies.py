@@ -424,7 +424,7 @@ def test_auction_collision_goes_to_nearest_then_loser_reproposes():
     g, params, dtap, robots = _auction_setup([1, 2])
     idleness = [0.0, 0.0, 0.0, 50.0]
     awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=True
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, True, nearest_peer_sq(robots)
     )
     # both want node 3 (50 - 7*travel); robot 1 is 2 m closer and wins,
     # robot 0 settles for its best leftover
@@ -438,7 +438,7 @@ def test_auction_connected_bidders_wait_for_group_round():
     g, params, dtap, robots = _auction_setup([1, 2])
     idleness = [0.0, 0.0, 0.0, 50.0]
     awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=False
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, False, nearest_peer_sq(robots)
     )
     assert awards == []
     assert dtap.claims == {}
@@ -449,7 +449,7 @@ def test_auction_isolated_bidders_self_award_immediately():
     g, params, dtap, robots = _auction_setup([0, 3])
     idleness = [0.0, 0.0, 0.0, 50.0]
     awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=False
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, False, nearest_peer_sq(robots)
     )
     assert awards == [(0, 3), (1, 2)]
     assert dtap.claims == {3: 0, 2: 1}
@@ -461,7 +461,7 @@ def test_auction_skips_robots_holding_awards():
     dtap.claim[0] = 0
     idleness = [0.0, 0.0, 0.0, 50.0]
     awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, group_round=True
+        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, True, nearest_peer_sq(robots)
     )
     assert awards == [(1, 3)]
     assert dtap.claim[0] == 0
@@ -472,7 +472,12 @@ def test_auction_no_bidders_is_a_noop():
     for i in range(2):
         dtap.claim[i] = i
         dtap.claims[i] = i
-    assert dtap_auction(robots, g, [0.0] * 4, dtap.claims, dtap.claim, 5.0, params) == []
+    for group_round in (True, False):
+        awards = dtap_auction(
+            robots, g, [0.0] * 4, dtap.claims, dtap.claim, 5.0, params, group_round,
+            nearest_peer_sq(robots),
+        )
+        assert awards == []
 
 
 def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):

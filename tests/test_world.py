@@ -6,23 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_tick_robot_class
+from _oracles import pack, per_tick_robot_class, unpack
 from swarmpatrol import world
-from swarmpatrol.beliefs import Belief, belief_at, pack
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import retarget
 from swarmpatrol.world import (
     IdlenessTracker,
     RngStream,
     RobotState,
-    WorldState,
     max_step,
     sample_ticks,
     sense,
+    single_anomaly,
     visit,
 )
 
-F, U, T = Belief.FALSE, Belief.UNCERTAIN, Belief.TRUE
+F, U, T = 0, 1, 2  # half-units of truth
 
 
 def _line_graph():
@@ -62,16 +61,10 @@ def test_rng_index_range():
 
 
 def test_single_anomaly_truth_vector():
-    w = WorldState.single_anomaly(5, 3)
-    assert w.truth == [False, False, False, True, False]
-    assert w.anomaly_node == 3
-
-
-def test_single_anomaly_rejects_bad_node():
-    with pytest.raises(ValueError):
-        WorldState.single_anomaly(5, 5)
-    with pytest.raises(ValueError):
-        WorldState.single_anomaly(5, -1)
+    w = single_anomaly(5, 3)
+    assert w == pack([F, F, F, T, F])
+    assert unpack(w, 5) == [F, F, F, T, F]
+    assert single_anomaly(1, 0) == pack([T])
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +73,19 @@ def test_single_anomaly_rejects_bad_node():
 
 
 def test_sense_is_exact_at_zero_noise():
-    w = WorldState.single_anomaly(4, 2)
+    w = single_anomaly(4, 2)
     rng = RngStream(9, "sense", 0)
-    assert all(sense(w, v, 0.0, rng) == w.truth[v] for v in range(4) for _ in range(5))
+    assert all(sense(w, v, 0.0, rng) is (v == 2) for v in range(4) for _ in range(5))
 
 
 def test_sense_always_flips_at_full_noise():
-    w = WorldState.single_anomaly(4, 2)
+    w = single_anomaly(4, 2)
     rng = RngStream(9, "sense", 0)
-    assert all(sense(w, v, 1.0, rng) == (not w.truth[v]) for v in range(4))
+    assert all(sense(w, v, 1.0, rng) is (v != 2) for v in range(4))
 
 
 def test_sense_consumes_exactly_one_draw():
-    w = WorldState.single_anomaly(4, 2)
+    w = single_anomaly(4, 2)
     rng = RngStream(9, "sense", 0)
     ref = RngStream(9, "sense", 0)
     ref.random()
@@ -101,7 +94,7 @@ def test_sense_consumes_exactly_one_draw():
 
 
 def test_sense_flip_rate_tracks_noise():
-    w = WorldState.single_anomaly(2, 1)
+    w = single_anomaly(2, 1)
     rng = RngStream(11, "sense", 0)
     flips = sum(1 for _ in range(4000) if sense(w, 0, 0.25, rng))
     assert 0.20 < flips / 4000 < 0.30
@@ -364,12 +357,12 @@ def test_graph_idleness_mean():
 
 def test_visit_updates_belief_and_idleness():
     g = _line_graph()
-    w = WorldState.single_anomaly(3, 1)
+    w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
     r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
     assert visit(r, tr, w, 1, 7.0, 0.0, rng) is None
-    assert belief_at(r.beliefs, 1) is T
+    assert unpack(r.beliefs, 3)[1] == T
     assert 7.0 - tr.last_visit[1] == 0.0
     visit(r, tr, w, 0, 7.0, 0.0, rng)
     assert r.beliefs == pack([F, T, U])
@@ -377,20 +370,20 @@ def test_visit_updates_belief_and_idleness():
 
 def test_visit_contrary_reading_softens_belief():
     g = _line_graph()
-    w = WorldState.single_anomaly(3, 1)
+    w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
     r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
     r.beliefs = pack([U, F, U])  # previously misled
     visit(r, tr, w, 1, 0.0, 0.0, rng)
-    assert belief_at(r.beliefs, 1) is U  # true reading against false prior
+    assert unpack(r.beliefs, 3)[1] == U  # true reading against false prior
 
 
 def test_visit_by_one_robot_leaves_another_unchanged():
     # robots start with equal vectors, and an exchange leaves both holding
     # the same one; a visit replaces the visiting robot's vector only
     g = _line_graph()
-    w = WorldState.single_anomaly(3, 1)
+    w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
     a, b = (RobotState.at_node(i, g, 1, stride=0.1) for i in range(2))
     rng = RngStream(3, "sense", 0)
