@@ -636,9 +636,11 @@ def _within(
 def read_runs_csv(path: Path) -> list[RunRecord]:
     """Read a runs.csv back; a value write_runs_csv never writes is a ConfigError.
 
-    Numbers must be finite; noise, final_error and f_score lie in [0, 1],
-    avg_graph_idleness and lambda2 are at least 0, t_consensus is empty or
-    positive, tp_consensus is 0 or 1 and fp_consensus_count at least 0.
+    strategy is a StrategyKind value and seed lies in [0, 2**64 - 1], as
+    label_seed makes them. Numbers must be finite; noise, final_error and
+    f_score lie in [0, 1], avg_graph_idleness and lambda2 are at least 0,
+    t_consensus is empty or positive, tp_consensus is 0 or 1 and
+    fp_consensus_count at least 0.
     """
     records: list[RunRecord] = []
     with open(path, newline="") as fh:
@@ -652,9 +654,9 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
                     raise ValueError("t_consensus 0.0 is not positive")
                 records.append(
                     RunRecord(
-                        strategy=row["strategy"],
+                        strategy=StrategyKind(row["strategy"]).value,
                         noise=_within(row, "noise", 1),
-                        seed=int(row["seed"]),
+                        seed=_within(row, "seed", 2**64 - 1, int),
                         avg_graph_idleness=_within(row, "avg_graph_idleness"),
                         final_error=_within(row, "final_error", 1),
                         f_score=_within(row, "f_score", 1),
@@ -664,7 +666,7 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
                         fp_consensus_count=_within(row, "fp_consensus_count", parse=int),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{reader.line_num}: bad row: {exc}") from None
     return records
 

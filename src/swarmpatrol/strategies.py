@@ -30,8 +30,6 @@ __all__ = [
     "Policy",
     "POLICIES",
     "decide_next",
-    "dtap_auction",
-    "in_range",
     "nearest_peer_sq",
     "retarget",
     "travel_distances",
@@ -344,11 +342,21 @@ class DTAG(_ClaimPolicy):
 class DTAP(_ClaimPolicy):
     """Tasks are awarded by a periodic auction; between tasks, patrol as CR.
 
-    The auction is held only on ticks where it could award something. Only
-    a claimless robot can win, and between group rounds only one out of
-    range of every other robot; an auction that awards nothing changes
-    nothing. So after each auction the hook is next due on the next tick
-    if a claimless robot is out of range of everyone, and otherwise on the
+    A claimless robot values node v at idleness(v) minus the weighted
+    travel distance to v. Robots within communication range of at least
+    one other robot wait for a group round (every period): each proposes
+    its best unclaimed node, collisions go to the lowest travel distance
+    (ties to the lowest robot id), and losers re-propose against the
+    shrunken pool. A claimless robot out of range of everyone is an
+    auction of one, held on every tick: it proposes its best node and
+    wins it. Isolated robots bid after the group round, in id order.
+
+    The auction is held only on ticks where it could award something, and
+    it and that schedule read one `connected` list, each robot's range
+    test against its nearest peer. Only a claimless robot can win, and
+    between group rounds only an isolated one; an auction that awards
+    nothing changes nothing. So after each auction the hook is next due on
+    the next tick if a claimless robot is isolated, and otherwise on the
     next group round or the first tick on which a claimless robot could
     have lost its last peer, whichever comes first. Robots move at most
     max_step in the plane a tick (the run's world.max_step, which the
@@ -378,33 +386,69 @@ class DTAP(_ClaimPolicy):
         for r in robots:
             r.sync(k - 1)
         nearest = nearest_peer_sq(robots)
-        awards = dtap_auction(
-            robots,
-            self.g,
-            [t - lv for lv in last_visit],
-            self.claims,
-            self.claim,
-            self.comm_range,
-            self.params,
-            k % self.period_ticks == 0,
-            nearest=nearest,
+        range_sq = self.comm_range * self.comm_range
+        connected = [d2 is not None and d2 <= range_sq for d2 in nearest]
+        awards = self._auction(
+            robots, [t - lv for lv in last_visit], k % self.period_ticks == 0, connected
         )
-        self._due = self._next_auction(k, robots, nearest)
+        self._due = self._next_auction(k, nearest, connected)
+        return awards
+
+    def _auction(
+        self,
+        robots: Sequence[RobotState],
+        idleness: Sequence[float],
+        group_round: bool,
+        connected: Sequence[bool],
+    ) -> list[tuple[int, int]]:
+        """Hold the group round, if this is one, then each isolated robot's round.
+
+        Returns the (robot_id, node) awards, each also written to `claims`
+        (node -> robot) and `claim` (robot -> node).
+        """
+        claims, claim = self.claims, self.claim
+        unclaimed = [v for v in range(self.g.node_count) if v not in claims]
+        if not unclaimed:
+            return []
+        bidders = [r for r in robots if claim[r.id] is None]
+        rounds = [[r for r in bidders if connected[r.id]]] if group_round else []
+        rounds += [[r] for r in bidders if not connected[r.id]]
+        w = self.params.task_distance_weight
+        # each bidding robot's travel distance to every node
+        travel = {r.id: travel_distances(r, self.g) for group in rounds for r in group}
+        awards: list[tuple[int, int]] = []
+        for group in rounds:
+            while group and unclaimed:
+                proposals: dict[int, list[RobotState]] = {}
+                for r in group:
+                    pool = [v for v in unclaimed if v != r.node]
+                    if not pool:
+                        continue
+                    row = travel[r.id]
+                    best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
+                    proposals.setdefault(best_v, []).append(r)
+                if not proposals:
+                    break
+                group = []
+                for v, rs in sorted(proposals.items()):
+                    winner = min(rs, key=lambda r: (travel[r.id][v], r.id))
+                    claims[v] = winner.id
+                    claim[winner.id] = v
+                    awards.append((winner.id, v))
+                    unclaimed.remove(v)
+                    group.extend(r for r in rs if r is not winner)
         return awards
 
     def _next_auction(
-        self, k: int, robots: Sequence[RobotState], nearest: Sequence[Optional[float]]
+        self, k: int, nearest: Sequence[Optional[float]], connected: Sequence[bool]
     ) -> int:
         """Earliest tick after k whose auction could award something, from the poses of k - 1."""
-        range_m = self.comm_range
-        range_sq = range_m * range_m
         due = (k // self.period_ticks + 1) * self.period_ticks
-        for r in robots:
-            if self.claim[r.id] is None:
-                d2 = nearest[r.id]
-                if not in_range(d2, range_sq):
+        for i, d2 in enumerate(nearest):
+            if self.claim[i] is None:
+                if not connected[i]:
                     return k + 1
-                keep = closing_ticks(range_m - math.sqrt(d2), self.max_step, due - k - 1)
+                keep = closing_ticks(self.comm_range - math.sqrt(d2), self.max_step, due - k - 1)
                 due = k + max(keep, 0) + 1
         return due
 
@@ -441,7 +485,7 @@ def decide_next(
 
 
 # ---------------------------------------------------------------------------
-# pose-aware travel and the DTAP task auction
+# pose-aware travel and the nearest peer
 # ---------------------------------------------------------------------------
 
 
@@ -491,84 +535,3 @@ def nearest_peer_sq(robots: Sequence[RobotState]) -> list[Optional[float]]:
             if nearest[j] is None or d2 < nearest[j]:
                 nearest[j] = d2
     return nearest
-
-
-def in_range(d2: Optional[float], range_sq: float) -> bool:
-    """The auction's connectivity test on a nearest_peer_sq entry: some peer within range."""
-    return d2 is not None and d2 <= range_sq
-
-
-def dtap_auction(
-    robots: Sequence[RobotState],
-    g: PatrolGraph,
-    idleness: Sequence[float],
-    claims: dict[int, int],
-    claim: list[Optional[int]],
-    comm_range: float,
-    params: StrategyParams,
-    group_round: bool,
-    nearest: Sequence[Optional[float]],
-) -> list[tuple[int, int]]:
-    """One task-award pass; returns (robot_id, awarded node) pairs.
-
-    Claimless robots value node v at idleness(v) minus weighted travel
-    distance. Robots out of communication range of everyone self-award
-    their best node as soon as they are claimless; robots within range of
-    at least one other robot wait for a group round (the periodic auction):
-    each proposes its best unclaimed node, collisions go to the lowest
-    travel distance (ties to the lowest robot id), and losers re-propose
-    against the shrunken pool. Robots holding an award sit out. Each award
-    is written to `claims` (node -> robot) and `claim` (robot -> node).
-    `group_round` says whether this pass is a group round, and `nearest` is
-    nearest_peer_sq(robots).
-    """
-    bidders = [r for r in robots if claim[r.id] is None]
-    if not bidders:
-        return []
-    unclaimed = [v for v in range(g.node_count) if v not in claims]
-    if not unclaimed:
-        return []
-    w = params.task_distance_weight
-    range_sq = comm_range * comm_range
-    connected = [in_range(d2, range_sq) for d2 in nearest]
-    # each bidding robot's travel distance to every node
-    travel = {
-        r.id: travel_distances(r, g) for r in bidders if group_round or not connected[r.id]
-    }
-    awards: list[tuple[int, int]] = []
-
-    if group_round:
-        group = [r for r in bidders if connected[r.id]]
-        while group and unclaimed:
-            proposals: dict[int, list[RobotState]] = {}
-            for r in group:
-                pool = [v for v in unclaimed if v != r.node]
-                if not pool:
-                    continue
-                row = travel[r.id]
-                best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
-                proposals.setdefault(best_v, []).append(r)
-            if not proposals:
-                break
-            group = []
-            for v, rs in sorted(proposals.items()):
-                winner = min(rs, key=lambda r: (travel[r.id][v], r.id))
-                claims[v] = winner.id
-                claim[winner.id] = v
-                awards.append((winner.id, v))
-                unclaimed.remove(v)
-                group.extend(r for r in rs if r is not winner)
-
-    for r in bidders:
-        if connected[r.id] or not unclaimed:
-            continue
-        pool = [v for v in unclaimed if v != r.node]
-        if not pool:
-            continue
-        row = travel[r.id]
-        best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
-        claims[best_v] = r.id
-        claim[r.id] = best_v
-        awards.append((r.id, best_v))
-        unclaimed.remove(best_v)
-    return awards

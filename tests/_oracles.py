@@ -144,7 +144,7 @@ def per_tick_dtap_class(dtap_class, auction):
     This is DTAP's hook without a schedule: poses synced to the previous
     tick, a group round whenever k is a multiple of the period, and each
     robot's nearest-peer distance found by scanning every other robot.
-    `auction` has dtap_auction's signature.
+    `auction` has dtap_auction's signature, less its travel_row.
     """
 
     class PerTickDTAP(dtap_class):
@@ -180,6 +180,72 @@ def nearest_sq(robots):
                 d2.append(dx * dx + dy * dy)
         out.append(min(d2, default=None))
     return out
+
+
+def dtap_auction(
+    robots, g, idleness, claims, claim, comm_range, params, group_round, nearest, travel_row
+):
+    """One task-award pass with a loop for the group round and another for isolated robots.
+
+    Claimless robots value node v at idleness(v) minus weighted travel
+    distance, travel_row(robot, g)[v]. Robots out of communication range of
+    everyone self-award their best node as soon as they are claimless;
+    robots within range of at least one other robot wait for a group round
+    (the periodic auction): each proposes its best unclaimed node,
+    collisions go to the lowest travel distance (ties to the lowest robot
+    id), and losers re-propose against the shrunken pool. Robots holding an
+    award sit out. Each award is written to `claims` (node -> robot) and
+    `claim` (robot -> node); returns the (robot_id, node) awards.
+    `nearest` holds each robot's squared distance to its nearest peer.
+    """
+    bidders = [r for r in robots if claim[r.id] is None]
+    if not bidders:
+        return []
+    unclaimed = [v for v in range(g.node_count) if v not in claims]
+    if not unclaimed:
+        return []
+    w = params.task_distance_weight
+    range_sq = comm_range * comm_range
+    connected = [d2 is not None and d2 <= range_sq for d2 in nearest]
+    # each bidding robot's travel distance to every node
+    travel = {r.id: travel_row(r, g) for r in bidders if group_round or not connected[r.id]}
+    awards = []
+
+    if group_round:
+        group = [r for r in bidders if connected[r.id]]
+        while group and unclaimed:
+            proposals = {}
+            for r in group:
+                pool = [v for v in unclaimed if v != r.node]
+                if not pool:
+                    continue
+                row = travel[r.id]
+                best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
+                proposals.setdefault(best_v, []).append(r)
+            if not proposals:
+                break
+            group = []
+            for v, rs in sorted(proposals.items()):
+                winner = min(rs, key=lambda r: (travel[r.id][v], r.id))
+                claims[v] = winner.id
+                claim[winner.id] = v
+                awards.append((winner.id, v))
+                unclaimed.remove(v)
+                group.extend(r for r in rs if r is not winner)
+
+    for r in bidders:
+        if connected[r.id] or not unclaimed:
+            continue
+        pool = [v for v in unclaimed if v != r.node]
+        if not pool:
+            continue
+        row = travel[r.id]
+        best_v = max(pool, key=lambda v: (idleness[v] - w * row[v], -v))
+        claims[best_v] = r.id
+        claim[r.id] = best_v
+        awards.append((r.id, best_v))
+        unclaimed.remove(best_v)
+    return awards
 
 
 def eligible_pairs(positions, last_exchange, t, range_m, timeout_s):

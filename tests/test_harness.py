@@ -10,7 +10,7 @@ import math
 import pkgutil
 import re
 from dataclasses import replace
-from pathlib import Path
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import (
     brute_consensus_replay,
+    dtap_auction,
     eligible_pairs,
     per_tick_dtap_class,
     per_tick_robot_class,
@@ -43,8 +44,11 @@ from swarmpatrol.harness import (
     summarize,
     write_runs_csv,
 )
-from swarmpatrol.strategies import DTAP, StrategyKind, dtap_auction
+from swarmpatrol.strategies import DTAP, StrategyKind, travel_distances
 from swarmpatrol.world import RobotState
+
+# the two-loop auction DTAP once called, as the per-tick reference
+TWO_LOOP_AUCTION = partial(dtap_auction, travel_row=travel_distances)
 
 PATH3 = "node 0 0 0\nnode 1 1 0\nnode 2 2 0\nedge 0 1\nedge 1 2\n"
 
@@ -523,7 +527,7 @@ def test_scheduled_auctions_match_an_auction_on_every_tick(
 
     every_tick = []  # (tick, awards) of each auction the oracle holds
 
-    class Recorded(per_tick_dtap_class(DTAP, dtap_auction)):
+    class Recorded(per_tick_dtap_class(DTAP, TWO_LOOP_AUCTION)):
         def tick(self, k, *args):
             awards = super().tick(k, *args)
             every_tick.append((k, awards))
@@ -556,7 +560,8 @@ def test_dtap_runs_with_an_unbounded_range(
     tick = DTAP.tick
     monkeypatch.setattr(DTAP, "tick", lambda self, k, *a: held.append(k) or tick(self, k, *a))
     scheduled = run_one(cfg, default_graph, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "a")
-    monkeypatch.setitem(harness.POLICIES, StrategyKind.DTAP, per_tick_dtap_class(DTAP, dtap_auction))
+    every_tick = per_tick_dtap_class(DTAP, TWO_LOOP_AUCTION)
+    monkeypatch.setitem(harness.POLICIES, StrategyKind.DTAP, every_tick)
     oracle = run_one(cfg, default_graph, StrategyKind.DTAP, 0.2, 0, out_dir=tmp_path / "b")
     assert scheduled == oracle
     log = "DTAP_0p2_r0.log"
@@ -739,6 +744,15 @@ _GOOD_ROW = dict(
         dict(lambda2="-1e-3"),
         dict(t_consensus="0.0"),
         dict(t_consensus="-3.0"),
+        dict(strategy=""),
+        dict(strategy="FOO"),
+        dict(strategy="cr"),
+        dict(seed="-1"),
+        dict(seed=str(2**64)),
+        dict(seed=str(2**70)),
+        # too large for a float, so the finiteness test itself overflows
+        dict(fp_consensus_count="1" + "0" * 400),
+        dict(seed="1" + "0" * 400),
     ],
 )
 def test_read_runs_csv_rejects_values_never_written(tmp_path, capsys, bad):
@@ -755,11 +769,14 @@ def test_read_runs_csv_rejects_values_never_written(tmp_path, capsys, bad):
 def test_read_runs_csv_accepts_the_bounds(tmp_path):
     edges = dict(avg_graph_idleness="0.0", final_error="1.0", f_score="0.0000", lambda2="0.0",
                  t_consensus="", tp_consensus="0", fp_consensus_count="0")
-    (tmp_path / "runs.csv").write_text(
-        ",".join(RUN_COLUMNS) + "\n" + ",".join({**_GOOD_ROW, **edges}[c] for c in RUN_COLUMNS) + "\n"
-    )
-    (rec,) = read_runs_csv(tmp_path / "runs.csv")
-    assert (rec.t_consensus, rec.tp_consensus, rec.final_error) == (None, False, 1.0)
+    for seed in (0, 2**64 - 1):
+        row = {**_GOOD_ROW, **edges, "seed": str(seed)}
+        (tmp_path / "runs.csv").write_text(
+            ",".join(RUN_COLUMNS) + "\n" + ",".join(row[c] for c in RUN_COLUMNS) + "\n"
+        )
+        (rec,) = read_runs_csv(tmp_path / "runs.csv")
+        assert (rec.t_consensus, rec.tp_consensus, rec.final_error) == (None, False, 1.0)
+        assert (rec.strategy, rec.seed) == ("CR", seed)
 
 
 def test_summarize_recomputes_group_statistics(micro_matrix):

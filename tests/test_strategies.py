@@ -1,21 +1,19 @@
 """Patrol policies: decision rules, per-policy state, hooks, task auction."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_tick_dtap_class, shortest_distance, travel_distance
-from swarmpatrol import strategies
+from _oracles import dtap_auction, per_tick_dtap_class, shortest_distance, travel_distance
 from swarmpatrol.graph import PatrolGraph, parse_map
 from swarmpatrol.strategies import (
     POLICIES,
     StrategyKind,
     StrategyParams,
     decide_next,
-    dtap_auction,
-    in_range,
     nearest_peer_sq,
     retarget,
     travel_distances,
@@ -23,6 +21,9 @@ from swarmpatrol.strategies import (
 from swarmpatrol.world import RngStream, RobotState, max_step
 
 K = StrategyKind
+
+# the two-loop auction DTAP once called, as the per-tick reference
+TWO_LOOP_AUCTION = partial(dtap_auction, travel_row=travel_distances)
 
 
 def _star() -> PatrolGraph:
@@ -417,15 +418,19 @@ def _auction_setup(positions, n_nodes=4, spacing=2.0):
     g = _path(spacing=spacing, n=n_nodes)
     dtap = _policy(K.DTAP, g, len(positions))
     robots = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate(positions)]
-    return g, dtap.params, dtap, robots
+    return g, dtap, robots
+
+
+def _hold(dtap, robots, idleness, group_round):
+    """DTAP's tick on a group round, or on the tick before one, with the given idleness."""
+    k = dtap.period_ticks if group_round else dtap.period_ticks - 1
+    t = k * 0.1
+    return dtap.tick(k, t, robots, [t - idl for idl in idleness])
 
 
 def test_auction_collision_goes_to_nearest_then_loser_reproposes():
-    g, params, dtap, robots = _auction_setup([1, 2])
-    idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, True, nearest_peer_sq(robots)
-    )
+    g, dtap, robots = _auction_setup([1, 2])
+    awards = _hold(dtap, robots, [0.0, 0.0, 0.0, 50.0], group_round=True)
     # both want node 3 (50 - 7*travel); robot 1 is 2 m closer and wins,
     # robot 0 settles for its best leftover
     assert awards == [(1, 3), (0, 0)]
@@ -435,59 +440,46 @@ def test_auction_collision_goes_to_nearest_then_loser_reproposes():
 
 
 def test_auction_connected_bidders_wait_for_group_round():
-    g, params, dtap, robots = _auction_setup([1, 2])
-    idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, False, nearest_peer_sq(robots)
-    )
+    g, dtap, robots = _auction_setup([1, 2])
+    awards = _hold(dtap, robots, [0.0, 0.0, 0.0, 50.0], group_round=False)
     assert awards == []
     assert dtap.claims == {}
 
 
 def test_auction_isolated_bidders_self_award_immediately():
     # nodes 0 and 3 are 6 m apart, beyond the 5 m range
-    g, params, dtap, robots = _auction_setup([0, 3])
-    idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, False, nearest_peer_sq(robots)
-    )
+    g, dtap, robots = _auction_setup([0, 3])
+    awards = _hold(dtap, robots, [0.0, 0.0, 0.0, 50.0], group_round=False)
     assert awards == [(0, 3), (1, 2)]
     assert dtap.claims == {3: 0, 2: 1}
 
 
 def test_auction_skips_robots_holding_awards():
-    g, params, dtap, robots = _auction_setup([1, 2])
+    g, dtap, robots = _auction_setup([1, 2])
     dtap.claims[0] = 0
     dtap.claim[0] = 0
-    idleness = [0.0, 0.0, 0.0, 50.0]
-    awards = dtap_auction(
-        robots, g, idleness, dtap.claims, dtap.claim, 5.0, params, True, nearest_peer_sq(robots)
-    )
+    awards = _hold(dtap, robots, [0.0, 0.0, 0.0, 50.0], group_round=True)
     assert awards == [(1, 3)]
     assert dtap.claim[0] == 0
 
 
 def test_auction_no_bidders_is_a_noop():
-    g, params, dtap, robots = _auction_setup([1, 2])
+    g, dtap, robots = _auction_setup([1, 2])
     for i in range(2):
         dtap.claim[i] = i
         dtap.claims[i] = i
     for group_round in (True, False):
-        awards = dtap_auction(
-            robots, g, [0.0] * 4, dtap.claims, dtap.claim, 5.0, params, group_round,
-            nearest_peer_sq(robots),
-        )
-        assert awards == []
+        assert _hold(dtap, robots, [0.0] * 4, group_round) == []
 
 
 def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
-    g, _, dtap, robots = _auction_setup([1, 2])
+    g, dtap, robots = _auction_setup([1, 2])
     last_visit = [0.0] * 4
     every = dtap.period_ticks
     assert every == 200  # the default 20 s period at dt 0.1
     held = []
     monkeypatch.setattr(
-        strategies, "dtap_auction", lambda *args, **kwargs: held.append(args[-1]) or []
+        dtap, "_auction", lambda robots, idleness, group, connected: held.append(group) or []
     )
     dtap.claim[:] = [0, 3]
     dtap.claims.update({0: 0, 3: 1})
@@ -503,7 +495,7 @@ def test_dtap_tick_holds_no_auction_while_every_robot_has_a_claim(monkeypatch):
 
 
 def test_dtap_next_tick_is_due_again_once_decide_releases_a_claim():
-    g, _, dtap, robots = _auction_setup([1, 2])
+    g, dtap, robots = _auction_setup([1, 2])
     assert dtap.next_tick() == 0  # no robot holds a claim yet
     last_visit = [20.0, 20.0, 20.0, -30.0]  # at t = 20 only node 3 is idle
     assert dtap.tick(dtap.period_ticks, 20.0, robots, last_visit) == [(1, 3), (0, 0)]
@@ -522,7 +514,7 @@ def test_dtap_tick_syncs_poses_to_the_previous_tick():
     # 1.4 m along, 4.6 m from robot 1 at node 3, so in range: connected
     # robots wait for a group round. At node 0 it would be 6 m away and
     # award itself a task at once.
-    g, _, dtap, robots = _auction_setup([0, 3])
+    g, dtap, robots = _auction_setup([0, 3])
     robots[0].goal = 1
     robots[0].path = [1]
     robots[0].step(g, 1)
@@ -534,7 +526,7 @@ def test_dtap_tick_syncs_poses_to_the_previous_tick():
 
 
 def test_dtap_tick_awards_through_the_auction():
-    g, _, dtap, robots = _auction_setup([1, 2])
+    g, dtap, robots = _auction_setup([1, 2])
     last_visit = [50.0, 50.0, 50.0, 0.0]  # at t = 50 only node 3 is idle
     assert dtap.tick(dtap.period_ticks, 50.0, robots, last_visit) == [(1, 3), (0, 0)]
     assert dtap.claim == [0, 3]
@@ -570,7 +562,8 @@ def _auctions_until_an_award(dtap, robots):
 def test_dtap_waiting_robot_is_auctioned_once_it_drifts_out_of_range():
     g, dtap, robots = _drifting_apart(POLICIES[K.DTAP])
     held = _auctions_until_an_award(dtap, robots)
-    _, oracle, oracle_robots = _drifting_apart(per_tick_dtap_class(POLICIES[K.DTAP], dtap_auction))
+    every_tick_class = per_tick_dtap_class(POLICIES[K.DTAP], TWO_LOOP_AUCTION)
+    _, oracle, oracle_robots = _drifting_apart(every_tick_class)
     every_tick = _auctions_until_an_award(oracle, oracle_robots)
     # the same award on the same tick: the first whose poses are out of range
     assert held[-1] == every_tick[-1] == (every_tick[-1][0], [(0, 1)])
@@ -618,9 +611,15 @@ def test_nearest_peer_sq_is_the_auction_range_test():
     robots = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate([3, 0, 1])]
     assert nearest_peer_sq(robots) == [36.0, 9.0, 9.0]
     assert nearest_peer_sq(robots[:1]) == [None]
-    # a lone robot has no peer in range, however far the radio reaches
-    assert not in_range(None, math.inf)
-    assert in_range(9.0, 9.0) and not in_range(9.0, 8.999)
+    # a lone robot has no peer in range, however far the radio reaches, so
+    # it awards itself a task off the group round
+    lone = _policy(K.DTAP, g, 1, comm_range=math.inf)
+    assert lone.tick(1, 0.1, robots[:1], [0.0] * 4) == [(0, 2)]
+    # a peer exactly the range away is in range, one a hair beyond it is not
+    for comm_range, awards in [(3.0, []), (math.nextafter(3.0, 0.0), [(0, 1), (1, 0)])]:
+        pair = [RobotState.at_node(i, g, node, stride=0.1) for i, node in enumerate([0, 1])]
+        dtap = _policy(K.DTAP, g, 2, comm_range=comm_range)
+        assert dtap.tick(1, 0.1, pair, [0.0] * 4) == awards
 
 
 @pytest.mark.parametrize("comm_range", [math.inf, 1e308])
@@ -641,7 +640,7 @@ def test_dtap_waiting_robots_with_an_unbounded_range_wait_for_the_group_round(co
 
 
 @st.composite
-def _maps_and_poses(draw):
+def _maps_and_poses(draw, max_robots=4):
     """A random connected map, some edges shorter than the straight line, and robot poses on it."""
     m = draw(st.integers(2, 8))
     coords = [(draw(st.floats(0.0, 40.0)), draw(st.floats(0.0, 40.0))) for _ in range(m)]
@@ -655,7 +654,7 @@ def _maps_and_poses(draw):
         edges.append((a, b, max(math.dist(coords[a], coords[b]) * factor, 0.5)))
     g = PatrolGraph(coords, edges)
     robots = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_robots))):
         a = draw(st.integers(0, m - 1))
         r = RobotState.at_node(len(robots), g, a, stride=draw(st.floats(0.01, 0.5)))
         if draw(st.booleans()):
@@ -681,6 +680,56 @@ def test_distance_rows_equal_shortest_paths_and_travel_distance(case):
     for r in robots:
         want = [travel_distance(r, g, v) for v in range(g.node_count)]
         assert list(travel_distances(r, g)) == want
+
+
+@st.composite
+def _auction_states(draw):
+    """One DTAP tick k on a random fleet: a range, claims held by some robots, and idleness.
+
+    Robots stand on nodes or mid-edge, poses synced to k - 1. The range is
+    often exactly some robot's nearest-peer distance, and the period makes k
+    a group round or the tick before one.
+    """
+    g, robots = draw(_maps_and_poses(max_robots=8))
+    k = 1 + draw(st.integers(1, min((r.due - 1 for r in robots if r.edge is not None), default=50)))
+    for r in robots:
+        r.sync(k - 1)
+    gaps = [math.sqrt(d2) for d2 in nearest_peer_sq(robots) if d2 is not None]
+    comm_range = draw(
+        st.one_of(st.sampled_from([0.0, 1e308, math.inf, *gaps]), st.floats(0.0, 60.0))
+    )
+    period = k if draw(st.booleans()) else k + 1
+    claims = {}
+    for r in robots:
+        free = [v for v in range(g.node_count) if v not in claims]
+        if free and draw(st.integers(0, 4)) < 2:
+            claims[draw(st.sampled_from(free))] = r.id
+    last_visit = [
+        draw(st.one_of(st.sampled_from([0.0, -5.0]), st.floats(-100.0, float(k))))
+        for _ in range(g.node_count)
+    ]
+    weight = draw(st.sampled_from([0.5, 7.0, 20.0]))
+    return g, robots, comm_range, period, k, claims, last_visit, weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_auction_states())
+def test_dtap_tick_awards_as_the_two_loop_auction(case):
+    g, robots, comm_range, period, k, claims, last_visit, weight = case
+    params = StrategyParams(dtap_period_s=float(period), task_distance_weight=weight)
+    dtap, ref = [
+        cls(g, len(robots), params, comm_range, 1.0, max_step(g, 1.0, 1.0))
+        for cls in (POLICIES[K.DTAP], per_tick_dtap_class(POLICIES[K.DTAP], TWO_LOOP_AUCTION))
+    ]
+    for policy in (dtap, ref):
+        assert policy.period_ticks == period
+        policy.claims.update(claims)
+        for v, i in claims.items():
+            policy.claim[i] = v
+    awards = dtap.tick(k, float(k), robots, last_visit)
+    assert awards == ref.tick(k, float(k), robots, last_visit)
+    assert dtap.claims == ref.claims
+    assert dtap.claim == ref.claim
 
 
 # ---------------------------------------------------------------------------
