@@ -11,8 +11,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "GraphValidationError",
     "MapFormatError",
@@ -345,7 +343,11 @@ def generate_default_map(seed: int) -> PatrolGraph:
     coordinate); edges are a random spanning tree over grid-adjacent pairs
     plus 5 extra grid-adjacent chords, giving 44 edges and average degree
     exactly 2.2 with every length inside [5, 11.5] m. Deterministic per seed.
+    numpy's generator draws the map, so numpy is imported here, not with
+    the module.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         g = _generate_once(rng)
@@ -354,7 +356,8 @@ def generate_default_map(seed: int) -> PatrolGraph:
     raise GraphValidationError(f"map generation failed for seed {seed}")
 
 
-def _generate_once(rng: np.random.Generator) -> PatrolGraph | None:
+def _generate_once(rng) -> PatrolGraph | None:
+    """One attempt at a map from the numpy Generator rng; None if it breaks a bound."""
     m = _GRID_COLS * _GRID_ROWS
     coords: list[tuple[float, float]] = []
     for r in range(_GRID_ROWS):

@@ -640,15 +640,20 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
     label_seed makes them. Numbers must be finite; noise, final_error and
     f_score lie in [0, 1], avg_graph_idleness and lambda2 are at least 0,
     t_consensus is empty or positive, tp_consensus is 0 or 1 and
-    fp_consensus_count at least 0.
+    fp_consensus_count at least 0. A row has one value per column. Bytes
+    that do not decode are read as surrogate escapes, which no column
+    accepts, so they end in a ConfigError too.
     """
     records: list[RunRecord] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != RUN_COLUMNS:
             raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
             try:
+                if None in row:  # DictReader files values past the header under None
+                    raise ValueError(f"{len(RUN_COLUMNS) + len(row[None])} values "
+                                     f"for {len(RUN_COLUMNS)} columns")
                 t_consensus = _within(row, "t_consensus") if row["t_consensus"] else None
                 if t_consensus == 0.0:
                     raise ValueError("t_consensus 0.0 is not positive")

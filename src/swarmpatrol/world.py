@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .beliefs import BeliefVector, measurement_update
 from .graph import PatrolGraph
 
@@ -44,26 +42,128 @@ def label_seed(label: str) -> int:
     return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "big")
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_keys(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs of count successive SeedSequence hashes.
+
+    Each hash XORs its value with the running constant, steps the constant
+    (times mult, mod 2**32) and multiplies by the new one; the constants
+    depend on no data, so they are listed once.
+    """
+    keys, const = [], init
+    for _ in range(count):
+        step = const * mult & _M32
+        keys.append((const, step))
+        const = step
+    return keys
+
+
+# numpy's SeedSequence: 4 + 12 hashes fill and mix the pool, 8 draw it out
+_POOL_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
+_DRAW_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(8, uint32), for 0 <= seed < 2**128.
+
+    The seed is split into the fewest little-endian 32-bit words (one for 0)
+    and hashed into a pool of four, padded with hashes of 0; each pool word
+    is mixed into every other, and eight hashes of the pool, read cyclically,
+    are the state.
+    """
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    keys = iter(_POOL_KEYS)
+    pool = []
+    for word, (xor, mult) in zip(words + [0] * (4 - len(words)), keys):
+        v = (word ^ xor) * mult & _M32
+        pool.append(v ^ v >> 16)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                xor, mult = next(keys)
+                v = (pool[src] ^ xor) * mult & _M32
+                v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _M32
+                pool[dst] = v ^ v >> 16
+    out = []
+    for i, (xor, mult) in enumerate(_DRAW_KEYS):
+        v = (pool[i & 3] ^ xor) * mult & _M32
+        out.append(v ^ v >> 16)
+    return out
+
+
 class RngStream:
     """Named random stream derived from (master seed, purpose, robot id).
 
     Identical labels always reproduce identical draw sequences; distinct
     labels are decorrelated by hashing, so adding draws to one stream never
     shifts another.
+
+    The draws are those of np.random.default_rng(label_seed(label)), computed
+    in pure Python: PCG64 (XSL-RR output) seeded through numpy's SeedSequence.
+    `random` is numpy's `random()` and `index` its `integers(n)`, including
+    the spare high half of a 64-bit draw that a 32-bit draw keeps for the
+    next one.
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_state", "_inc", "_spare")
 
     def __init__(self, master_seed: int, purpose: str, robot_id: int = 0):
-        self._gen = np.random.default_rng(label_seed(f"{master_seed}|{purpose}|{robot_id}"))
+        w = _seed_words(label_seed(f"{master_seed}|{purpose}|{robot_id}"))
+        # generate_state(4, uint64) pairs the 32-bit words little-endian into
+        # u0..u3; PCG64 seeds with initstate (u0, u1) and initseq (u2, u3) as
+        # (high, low) halves
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+        self._inc = (initseq << 1 | 1) & _M128
+        # from state 0, one step leaves inc; add initstate and step again
+        self._state = (self._inc + initstate) & _M128
+        self._next64()
+        self._spare: Optional[int] = None
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        r = s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        spare = self._spare
+        if spare is not None:
+            self._spare = None
+            return spare
+        x = self._next64()
+        self._spare = x >> 32
+        return x & _M32
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
-        return float(self._gen.random())
+        return (self._next64() >> 11) * 2.0**-53
 
     def index(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._gen.integers(n))
+        """Uniform integer in [0, n), for 1 <= n <= 2**32.
+
+        n == 1 draws nothing. Otherwise it is Lemire's method on 32-bit draws,
+        rejecting a draw whose low product word falls below 2**32 mod n.
+        """
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"index range must be in 1..2**32, got {n}")
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._next32()
+        threshold = (1 << 32) % n
+        m = self._next32() * n
+        while m & _M32 < threshold:
+            m = self._next32() * n
+        return m >> 32
 
 
 def single_anomaly(m: int, anomaly_node: int) -> BeliefVector:

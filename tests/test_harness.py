@@ -753,12 +753,17 @@ _GOOD_ROW = dict(
         # too large for a float, so the finiteness test itself overflows
         dict(fp_consensus_count="1" + "0" * 400),
         dict(seed="1" + "0" * 400),
+        # the bytes \xff\xfe, which are not UTF-8
+        dict(strategy="\udcff\udcfe"),
+        dict(f_score="\udcff\udcfe"),
+        # more values than columns
+        dict(fp_consensus_count="0,999,junk"),
     ],
 )
 def test_read_runs_csv_rejects_values_never_written(tmp_path, capsys, bad):
-    (tmp_path / "runs.csv").write_text(
-        ",".join(RUN_COLUMNS) + "\n" + ",".join({**_GOOD_ROW, **bad}[c] for c in RUN_COLUMNS) + "\n"
-    )
+    row = ",".join({**_GOOD_ROW, **bad}[c] for c in RUN_COLUMNS)
+    text = ",".join(RUN_COLUMNS) + "\n" + row + "\n"
+    (tmp_path / "runs.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ConfigError, match="bad row"):
         read_runs_csv(tmp_path / "runs.csv")
     assert cli_main(["summarize", "--runs", str(tmp_path)]) == 2

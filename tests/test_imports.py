@@ -1,6 +1,9 @@
-"""Every module of the package and of the tests imports only names it uses."""
+"""Every module imports only names it uses, and the simulator runs without numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,90 @@ def test_unused_imports_flags_only_names_neither_read_nor_exported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_numpy_imports(source: str) -> list[int]:
+    """Line numbers of the imports of numpy that run when the module is imported.
+
+    An import inside a function body runs only when the function is called.
+    """
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return lines
+
+
+def test_top_level_numpy_imports_skips_function_bodies():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "if True:\n"
+        "    import numpy.linalg\n"
+        "def f():\n"
+        "    import numpy\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from numpy import array\n"
+    )
+    assert top_level_numpy_imports(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "swarmpatrol").glob("*.py")), ids=lambda p: p.name
+)
+def test_package_module_imports_numpy_only_inside_functions(path):
+    assert top_level_numpy_imports(path.read_text()) == []
+
+
+# Imports the package, runs a default-map matrix of every strategy with its
+# files, analyzes it, and runs the CLI's simulate, summarize and analyze, in a
+# fresh interpreter; prints whether numpy was imported along the way.
+_NUMPY_FREE_SCRIPT = """
+import sys
+from pathlib import Path
+
+import swarmpatrol
+from swarmpatrol import cli, harness
+from swarmpatrol.strategies import StrategyKind
+
+out = Path(sys.argv[1])
+cfg = harness.ExperimentConfig(
+    n_robots=8, duration=120.0, noise_levels=(0.0, 0.2), strategies=tuple(StrategyKind), reps=1
+)
+records, _ = harness.run_matrix(cfg, out_dir=out / "matrix")
+harness.analyze_runs(out / "matrix")
+(out / "exp.cfg").write_text("robots = 8\\nduration = 60\\nnoises = 0.0, 0.2\\nreps = 2\\n")
+for argv in (
+    ["simulate", "--config", str(out / "exp.cfg"), "--out", str(out / "cli")],
+    ["summarize", "--runs", str(out / "cli")],
+    ["analyze", "--runs", str(out / "cli")],
+):
+    assert cli.main(argv) == 0, argv
+print(len(records), "numpy" in sys.modules)
+"""
+
+
+def test_simulate_summarize_and_analyze_never_import_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["20", "False"]

@@ -22,9 +22,12 @@ from _oracles import (
 )
 from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.metrics import (
+    _NUMPY_JACOBI_MIN,
     CommGraph,
     ConfusionCounts,
     ConsensusTracker,
+    _jacobi_numpy,
+    _jacobi_rows,
     algebraic_connectivity,
     classify,
     f_score,
@@ -146,10 +149,10 @@ def _from_log(n, events):
 
 def test_comm_graph_from_contacts_counts_exchanges():
     cg = CommGraph.from_exchanges(3, [(0, 1), (0, 2), (1, 2)], [2, 0, 1])
-    assert cg.weights[0, 1] == 2.0
-    assert cg.weights[1, 0] == 2.0
-    assert cg.weights[1, 2] == 1.0
-    assert cg.weights[0, 2] == 0.0
+    assert cg.weights[0][1] == 2.0
+    assert cg.weights[1][0] == 2.0
+    assert cg.weights[1][2] == 1.0
+    assert cg.weights[0][2] == 0.0
     events = [(1.0, 0, 1), (2.0, 1, 0), (3.5, 1, 2)]
     assert np.array_equal(cg.weights, contact_weights(3, events))
 
@@ -175,8 +178,8 @@ def test_comm_graph_weights_equal_per_event_accumulation(n, pairs):
 def test_laplacian_rows_sum_to_zero():
     cg = CommGraph.from_exchanges(3, [(0, 1), (0, 2), (1, 2)], [1, 0, 1])
     lap = cg.laplacian()
-    assert np.allclose(lap.sum(axis=1), 0.0)
-    assert np.array_equal(lap, lap.T)
+    assert np.allclose([sum(row) for row in lap], 0.0)
+    assert lap == [list(col) for col in zip(*lap)]
 
 
 def test_jacobi_validates_input():
@@ -238,6 +241,60 @@ def test_jacobi_matches_lapack_up_to_eight():
             a = rng.normal(size=(n, n)) * 10.0
             s = (a + a.T) / 2.0
             assert jacobi_eigenvalues(s) == pytest.approx(np.linalg.eigvalsh(s), abs=1e-8)
+
+
+def _hexes(values):
+    """Floats as hex strings, so equality is bit equality (0.0 differs from -0.0)."""
+    return [float(x).hex() for x in values]
+
+
+def _both_jacobi_loops(matrix):
+    """The diagonals the list loop and the numpy loop leave, as hex strings."""
+    rows = [[float(x) for x in row] for row in matrix]
+    return (
+        _hexes(_jacobi_rows([row[:] for row in rows], 1e-10, 100)),
+        _hexes(_jacobi_numpy([row[:] for row in rows], 1e-10, 100)),
+    )
+
+
+def test_list_jacobi_is_the_numpy_loop_bit_for_bit_on_contact_laplacians():
+    rng = np.random.default_rng(15)
+    for n in range(1, 71):  # crosses _NUMPY_JACOBI_MIN
+        density = rng.uniform(0.05, 0.6)
+        counts = rng.integers(1, 40, size=(n, n)) * (rng.random((n, n)) < density)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        lap = CommGraph.from_exchanges(n, pairs, [int(counts[i, j]) for i, j in pairs]).laplacian()
+        rows, numpy_loop = _both_jacobi_loops(lap)
+        assert rows == numpy_loop, n
+        if n in (_NUMPY_JACOBI_MIN - 1, _NUMPY_JACOBI_MIN):
+            assert _hexes(jacobi_eigenvalues(lap)) == sorted(rows, key=float.fromhex), n
+    assert 1 < _NUMPY_JACOBI_MIN <= 70
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True), min_size=n * n,
+            max_size=n * n,
+        ).map(lambda xs: [xs[i * n:(i + 1) * n] for i in range(n)])
+    ),
+    st.floats(0.0, 1e-13),
+)
+def test_list_jacobi_is_the_numpy_loop_bit_for_bit_on_symmetric_floats(a, skew):
+    n = len(a)
+    # symmetric up to skew on one side of the diagonal, which both loops accept
+    s = [[a[i][j] if i <= j else a[j][i] + skew for j in range(n)] for i in range(n)]
+    rows, numpy_loop = _both_jacobi_loops(s)
+    assert rows == numpy_loop
+
+
+def test_numpy_laplacian_matches_the_float_rows():
+    rng = np.random.default_rng(4)
+    w = rng.integers(0, 9, size=(9, 9)).astype(float)
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    want = np.diag(w.sum(axis=1)) - w
+    assert _hexes(np.ravel(want)) == _hexes(x for row in CommGraph(weights=w).laplacian() for x in row)
 
 
 @settings(max_examples=60, deadline=None)

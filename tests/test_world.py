@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,54 @@ def test_rng_index_range():
     draws = [rng.index(3) for _ in range(200)]
     assert set(draws) <= {0, 1, 2}
     assert len(set(draws)) == 3
+
+
+def _stream_of_seed(seed):
+    """An RngStream whose label hashes to seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "label_seed", lambda label: seed)
+        return RngStream(0, "oracle")
+
+
+# seeds at the 32- and 64-bit word edges; ranges on each side of Lemire's
+# 32-bit path (n == 1 draws nothing, 2**32 takes one 32-bit draw unbounded)
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+_RANGES = [1, 2, 3, 40, 2**31 + 1, 2**32]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**32), st.integers(0, 2**64 - 1)),
+    calls=st.lists(st.one_of(st.none(), st.sampled_from(_RANGES)), max_size=40),
+)
+def test_rng_stream_draws_numpys_default_rng(seed, calls):
+    ours, ref = _stream_of_seed(seed), np.random.default_rng(seed)
+    for n in calls:
+        if n is None:
+            assert ours.random() == ref.random()
+        else:
+            assert ours.index(n) == ref.integers(n)
+
+
+def test_rng_stream_is_numpys_stream_of_its_label():
+    for label in [(0, "sense", 0), (123, "strategy", 7), (2**64 - 1, "sense", 1023)]:
+        ours = RngStream(*label)
+        ref = np.random.default_rng(world.label_seed("|".join(map(str, label))))
+        assert [ours.random() for _ in range(3)] == [ref.random() for _ in range(3)]
+        assert [ours.index(5) for _ in range(3)] == [ref.integers(5) for _ in range(3)]
+
+
+def test_rng_index_of_one_draws_nothing():
+    rng, ref = RngStream(3, "strategy", 2), RngStream(3, "strategy", 2)
+    assert [rng.index(1) for _ in range(4)] == [0, 0, 0, 0]
+    assert rng.index(7) == ref.index(7)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**64])
+def test_rng_index_outside_its_range_raises(n):
+    with pytest.raises(ValueError):
+        RngStream(0, "strategy").index(n)
 
 
 # ---------------------------------------------------------------------------
