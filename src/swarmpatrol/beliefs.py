@@ -9,9 +9,12 @@ values 0.0/0.5/1.0 appear only at serialization and metric boundaries.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = [
     "BeliefVector",
     "fuse_vectors",
+    "fuse_pairs",
     "measurement_update",
     "format_belief",
     "digest",
@@ -39,6 +42,27 @@ def fuse_vectors(u: BeliefVector, v: BeliefVector) -> BeliefVector:
     ut, uf = u
     vt, vf = v
     return (ut & ~vf) | (vt & ~uf), (uf & ~vt) | (vf & ~ut)
+
+
+def fuse_pairs(
+    vectors: list[BeliefVector], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int, BeliefVector]]:
+    """Let each robot pair (i, j) exchange, in order; returns the (i, j, fused) that changed.
+
+    After an exchange, robots i and j both hold the fusion of their vectors
+    in `vectors`, which a packed vector's immutability lets them share, and
+    later pairs see it. Robots that already hold equal vectors keep them,
+    since fusion would give the same vector back: that exchange changed
+    nothing and has no triple. Each triple holds the vector its exchange
+    fused; a later exchange may have changed what i and j hold since.
+    """
+    changed = []
+    for i, j in pairs:
+        u, v = vectors[i], vectors[j]
+        if u != v:
+            fused = vectors[i] = vectors[j] = fuse_vectors(u, v)
+            changed.append((i, j, fused))
+    return changed
 
 
 def measurement_update(prior: BeliefVector, node: int, observation: bool) -> BeliefVector:

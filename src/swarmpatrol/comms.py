@@ -1,12 +1,10 @@
-"""Proximity-triggered pairwise belief exchange with a per-pair cooldown.
+"""Proximity-triggered pairwise exchanges with a per-pair cooldown.
 
-Two robots within straight-line communication range exchange belief vectors:
-both end up holding the elementwise fusion of the two. A pair that has
-exchanged must wait out a cooldown before exchanging again. Within a tick,
-eligible pairs run sequentially in ascending (i, j) order, so later pairs see
-the results of earlier fusions. Two robots that already hold equal vectors
-still exchange, but fusing a vector with itself gives it back, so they skip
-the fusion.
+Two robots within straight-line communication range exchange. A pair that
+has exchanged must wait out a cooldown before exchanging again. Within a
+tick, eligible pairs exchange in ascending (i, j) order. The radio reads
+poses only: which pairs exchange comes from motion alone, and what an
+exchange does to the robots' beliefs is the caller's.
 
 A pair is not tested on every tick: CommState schedules each pair for the
 earliest tick at which it could pass the test again, from how far apart its
@@ -22,9 +20,8 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .beliefs import BeliefVector, fuse_vectors
 from .world import RobotState
 
 __all__ = [
@@ -134,28 +131,19 @@ class CommState:
         return self._ticks[0] if self._ticks else math.inf
 
 
-def tick_comms(
-    robots: Sequence[RobotState],
-    state: CommState,
-    k: int,
-) -> list[tuple[int, int, Optional[BeliefVector]]]:
-    """Run all eligible exchanges of tick k, at time k * dt; returns (i, j, fused) triples.
+def tick_comms(robots: Sequence[RobotState], state: CommState, k: int) -> list[int]:
+    """Run all eligible exchanges of tick k, at time k * dt; returns their pair ids.
 
-    Only the pairs due by tick k are handled, in ascending pair order. A
-    pair qualifies when its straight-line separation is within range and
-    at least the cooldown has elapsed since its previous exchange (a gap of
+    Only the pairs due by tick k are handled, in ascending pair order, and
+    the ids of those that exchange are returned in that order. A pair
+    qualifies when its straight-line separation is within range and at
+    least the cooldown has elapsed since its previous exchange (a gap of
     exactly the cooldown is eligible). A pair past its cooldown is
     range-tested against the positions of tick k unless it is known to be
     in range on tick k (see CommState); each robot of a tested pair is
-    synced to tick k once. A qualifying pair exchanges at once: both robots
-    then hold the fusion of their vectors, which a packed vector's
-    immutability lets them share. Positions do not depend on beliefs, so
-    this is the same as testing every pair first. Each triple holds the
-    vector that exchange fused; a later exchange in the same tick may have
-    changed what robots i and j hold since. Robots that already hold equal
-    vectors keep them, since fusion would give the same vector back: their
-    triple holds None, as the exchange changed nothing. Every exchange,
-    changing or not, has its triple and its last and exchanges records.
+    synced to tick k once. Each exchange updates the pair's last and
+    exchanges records. The returned list is the caller's: the radio keeps
+    no reference to it.
 
     A tested pair's bounds are closing_ticks written out, with the same
     float operations in the same order and max(1, w) as a comparison: the
@@ -180,7 +168,6 @@ def tick_comms(
     sqrt, floor, ceil = math.sqrt, math.floor, math.ceil
     eps, forever = _RANGE_EPS, _FOREVER
     per_tick = 2.0 * state.max_step  # the most a pair's distance changes in a tick
-    done: list[tuple[int, int, Optional[BeliefVector]]] = []
     exchanged: list[int] = []
     # A pair is filed in the bucket of the tick it is next due, which is new
     # when it is empty. Most such ticks get one pair, so grouping the pairs
@@ -196,10 +183,10 @@ def tick_comms(
             w = ceil(wait)
             later = k + w - 1 if w > 2 else k + 1
         else:
-            i, j = pairs[p]
-            ri, rj = robots[i], robots[j]
             later = None
             if until[p] < k:
+                i, j = pairs[p]
+                ri, rj = robots[i], robots[j]
                 if synced[i] != k:
                     ri.sync(k)
                     synced[i] = k
@@ -226,12 +213,6 @@ def tick_comms(
                     else:
                         until[p] = k + forever
             if later is None:
-                bi, bj = ri.beliefs, rj.beliefs
-                if bi == bj:
-                    done.append((i, j, None))
-                else:
-                    fused = ri.beliefs = rj.beliefs = fuse_vectors(bi, bj)
-                    done.append((i, j, fused))
                 last_exchange[p] = t
                 exchanges[p] += 1
                 exchanged.append(p)
@@ -250,8 +231,9 @@ def tick_comms(
             later = k + w - 1 if w > 2 else k + 1
             bucket = due.get(later)
             if bucket is None:
-                due[later] = exchanged
+                # a copy: later filings append to the bucket
+                due[later] = exchanged[:]
                 heappush(ticks, later)
             else:
                 bucket += exchanged
-    return done
+    return exchanged

@@ -41,7 +41,8 @@ class PatrolGraph:
     Nodes are dense ids 0..m-1 with finite (x, y) coordinates in meters. Edge
     lengths default to the Euclidean distance between endpoints; an explicit
     override is allowed when loaded from a map file. The graph must be
-    connected, free of self-loops and parallel edges, with positive lengths.
+    connected, free of self-loops and parallel edges, with positive lengths
+    small enough that twice their sum times m is finite.
     """
 
     __slots__ = ("coords", "edges", "adjacency", "_length", "_sp_cache", "_rows", "_mean_edge")
@@ -75,7 +76,9 @@ class PatrolGraph:
             seen.add(key)
             d = float(d)
             if not (d > 0.0) or not math.isfinite(d):
-                raise GraphValidationError(f"edge ({a},{b}) has non-positive length {d}")
+                raise GraphValidationError(
+                    f"edge ({a},{b}) has non-positive or non-finite length {d}"
+                )
             norm.append((key[0], key[1], d))
             adjacency[a].append((b, d))
             adjacency[b].append((a, d))
@@ -91,7 +94,15 @@ class PatrolGraph:
         self._length = length
         self._sp_cache: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {}
         self._rows: list[tuple[float, ...] | None] = [None] * m
-        self._mean_edge = sum(d for _, _, d in norm) / len(norm) if norm else 0.0
+        total = sum(d for _, _, d in norm)
+        # A shortest path is simple, so no longer than all edges together, and
+        # a closed route is at most m of them: total * m bounds every sum of
+        # lengths the simulator makes, and the factor 2 covers their rounding.
+        if not math.isfinite(2.0 * m * total):
+            raise GraphValidationError(
+                f"edge lengths sum to {total} m over {m} nodes; routes would overflow"
+            )
+        self._mean_edge = total / len(norm) if norm else 0.0
         self._check_connected()
 
     def _check_connected(self) -> None:

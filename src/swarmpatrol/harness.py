@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .beliefs import digest, format_belief
+from .beliefs import digest, format_belief, fuse_pairs
 from .comms import CommState, tick_comms
 from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
@@ -370,6 +370,7 @@ def run_one(
     motion = max_step(g, cfg.speed, cfg.dt)
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
     robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
+    beliefs = [(0, 0)] * n  # every robot starts uncertain about every node
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
@@ -431,10 +432,12 @@ def run_one(
                 if arrived is None:
                     continue
                 idleness_before = t - last_visit[arrived]
-                visit(r, tracker, truth, arrived, t, noise, sense_rngs[rid])
-                consensus.visited(t, rid, arrived, r.beliefs)
+                held = beliefs[rid] = visit(
+                    beliefs[rid], tracker, truth, arrived, t, noise, sense_rngs[rid]
+                )
+                consensus.visited(t, rid, arrived, held)
                 if log_lines is not None:
-                    b = format_belief(r.beliefs, arrived)
+                    b = format_belief(held, arrived)
                     log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
                 policy.visited(rid, arrived, idleness_before)
                 if arrived == r.goal:
@@ -445,18 +448,19 @@ def run_one(
                         log_lines.append(f"{t:.3f} goal robot={rid} node={goal}")
         exchanged = tick_comms(robots, comm, k)
         if exchanged:
-            consensus.exchanged(t, exchanged)
+            pairs = comm.pairs
+            consensus.exchanged(t, fuse_pairs(beliefs, map(pairs.__getitem__, exchanged)))
             if log_lines is not None:
                 # every exchange of the tick has run, so the digest is end-of-tick state
-                for i, j, _ in exchanged:
+                for p in exchanged:
+                    i, j = pairs[p]
                     log_lines.append(
-                        f"{t:.3f} comm robot={i} peer={j} beliefs={digest(robots[i].beliefs, m)}"
+                        f"{t:.3f} comm robot={i} peer={j} beliefs={digest(beliefs[i], m)}"
                     )
     take_samples(math.inf)
 
-    vectors = [r.beliefs for r in robots]
-    counts = classify(vectors, truth)
-    report = consensus.report(vectors)
+    counts = classify(beliefs, truth)
+    report = consensus.report(beliefs)
     lam2 = algebraic_connectivity(CommGraph.from_exchanges(n, comm.pairs, comm.exchanges))
     record = RunRecord(
         strategy=kind.value,

@@ -296,11 +296,11 @@ class ConsensusTracker:
 
     Feed it every belief change of a run in execution order: `visited` after
     each node visit and `exchanged` after each tick's pairwise exchanges,
-    with the fused vector each exchange produced, or None for one that
-    changed nothing (exchanges within one tick chain, so a quorum reached
-    after one can be lost by the next). The truth is the packed vector of a
-    robot certain about every node, and whether each robot's vector equals
-    it is kept as one flag per robot.
+    with the fused vector of each exchange that changed one (exchanges
+    within one tick chain, so a quorum reached after one can be lost by the
+    next). The truth is the packed vector of a robot certain about every
+    node, and whether each robot's vector equals it is kept as one flag per
+    robot.
 
     t_full is the time of the first change after which at least `required`
     robots hold a belief vector exactly equal to the truth, or None.
@@ -341,23 +341,18 @@ class ConsensusTracker:
             self.misinformed = True
         self._set_exact(t, robot, beliefs == self._truth)
 
-    def exchanged(
-        self, t: float, triples: Iterable[tuple[int, int, Optional[BeliefVector]]]
-    ) -> None:
-        """The exchanges of one tick, at time t, in the order they ran.
+    def exchanged(self, t: float, triples: Iterable[tuple[int, int, BeliefVector]]) -> None:
+        """The exchanges of one tick that changed a vector, at time t, in the order they ran.
 
         After each (i, j, fused) triple, robots i and j both hold `fused`.
-        A triple whose fused is None is an exchange between robots that
-        already held equal vectors; it changed neither, so neither flag, and
-        is skipped. An exchange never misinforms: fusion yields 2 only if one
-        input was 2, and 0 only if one input was 0. So a certain belief in
-        `fused` that contradicts the truth was already held by robot i or j,
-        and the visit that set it was flagged by `visited`.
+        An exchange that changed no vector changes no flag either, so it
+        needs no triple. An exchange never misinforms: fusion yields 2 only
+        if one input was 2, and 0 only if one input was 0. So a certain
+        belief in `fused` that contradicts the truth was already held by
+        robot i or j, and the visit that set it was flagged by `visited`.
         """
         truth, is_exact = self._truth, self._is_exact
         for i, j, fused in triples:
-            if fused is None:
-                continue
             exact = fused == truth
             if is_exact[i] != exact:
                 self._set_exact(t, i, exact)

@@ -1,9 +1,8 @@
 """World state and robot kinematics on the patrol graph.
 
-Builds the planted ground truth and holds per-robot pose and belief state;
-covers noisy node sensing, per-node idleness bookkeeping, and the
-deterministic RNG streams that make every run reproducible from a single
-integer seed.
+Builds the planted ground truth and holds per-robot pose state; covers
+noisy node sensing, per-node idleness bookkeeping, and the deterministic
+RNG streams that make every run reproducible from a single integer seed.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def single_anomaly(m: int, anomaly_node: int) -> BeliefVector:
 
 @dataclass(slots=True)
 class RobotState:
-    """Pose, goal, path and belief vector of one robot.
+    """Pose, goal and path of one robot.
 
     Exactly one of (node, edge) is set: a robot is either at a node or part
     way along a directed edge (edge=(a, b), offset meters from a). A tick
@@ -200,7 +199,6 @@ class RobotState:
     y: float
     goal: int
     stride: float
-    beliefs: BeliefVector
     edge: Optional[tuple[int, int]] = None
     offset: float = 0.0
     path: list[int] = field(default_factory=list)
@@ -224,7 +222,6 @@ class RobotState:
             y=y,
             goal=node,
             stride=stride,
-            beliefs=(0, 0),
         )
 
     def enter_edge(self, g: PatrolGraph, nxt: int, k: int) -> None:
@@ -382,15 +379,14 @@ def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
 
 
 def visit(
-    robot: RobotState,
+    prior: BeliefVector,
     tracker: IdlenessTracker,
     truth: BeliefVector,
     node: int,
     t: float,
     noise_p: float,
     rng: RngStream,
-) -> None:
-    """Handle an arrival at node at time t: sense, update belief, reset idleness."""
-    observation = sense(truth, node, noise_p, rng)
-    robot.beliefs = measurement_update(robot.beliefs, node, observation)
+) -> BeliefVector:
+    """Handle an arrival at node at time t: sense and reset idleness; returns the updated vector."""
     tracker.last_visit[node] = t
+    return measurement_update(prior, node, sense(truth, node, noise_p, rng))

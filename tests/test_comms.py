@@ -1,4 +1,4 @@
-"""Proximity gossip: range and cooldown gates, pair scheduling, pairwise fusion, pair records."""
+"""Proximity gossip: range and cooldown gates, pair scheduling, pair records."""
 
 import math
 import random
@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import eligible_pairs, fuse_lists, pack, unpack
-from swarmpatrol import comms
-from swarmpatrol.beliefs import fuse_vectors
+from _oracles import eligible_pairs
 from swarmpatrol.comms import CommState, closing_ticks, tick_comms
 from swarmpatrol.graph import parse_map
-from swarmpatrol.world import IdlenessTracker, RngStream, RobotState, max_step, visit
-
-F, U, T = 0, 1, 2  # half-units of truth
+from swarmpatrol.world import RobotState, max_step
 
 DT = 0.1
 
@@ -42,8 +38,8 @@ def _state(n, range_m=5.0, timeout_s=30.0, step=1.0):
     return CommState(n, range_m, timeout_s, DT, step)
 
 
-def _pairs(done):
-    return [(i, j) for i, j, _ in done]
+def _pairs(state, ids):
+    return [state.pairs[p] for p in ids]
 
 
 def test_comm_state_validates():
@@ -65,13 +61,17 @@ def test_range_boundary_is_inclusive():
     last = {(0, 1): -math.inf}
     assert eligible_pairs([(0.0, 0.0), (5.0, 0.0)], last, 1.0, 5.0, 30.0) == [(0, 1)]
     assert eligible_pairs([(0.0, 0.0), (5.0001, 0.0)], last, 1.0, 5.0, 30.0) == []
-    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (5.0, 0.0)), _state(2), 10)) == [(0, 1)]
+    state = _state(2)
+    assert _pairs(state, tick_comms(_robots_at((0.0, 0.0), (5.0, 0.0)), state, 10)) == [(0, 1)]
+    assert state.last == [1.0]
+    assert state.exchanges == [1]
     assert tick_comms(_robots_at((0.0, 0.0), (5.0001, 0.0)), _state(2), 10) == []
 
 
 def test_first_contact_possible_immediately():
     assert eligible_pairs([(0.0, 0.0), (1.0, 0.0)], {(0, 1): -math.inf}, 0.0, 5.0, 30.0) == [(0, 1)]
-    assert _pairs(tick_comms(_robots_at((0.0, 0.0), (1.0, 0.0)), _state(2), 0)) == [(0, 1)]
+    state = _state(2)
+    assert _pairs(state, tick_comms(_robots_at((0.0, 0.0), (1.0, 0.0)), state, 0)) == [(0, 1)]
 
 
 def test_cooldown_boundary_is_inclusive():
@@ -94,7 +94,10 @@ def test_pairs_listed_in_ascending_order():
     last = {(0, 1): -math.inf, (0, 2): -math.inf, (1, 2): -math.inf}
     assert eligible_pairs(positions, last, 0.0, 5.0, 30.0) == [(0, 1), (0, 2), (1, 2)]
     robots = _robots_at(*positions)
-    assert _pairs(tick_comms(robots, _state(3), 0)) == [(0, 1), (0, 2), (1, 2)]
+    state = _state(3)
+    assert _pairs(state, tick_comms(robots, state, 0)) == [(0, 1), (0, 2), (1, 2)]
+    assert state.last == [0.0] * 3
+    assert state.exchanges == [1] * 3
 
 
 class _Probe:
@@ -104,7 +107,6 @@ class _Probe:
         self.id = rid
         self.pos_x = x
         self.y = 0.0
-        self.beliefs = (0, 0)
         self.reads = 0
         self.synced = []
 
@@ -153,7 +155,7 @@ def test_tick_comms_syncs_each_robot_of_a_tested_pair_once():
     state = _state(4, timeout_s=0.0)
     robots = [_Probe(0, 0.0), _Probe(1, 1.0), _Probe(2, 2.0), _Probe(3, 500.0)]
     for k in range(5):
-        assert _pairs(tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
+        assert _pairs(state, tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
     assert [r.synced for r in robots] == [[0, 2, 4]] * 3 + [[0]]
 
 
@@ -208,7 +210,7 @@ def test_unbounded_range_with_no_cooldown_never_overflows(range_m):
     state = _state(3, range_m=range_m, timeout_s=0.0, step=step)
     for k in range(50):
         robots[2].pos_x += step
-        assert _pairs(tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
+        assert _pairs(state, tick_comms(robots, state, k)) == [(0, 1), (0, 2), (1, 2)]
     assert state.exchanges == [50] * 3
     assert [r.synced for r in robots] == [[0]] * 3
     assert state.in_range_until == [1 << 62] * 3
@@ -285,7 +287,7 @@ def test_due_pair_is_filed_by_closing_ticks(case):
         assert done == [] and robots[1].synced == []
         wait = (last + timeout_s - 1e-9 - t) / DT
     elif near:
-        assert _pairs(done) == [(0, 1)] and robots[1].synced == [k]
+        assert _pairs(state, done) == [(0, 1)] and robots[1].synced == [k]
         assert state.in_range_until == [k + closing_ticks(range_m - dist, step, cap)]
         wait = (t + timeout_s - 1e-9 - t) / DT
     else:
@@ -347,123 +349,10 @@ def test_tick_comms_matches_brute_force_scan(case):
         for i, j in want:
             last[(i, j)] = t
             log.append((t, i, j))
-        assert _pairs(tick_comms(robots, state, k)) == want, (k, t)
+        assert _pairs(state, tick_comms(robots, state, k)) == want, (k, t)
         assert state.last == [last[pair] for pair in state.pairs], (k, t)
     counts = Counter((i, j) for _, i, j in log)
     assert state.exchanges == [counts[pair] for pair in state.pairs]
-
-
-def _visit_false_reading(robot, node):
-    # a noiseless visit to a node of the all-normal world reads false; returns the new belief
-    truth = pack([F, F, F])
-    visit(robot, IdlenessTracker(3), truth, node, 0.0, 0.0, RngStream(0, "sense", robot.id))
-    return unpack(robot.beliefs, 3)[node]
-
-
-def test_exchange_fuses_both_ways_without_aliasing():
-    state = _state(2)
-    ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
-    ri.beliefs = pack([T, F, U])
-    rj.beliefs = pack([U, T, U])
-    [(_, _, fused)] = tick_comms([ri, rj], state, 420)  # t = 42.0
-    assert fused is ri.beliefs
-    assert ri.beliefs == pack([T, U, U])
-    assert rj.beliefs == pack([T, U, U])
-    # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(ri, 0) == U
-    assert ri.beliefs == pack([U, U, U])
-    assert unpack(rj.beliefs, 3)[0] == T
-    assert rj.beliefs == fused == pack([T, U, U])
-    assert state.last == [42.0]
-    assert state.exchanges == [1]
-
-
-def test_exchange_between_agreeing_robots_skips_fusion(monkeypatch):
-    # fusing a vector with itself gives it back, so robots that already agree
-    # keep their own vectors; the exchange is still recorded, and its triple
-    # is marked with None
-    calls = []
-    monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: calls.append(1) or fuse_vectors(u, v))
-    state = _state(2, timeout_s=0.0)
-    ri, rj = _robots_at((0.0, 0.0), (1.0, 0.0))
-    bi, bj = pack([T, F, U]), pack([T, F, U])
-    ri.beliefs, rj.beliefs = bi, bj
-    assert tick_comms([ri, rj], state, 420) == [(0, 1, None)]  # t = 42.0
-    assert calls == []
-    assert ri.beliefs is bi and rj.beliefs is bj
-    assert state.last == [42.0]
-    assert state.exchanges == [1]
-    # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(rj, 2) == F
-    assert ri.beliefs == pack([T, F, U])
-    assert rj.beliefs == pack([T, F, F])
-    rj.beliefs = pack([U, F, U])
-    assert tick_comms([ri, rj], state, 430) == [(0, 1, pack([T, F, U]))]  # t = 43.0
-    assert calls == [1]
-    assert state.last == [43.0]
-    assert state.exchanges == [2]
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_tick_comms_triples_carry_each_exchange_own_vector(data):
-    # every pair is in range, so every pair exchanges, in ascending order,
-    # each one seeing the fusions before it; small vectors often agree
-    n = data.draw(st.integers(2, 5))
-    m = data.draw(st.integers(1, 3))
-    vectors = data.draw(
-        st.lists(st.lists(st.sampled_from([F, U, T]), min_size=m, max_size=m), min_size=n, max_size=n)
-    )
-    robots = _robots_at(*[(float(i), 0.0) for i in range(n)])
-    for r, v in zip(robots, vectors):
-        r.beliefs = pack(v)
-    held = [list(v) for v in vectors]
-    want = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # an exchange between equal lists changes nothing and is marked
-            if held[i] == held[j]:
-                want.append((i, j, None))
-                continue
-            fused = fuse_lists(held[i], held[j])
-            held[i], held[j] = fused, list(fused)
-            want.append((i, j, fused))
-    done = tick_comms(robots, _state(n), 0)
-    assert [(i, j, None if fused is None else unpack(fused, m)) for i, j, fused in done] == want
-    assert [unpack(r.beliefs, m) for r in robots] == held
-    # a later visit by robot 0 leaves every other robot's vector as it was
-    _visit_false_reading(robots[0], 0)
-    assert [unpack(r.beliefs, m) for r in robots[1:]] == held[1:]
-
-
-def test_tick_comms_chains_fusion_through_pair_order():
-    # pair order (0,1), (0,2), (1,2): robot 2 learns robot 0's certainty
-    # in the same tick, relayed via the second exchange, so (1,2) meets two
-    # robots that already hold [T] and changes nothing
-    state = _state(3)
-    robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
-    robots[0].beliefs = pack([T])
-    robots[1].beliefs = pack([U])
-    robots[2].beliefs = pack([U])
-    done = tick_comms(robots, state, 50)
-    assert done == [(0, 1, pack([T])), (0, 2, pack([T])), (1, 2, None)]
-    assert [r.beliefs for r in robots] == [pack([T])] * 3
-    assert state.last == [5.0] * 3
-    assert state.exchanges == [1] * 3
-
-
-def test_tick_comms_reports_each_exchange_own_fused_vector():
-    # (0,1) fuses [T] with [U] to [T]; (0,2) then meets robot 2's contrary
-    # [F] and both fall back to [U]. The first triple keeps the [T] that
-    # (0,1) produced, though robot 0 ends the tick holding [U].
-    state = _state(3)
-    robots = _robots_at((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
-    robots[0].beliefs = pack([T])
-    robots[1].beliefs = pack([U])
-    robots[2].beliefs = pack([F])
-    done = tick_comms(robots, state, 50)
-    assert done == [(0, 1, pack([T])), (0, 2, pack([U])), (1, 2, pack([T]))]
-    assert [r.beliefs for r in robots] == [pack([U]), pack([T]), pack([T])]
 
 
 def test_tick_comms_respects_cooldown_next_tick():
@@ -473,6 +362,23 @@ def test_tick_comms_respects_cooldown_next_tick():
     assert exchanged == [50, 350]  # t = 5.0 and 35.0; none at 5.1 or 34.9
     assert state.last == [35.0]
     assert state.exchanges == [2]
+
+
+def test_returned_pair_ids_are_never_changed_by_later_filings():
+    # pair (0, 1) exchanges on tick 0 and waits out its 3 s cooldown in the
+    # bucket of tick 29, which the tick's list of exchanged pairs starts; on
+    # tick 1 robot 2 is 62 m from robot 0, so pair (0, 2) is filed there too
+    state = _state(3, timeout_s=3.0)
+    robots = [_Probe(0, 0.0), _Probe(1, 1.0), _Probe(2, 7.0)]
+    kept = tick_comms(robots, state, 0)
+    assert kept == [0]
+    robots[2].pos_x = 62.0
+    assert tick_comms(robots, state, 1) == []
+    assert state._due[29] == [0, 1]
+    for k in range(2, 40):
+        tick_comms(robots, state, k)
+    assert kept == [0]
+    assert state.exchanges == [2, 0, 0]
 
 
 def test_endless_cooldown_drops_the_pair():

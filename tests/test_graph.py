@@ -105,6 +105,8 @@ def test_parse_map_reports_offending_line(text, line_no):
         "node 0 0 0\nnode 1 1 0\nedge 0 0\n",  # self-loop
         "node 0 0 0\nnode 1 1 0\nedge 0 1\nedge 1 0\n",  # parallel edge
         "node 0 0 0\nnode 1 1 0\nnode 2 9 9\nedge 0 1\n",  # disconnected
+        # finite edges whose sum overflows: the route's length would be inf
+        "node 0 0 0\nnode 1 1e308 0\nnode 2 -1e308 0\nedge 0 1\nedge 0 2\n",
     ],
 )
 def test_parse_map_rejects_invalid_graphs(text):
@@ -137,8 +139,12 @@ def test_graph_requires_two_nodes():
 )
 def test_graph_rejects_bad_edges(edges):
     coords = [(0.0, 0.0), (1.0, 0.0)]
-    with pytest.raises(GraphValidationError):
+    with pytest.raises(GraphValidationError) as info:
         PatrolGraph(coords, edges)
+    # a bad length is named for what it is, an infinite one too
+    bad = [d for _, _, d in edges if not 0.0 < d < math.inf]
+    if bad:
+        assert f"has non-positive or non-finite length {bad[0]}" in str(info.value)
 
 
 _NON_FINITE = (math.nan, math.inf, -math.inf)

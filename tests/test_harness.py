@@ -25,7 +25,7 @@ from _oracles import (
     per_tick_robot_class,
 )
 import swarmpatrol
-from swarmpatrol import comms, harness
+from swarmpatrol import beliefs, harness
 from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.graph import PatrolGraph, parse_map
@@ -371,13 +371,18 @@ def _brute_tick_comms(robots, state, k):
     last_exchange = dict(zip(state.pairs, state.last))
     pairs = eligible_pairs(positions, last_exchange, t, state.range_m, state.timeout_s)
     ids = {pair: p for p, pair in enumerate(state.pairs)}
-    done = []
-    for i, j in pairs:
-        ri, rj = robots[i], robots[j]
-        fused = ri.beliefs = rj.beliefs = fuse_vectors(ri.beliefs, rj.beliefs)
-        p = ids[(i, j)]
+    done = [ids[pair] for pair in pairs]
+    for p in done:
         state.last[p] = t
         state.exchanges[p] += 1
+    return done
+
+
+def _fuse_every_pair(vectors, pairs):
+    """fuse_pairs with no equality check: every exchange fuses and has its triple."""
+    done = []
+    for i, j in pairs:
+        fused = vectors[i] = vectors[j] = fuse_vectors(vectors[i], vectors[j])
         done.append((i, j, fused))
     return done
 
@@ -490,6 +495,8 @@ def test_scheduled_comms_match_brute_force_scan(
     )
     scheduled = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
     monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
+    # a triple that changed nothing leaves every robot's exact flag as it was
+    monkeypatch.setattr(harness, "fuse_pairs", _fuse_every_pair)
     brute = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
     # robots that barely move stay together, so DTAP awards nothing to turn round for
     assert reversals or cfg.speed * cfg.dt < 1e-100
@@ -576,23 +583,24 @@ def test_dense_runs_fuse_only_the_exchanges_whose_vectors_differ(default_graph, 
     # draws the seed changes move no sync count. They do move how many
     # exchanges meet robots that still disagree, and only those fuse
     fusions, syncs, exchanges, differing = [], [], [], []
-    fuse, sync, tick = comms.fuse_vectors, RobotState.sync, harness.tick_comms
-    monkeypatch.setattr(comms, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
+    fuse, sync, fuse_all = beliefs.fuse_vectors, RobotState.sync, harness.fuse_pairs
+    monkeypatch.setattr(beliefs, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
     monkeypatch.setattr(RobotState, "sync", lambda r, k: syncs.append(1) or sync(r, k))
 
-    def replayed(robots, state, k):
+    def replayed(vectors, pairs):
         # replay the tick's exchanges, in order, on the vectors held before it
-        held = [r.beliefs for r in robots]
-        done = tick(robots, state, k)
-        for i, j, _ in done:
+        pairs = list(pairs)
+        held = list(vectors)
+        done = fuse_all(vectors, pairs)
+        for i, j in pairs:
             exchanges.append(1)
             if held[i] != held[j]:
                 differing.append(1)
                 held[i] = held[j] = fuse_vectors(held[i], held[j])
-        assert held == [r.beliefs for r in robots]
+        assert held == vectors
         return done
 
-    monkeypatch.setattr(harness, "tick_comms", replayed)
+    monkeypatch.setattr(harness, "fuse_pairs", replayed)
     cfg = replace(
         ExperimentConfig(),
         duration=30.0,
@@ -1014,6 +1022,7 @@ def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monke
         ("map = {tmp}/garbled.map", "line 2"),
         ("map = {tmp}/binary.map", "decode"),
         ("map = {tmp}/nan.map", "node 1 has a non-finite coordinate"),
+        ("map = {tmp}/huge.map\nstrategies = CGG\nrobots = 3\nanomaly = 1", "overflow"),
         ("map_seed = -1", "map_seed"),
         ("duration = nan", "duration"),
         ("duration = inf", "duration"),
@@ -1035,6 +1044,10 @@ def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
     # explicit lengths: no edge length is derived from the NaN pose
     (tmp_path / "nan.map").write_text(
         "node 0 0 0\nnode 1 nan 0\nnode 2 2 0\nedge 0 1 1.0\nedge 1 2 1.0\n"
+    )
+    # every edge is finite, but a route over them is not
+    (tmp_path / "huge.map").write_text(
+        "node 0 0 0\nnode 1 1e308 0\nnode 2 -1e308 0\nedge 0 1\nedge 0 2\n"
     )
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(

@@ -47,29 +47,40 @@ def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
 
 
-def top_level_numpy_imports(source: str) -> list[int]:
-    """Line numbers of the imports of numpy that run when the module is imported.
+def imported_modules(source: str, package: str = "") -> list[tuple[int, str, bool]]:
+    """(line, module, runs on import) for each module an import statement names.
 
-    An import inside a function body runs only when the function is called.
+    A relative import is resolved against package. `from m import a` names
+    both m and m.a, as a may be a submodule. An import inside a function
+    body runs only when the function is called.
     """
-    lines = []
+    found = []
 
-    def visit(node):
+    def visit(node, top):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
+            inner = top and not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
+                found.extend((child.lineno, a.name, top) for a in child.names)
             elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(n == "numpy" or n.startswith("numpy.") for n in names):
-                lines.append(child.lineno)
-            visit(child)
+                base = package.rsplit(".", child.level - 1)[0] if child.level else ""
+                module = ".".join(filter(None, (base, child.module)))
+                found.append((child.lineno, module, top))
+                found.extend((child.lineno, f"{module}.{a.name}", top) for a in child.names)
+            visit(child, inner)
 
-    visit(ast.parse(source))
-    return lines
+    visit(ast.parse(source), True)
+    return found
+
+
+def top_level_numpy_imports(source: str) -> list[int]:
+    """Line numbers of the imports of numpy that run when the module is imported."""
+    return sorted(
+        {
+            line
+            for line, name, top in imported_modules(source)
+            if top and (name == "numpy" or name.startswith("numpy."))
+        }
+    )
 
 
 def test_top_level_numpy_imports_skips_function_bodies():
@@ -92,6 +103,35 @@ def test_top_level_numpy_imports_skips_function_bodies():
 )
 def test_package_module_imports_numpy_only_inside_functions(path):
     assert top_level_numpy_imports(path.read_text()) == []
+
+
+def test_imported_modules_resolves_relative_imports_and_function_bodies():
+    source = (
+        "import os.path\n"
+        "from . import beliefs\n"
+        "from .world import RobotState\n"
+        "def f():\n"
+        "    from swarmpatrol.beliefs import digest\n"
+    )
+    assert imported_modules(source, "swarmpatrol") == [
+        (1, "os.path", True),
+        (2, "swarmpatrol", True),
+        (2, "swarmpatrol.beliefs", True),
+        (3, "swarmpatrol.world", True),
+        (3, "swarmpatrol.world.RobotState", True),
+        (5, "swarmpatrol.beliefs", False),
+        (5, "swarmpatrol.beliefs.digest", False),
+    ]
+
+
+@pytest.mark.parametrize("name", ["comms", "strategies"])
+def test_radio_and_policies_import_nothing_from_beliefs(name):
+    # which pairs exchange and where robots go come from poses alone, so a
+    # run's motion and exchange schedule do not depend on its sensing draws
+    source = (ROOT / "src" / "swarmpatrol" / f"{name}.py").read_text()
+    modules = [module for _, module, _ in imported_modules(source, "swarmpatrol")]
+    assert "swarmpatrol.world" in modules
+    assert [m for m in modules if m.split(".")[:2] == ["swarmpatrol", "beliefs"]] == []
 
 
 # Imports the package, runs a default-map matrix of every strategy with its

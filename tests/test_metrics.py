@@ -20,7 +20,7 @@ from _oracles import (
     pack_truth,
     unpack,
 )
-from swarmpatrol.beliefs import fuse_vectors
+from swarmpatrol.beliefs import fuse_pairs, fuse_vectors
 from swarmpatrol.metrics import (
     _NUMPY_JACOBI_MIN,
     CommGraph,
@@ -356,13 +356,13 @@ def test_required_quorum_rejects_bad_fraction():
             required_quorum(8, q)
 
 
-def _track(m, n_robots, truth, events, quorum, mark_agreeing=False):
+def _track(m, n_robots, truth, events, quorum, skip_agreeing=False):
     """Feed a ConsensusTracker the way run_one does; return (report, misinformed, required).
 
     events are ("visit", t, robot, node, belief) and ("comm", t, i, j), as
-    the brute-force replay reads them. With mark_agreeing, an exchange
-    between robots that hold equal vectors is fed as (i, j, None), as
-    tick_comms reports it; otherwise every exchange is fed its fused vector.
+    the brute-force replay reads them. With skip_agreeing, each exchange is
+    fused by fuse_pairs, which reports no triple for one between robots that
+    hold equal vectors; otherwise every exchange is fed its fused vector.
     """
     tracker = ConsensusTracker(pack_truth(truth), n_robots, quorum)
     vectors = [(0, 0)] * n_robots
@@ -372,8 +372,8 @@ def _track(m, n_robots, truth, events, quorum, mark_agreeing=False):
             values[b] = rest[0]
             vectors[a] = pack(values)
             tracker.visited(t, a, b, vectors[a])
-        elif mark_agreeing and vectors[a] == vectors[b]:
-            tracker.exchanged(t, [(a, b, None)])
+        elif skip_agreeing:
+            tracker.exchanged(t, fuse_pairs(vectors, [(a, b)]))
         else:
             fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
             tracker.exchanged(t, [(a, b, fused)])
@@ -528,10 +528,10 @@ def test_tracker_skipping_agreeing_exchanges_matches_every_fusion_fed(case):
     # a tracker that skips it ends where one fed its fused vector does
     m, n_robots, truth, required, events = case
     quorum = required / n_robots
-    marked = _track(m, n_robots, truth, events, quorum, mark_agreeing=True)
-    assert marked == _track(m, n_robots, truth, events, quorum)
+    skipped = _track(m, n_robots, truth, events, quorum, skip_agreeing=True)
+    assert skipped == _track(m, n_robots, truth, events, quorum)
     if case is _AGREEING_BEFORE_QUORUM:
-        assert marked[0].t_full_consensus == 2.5
+        assert skipped[0].t_full_consensus == 2.5
 
 
 @st.composite

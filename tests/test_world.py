@@ -405,40 +405,33 @@ def test_graph_idleness_mean():
 
 
 def test_visit_updates_belief_and_idleness():
-    g = _line_graph()
     w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
-    r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
-    assert visit(r, tr, w, 1, 7.0, 0.0, rng) is None
-    assert unpack(r.beliefs, 3)[1] == T
+    held = visit((0, 0), tr, w, 1, 7.0, 0.0, rng)
+    assert unpack(held, 3)[1] == T
     assert 7.0 - tr.last_visit[1] == 0.0
-    visit(r, tr, w, 0, 7.0, 0.0, rng)
-    assert r.beliefs == pack([F, T, U])
+    assert visit(held, tr, w, 0, 7.0, 0.0, rng) == pack([F, T, U])
 
 
 def test_visit_contrary_reading_softens_belief():
-    g = _line_graph()
     w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
-    r = RobotState.at_node(0, g, 1, stride=0.1)
     rng = RngStream(3, "sense", 0)
-    r.beliefs = pack([U, F, U])  # previously misled
-    visit(r, tr, w, 1, 0.0, 0.0, rng)
-    assert unpack(r.beliefs, 3)[1] == U  # true reading against false prior
+    held = visit(pack([U, F, U]), tr, w, 1, 0.0, 0.0, rng)  # previously misled
+    assert unpack(held, 3)[1] == U  # true reading against false prior
 
 
 def test_visit_by_one_robot_leaves_another_unchanged():
     # robots start with equal vectors, and an exchange leaves both holding
     # the same one; a visit replaces the visiting robot's vector only
-    g = _line_graph()
     w = single_anomaly(3, 1)
     tr = IdlenessTracker(3)
-    a, b = (RobotState.at_node(i, g, 1, stride=0.1) for i in range(2))
+    vectors = [(0, 0)] * 2
     rng = RngStream(3, "sense", 0)
-    visit(a, tr, w, 1, 1.0, 0.0, rng)
-    assert b.beliefs == pack([U, U, U])
-    b.beliefs = a.beliefs
-    visit(a, tr, w, 0, 2.0, 0.0, rng)
-    assert a.beliefs == pack([F, T, U])
-    assert b.beliefs == pack([U, T, U])
+    vectors[0] = visit(vectors[0], tr, w, 1, 1.0, 0.0, rng)
+    assert vectors[1] == pack([U, U, U])
+    vectors[1] = vectors[0]
+    vectors[0] = visit(vectors[0], tr, w, 0, 2.0, 0.0, rng)
+    assert vectors[0] == pack([F, T, U])
+    assert vectors[1] == pack([U, T, U])
