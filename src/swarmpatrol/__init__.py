@@ -7,7 +7,7 @@ matrices under derived per-run seeds and reduces each run to accuracy,
 idleness, consensus and communication-connectivity metrics.
 """
 
-from .beliefs import fuse_pairs, fuse_vectors, measurement_update
+from .beliefs import fuse_vectors, measurement_update
 from .comms import CommState, tick_comms
 from .graph import (
     PatrolGraph,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "fuse_vectors",
-    "fuse_pairs",
     "measurement_update",
     "CommState",
     "tick_comms",

@@ -3,18 +3,23 @@
 A belief about one node is one of three states: certain-false, uncertain,
 certain-true, or 0, 1 and 2 in half-units of truth. A robot holds its
 beliefs over every node as one packed vector of two bitmasks, and fusion,
-sensing and the log renderings all work on that vector directly; the float
-values 0.0/0.5/1.0 appear only at serialization and metric boundaries.
+noisy sensing of the planted ground truth and the log renderings all work
+on that vector directly; the float values 0.0/0.5/1.0 appear only at
+serialization and metric boundaries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .world import RngStream
 
 __all__ = [
     "BeliefVector",
+    "single_anomaly",
+    "sense",
     "fuse_vectors",
-    "fuse_pairs",
     "measurement_update",
     "format_belief",
     "digest",
@@ -30,6 +35,29 @@ _STR_OF = ("0", "0.5", "1")
 _DIGEST_OF = bytes.maketrans(b"/02", b"0u1")  # bytes 47, 48, 50 of digest
 
 
+def single_anomaly(m: int, anomaly_node: int) -> BeliefVector:
+    """The ground truth over m nodes with one anomaly, as a packed vector.
+
+    It is the vector of a robot that knows every node for certain: bit
+    anomaly_node of T, and every other bit below m of F. The caller checks
+    that anomaly_node is one of the m nodes.
+    """
+    bit = 1 << anomaly_node
+    return bit, ((1 << m) - 1) ^ bit
+
+
+def sense(truth: BeliefVector, node: int, noise_p: float, rng: RngStream) -> bool:
+    """Read the node's bit of the packed truth through a symmetric noisy channel.
+
+    Returns whether the node is anomalous with probability 1 - noise_p, else
+    its negation; consumes exactly one draw per call.
+    """
+    value = truth[0] >> node & 1 == 1
+    if rng.random() < noise_p:
+        return not value
+    return value
+
+
 def fuse_vectors(u: BeliefVector, v: BeliefVector) -> BeliefVector:
     """Fuse two packed vectors node by node.
 
@@ -42,27 +70,6 @@ def fuse_vectors(u: BeliefVector, v: BeliefVector) -> BeliefVector:
     ut, uf = u
     vt, vf = v
     return (ut & ~vf) | (vt & ~uf), (uf & ~vt) | (vf & ~ut)
-
-
-def fuse_pairs(
-    vectors: list[BeliefVector], pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int, BeliefVector]]:
-    """Let each robot pair (i, j) exchange, in order; returns the (i, j, fused) that changed.
-
-    After an exchange, robots i and j both hold the fusion of their vectors
-    in `vectors`, which a packed vector's immutability lets them share, and
-    later pairs see it. Robots that already hold equal vectors keep them,
-    since fusion would give the same vector back: that exchange changed
-    nothing and has no triple. Each triple holds the vector its exchange
-    fused; a later exchange may have changed what i and j hold since.
-    """
-    changed = []
-    for i, j in pairs:
-        u, v = vectors[i], vectors[j]
-        if u != v:
-            fused = vectors[i] = vectors[j] = fuse_vectors(u, v)
-            changed.append((i, j, fused))
-    return changed
 
 
 def measurement_update(prior: BeliefVector, node: int, observation: bool) -> BeliefVector:

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .beliefs import digest, format_belief, fuse_pairs
+from .beliefs import digest, format_belief, sense, single_anomaly
 from .comms import CommState, tick_comms
 from .graph import MapFormatError, PatrolGraph, generate_default_map, parse_map
 from .metrics import (
@@ -37,8 +37,6 @@ from .world import (
     label_seed,
     max_step,
     sample_ticks,
-    single_anomaly,
-    visit,
 )
 
 __all__ = [
@@ -185,12 +183,13 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         """Load a line-oriented 'key = value' config file.
 
-        '#' starts a comment, blank lines are skipped, unknown keys are an
-        error. List values (noises, strategies) are comma separated;
-        strategies also accepts 'all'.
+        '#' starts a comment, blank lines are skipped, unknown and repeated
+        keys are an error. List values (noises, strategies) are comma
+        separated; strategies also accepts 'all'.
         """
         kwargs: dict = {}
         params_kwargs: dict = {}
+        seen: dict[str, int] = {}  # key -> the line it was given on
         try:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
@@ -205,7 +204,10 @@ class ExperimentConfig:
             key = key.strip()
             value = value.strip()
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{line_no}: config key {key!r} repeats line {seen[key]}")
+            seen[key] = line_no
             name, parse, is_param = _CONFIG_KEYS[key]
             try:
                 (params_kwargs if is_param else kwargs)[name] = parse(value)
@@ -337,6 +339,23 @@ def _noise_token(noise: float) -> str:
     return repr(float(noise)).replace(".", "p").replace("-", "m")
 
 
+def _check_map(cfg: ExperimentConfig, g: PatrolGraph) -> None:
+    """Raise ConfigError unless cfg's start node, anomaly node and step fit map g."""
+    m = g.node_count
+    for label, node in (("start_node", cfg.start_node), ("anomaly_node", cfg.anomaly_node)):
+        if not (0 <= node < m):
+            raise ConfigError(f"{label} {node} outside the map's nodes 0..{m - 1}")
+    # a robot makes at most one arrival a tick and drops the overshoot, so a
+    # step longer than an edge would silently slow the robots down
+    step = cfg.speed * cfg.dt
+    shortest_edge = min(d for _, _, d in g.edges)
+    if step > shortest_edge:
+        raise ConfigError(
+            f"speed {cfg.speed} x dt {cfg.dt} = {step} m a tick is longer than "
+            f"the map's shortest edge of {shortest_edge} m"
+        )
+
+
 def run_one(
     cfg: ExperimentConfig,
     g: PatrolGraph,
@@ -350,27 +369,16 @@ def run_one(
     When out_dir is given, the per-event log is written there as
     <strategy>_<noise>_r<rep>.log with byte-stable lines.
     """
+    _check_map(cfg, g)
     run_seed = cell_seed(cfg.master_seed, kind.value, noise, rep)
     m = g.node_count
     n = cfg.n_robots
-    for label, node in (("start_node", cfg.start_node), ("anomaly_node", cfg.anomaly_node)):
-        if not (0 <= node < m):
-            raise ConfigError(f"{label} {node} outside the map's nodes 0..{m - 1}")
-    # a robot makes at most one arrival a tick and drops the overshoot, so a
-    # step longer than an edge would silently slow the robots down
     step = cfg.speed * cfg.dt
-    shortest_edge = min(d for _, _, d in g.edges)
-    if step > shortest_edge:
-        raise ConfigError(
-            f"speed {cfg.speed} x dt {cfg.dt} = {step} m a tick is longer than "
-            f"the map's shortest edge of {shortest_edge} m"
-        )
     truth = single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
     motion = max_step(g, cfg.speed, cfg.dt)
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
     robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
-    beliefs = [(0, 0)] * n  # every robot starts uncertain about every node
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
     sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
@@ -432,10 +440,9 @@ def run_one(
                 if arrived is None:
                     continue
                 idleness_before = t - last_visit[arrived]
-                held = beliefs[rid] = visit(
-                    beliefs[rid], tracker, truth, arrived, t, noise, sense_rngs[rid]
-                )
-                consensus.visited(t, rid, arrived, held)
+                last_visit[arrived] = t
+                reading = sense(truth, arrived, noise, sense_rngs[rid])
+                held = consensus.sensed(t, rid, arrived, reading)
                 if log_lines is not None:
                     b = format_belief(held, arrived)
                     log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
@@ -449,18 +456,17 @@ def run_one(
         exchanged = tick_comms(robots, comm, k)
         if exchanged:
             pairs = comm.pairs
-            consensus.exchanged(t, fuse_pairs(beliefs, map(pairs.__getitem__, exchanged)))
+            consensus.exchanged(t, map(pairs.__getitem__, exchanged))
             if log_lines is not None:
                 # every exchange of the tick has run, so the digest is end-of-tick state
                 for p in exchanged:
                     i, j = pairs[p]
-                    log_lines.append(
-                        f"{t:.3f} comm robot={i} peer={j} beliefs={digest(beliefs[i], m)}"
-                    )
+                    d = digest(consensus.vectors[i], m)
+                    log_lines.append(f"{t:.3f} comm robot={i} peer={j} beliefs={d}")
     take_samples(math.inf)
 
-    counts = classify(beliefs, truth)
-    report = consensus.report(beliefs)
+    counts = classify(consensus.vectors, truth)
+    report = consensus.report()
     lam2 = algebraic_connectivity(CommGraph.from_exchanges(n, comm.pairs, comm.exchanges))
     record = RunRecord(
         strategy=kind.value,
@@ -502,6 +508,7 @@ def run_matrix(
     """
     if g is None:
         g = load_map(cfg)
+    _check_map(cfg, g)
     cells = [
         (kind, noise, rep)
         for kind in cfg.strategies

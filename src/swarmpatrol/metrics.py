@@ -1,10 +1,11 @@
 """System-level measurements over belief states and exchange counts.
 
 Covers the mean absolute belief error, the confusion-count score with an
-uncertainty penalty (both in exact rational arithmetic), quorum consensus
-and misinformation tracked as the run's beliefs change, the communication
-graph spectrum (hand-rolled cyclic Jacobi), and Pearson correlation with a
-two-sided p-value computed from the t distribution.
+uncertainty penalty (both in exact rational arithmetic), the fleet's belief
+vectors with the quorum consensus and misinformation they reach as sensing
+and exchanges change them, the communication graph spectrum (hand-rolled
+cyclic Jacobi), and Pearson correlation with a two-sided p-value computed
+from the t distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .beliefs import BeliefVector
+from .beliefs import BeliefVector, fuse_vectors, measurement_update
 
 __all__ = [
     "ConfusionCounts",
@@ -263,7 +264,7 @@ def algebraic_connectivity(graph: CommGraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quorum consensus, tracked as beliefs change
+# the fleet's beliefs, with quorum consensus tracked as they change
 # ---------------------------------------------------------------------------
 
 
@@ -292,15 +293,16 @@ class ConsensusReport:
 
 
 class ConsensusTracker:
-    """Quorum consensus and misinformation, updated as each belief changes.
+    """The fleet's belief vectors, with quorum consensus and misinformation.
 
-    Feed it every belief change of a run in execution order: `visited` after
-    each node visit and `exchanged` after each tick's pairwise exchanges,
-    with the fused vector of each exchange that changed one (exchanges
-    within one tick chain, so a quorum reached after one can be lost by the
-    next). The truth is the packed vector of a robot certain about every
-    node, and whether each robot's vector equals it is kept as one flag per
-    robot.
+    It owns every robot's packed vector, all uncertain at the start, and is
+    the only code that changes one: `sensed` folds a robot's reading at a
+    visit into its vector, and `exchanged` fuses the vectors of each robot
+    pair of a tick's exchanges. Feed it a run's events in execution order
+    (exchanges within one tick chain, so a quorum reached after one can be
+    lost by the next). The truth is the packed vector of a robot certain
+    about every node, and whether each robot's vector equals it is kept as
+    one flag per robot.
 
     t_full is the time of the first change after which at least `required`
     robots hold a belief vector exactly equal to the truth, or None.
@@ -308,12 +310,17 @@ class ConsensusTracker:
     contradicts the truth.
     """
 
-    __slots__ = ("required", "t_full", "misinformed", "_m", "_truth", "_is_exact", "_exact")
+    __slots__ = (
+        "required", "t_full", "misinformed", "vectors", "_m", "_truth", "_is_exact", "_exact"
+    )
 
     def __init__(self, truth: BeliefVector, n_robots: int, quorum: float):
         self.required = required_quorum(n_robots, quorum)
         self.t_full: Optional[float] = None
         self.misinformed = False
+        # every robot starts uncertain about every node; the vectors are
+        # immutable, so robots may share one
+        self.vectors: list[BeliefVector] = [(0, 0)] * n_robots
         # the truth is certain at every node, so its highest set bit is node m - 1
         self._m = (truth[0] | truth[1]).bit_length()
         self._truth = truth
@@ -333,40 +340,48 @@ class ConsensusTracker:
         else:
             self._exact -= 1
 
-    def visited(self, t: float, robot: int, node: int, beliefs: BeliefVector) -> None:
-        """Robot `robot` visited `node` and now holds the vector `beliefs`."""
+    def sensed(self, t: float, robot: int, node: int, reading: bool) -> BeliefVector:
+        """Fold robot's reading of `node` at time t into its vector; returns that vector."""
+        held = self.vectors[robot] = measurement_update(self.vectors[robot], node, reading)
         # certain-true at a normal node or certain-false at the anomaly
-        wrong = beliefs[0] & self._truth[1] | beliefs[1] & self._truth[0]
+        wrong = held[0] & self._truth[1] | held[1] & self._truth[0]
         if wrong >> node & 1:
             self.misinformed = True
-        self._set_exact(t, robot, beliefs == self._truth)
+        self._set_exact(t, robot, held == self._truth)
+        return held
 
-    def exchanged(self, t: float, triples: Iterable[tuple[int, int, BeliefVector]]) -> None:
-        """The exchanges of one tick that changed a vector, at time t, in the order they ran.
+    def exchanged(self, t: float, pairs: Iterable[tuple[int, int]]) -> None:
+        """Let each robot pair (i, j) of one tick exchange at time t, in the order they ran.
 
-        After each (i, j, fused) triple, robots i and j both hold `fused`.
-        An exchange that changed no vector changes no flag either, so it
-        needs no triple. An exchange never misinforms: fusion yields 2 only
-        if one input was 2, and 0 only if one input was 0. So a certain
-        belief in `fused` that contradicts the truth was already held by
-        robot i or j, and the visit that set it was flagged by `visited`.
+        After an exchange, robots i and j both hold the fusion of their
+        vectors, and later pairs see it. Robots that already hold equal
+        vectors keep them, since fusion would give the same vector back, so
+        their flags stay as they are too. An exchange never misinforms:
+        fusion yields 2 only if one input was 2, and 0 only if one input was
+        0. So a certain belief in the fusion that contradicts the truth was
+        already held by robot i or j, and the visit that set it was flagged
+        by `sensed`.
         """
-        truth, is_exact = self._truth, self._is_exact
-        for i, j, fused in triples:
+        vectors, truth, is_exact = self.vectors, self._truth, self._is_exact
+        for i, j in pairs:
+            u, v = vectors[i], vectors[j]
+            if u == v:
+                continue
+            fused = vectors[i] = vectors[j] = fuse_vectors(u, v)
             exact = fused == truth
             if is_exact[i] != exact:
                 self._set_exact(t, i, exact)
             if is_exact[j] != exact:
                 self._set_exact(t, j, exact)
 
-    def report(self, vectors: Sequence[BeliefVector]) -> ConsensusReport:
-        """Milestones of the run, with tp/fp consensus judged on the final vectors.
+    def report(self) -> ConsensusReport:
+        """Milestones of the run, with tp/fp consensus judged on the vectors held now.
 
         A node is in consensus when at least `required` robots hold it
         certain-true; tp means every anomaly node is, fp lists the non-anomaly
         nodes that are.
         """
-        anomalous = self._truth[0]
+        anomalous, vectors = self._truth[0], self.vectors
         agreed = [sum(t >> v & 1 for t, _ in vectors) >= self.required for v in range(self._m)]
         anomalies = [v for v in range(self._m) if anomalous >> v & 1]
         return ConsensusReport(

@@ -1,8 +1,9 @@
 """World state and robot kinematics on the patrol graph.
 
-Builds the planted ground truth and holds per-robot pose state; covers
-noisy node sensing, per-node idleness bookkeeping, and the deterministic
-RNG streams that make every run reproducible from a single integer seed.
+Holds per-robot pose state and moves robots along edges; covers per-node
+idleness bookkeeping and the deterministic RNG streams that make every run
+reproducible from a single integer seed. Beliefs, the ground truth and
+sensing live in `beliefs`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Iterator, Optional
 
-from .beliefs import BeliefVector, measurement_update
 from .graph import PatrolGraph
 
 __all__ = [
@@ -22,11 +22,8 @@ __all__ = [
     "RobotState",
     "IdlenessTracker",
     "label_seed",
-    "single_anomaly",
-    "sense",
     "max_step",
     "sample_ticks",
-    "visit",
 ]
 
 _ARRIVAL_SLACK = 1e-9  # meters; absorbs float drift in accumulated offsets
@@ -163,17 +160,6 @@ class RngStream:
         while m & _M32 < threshold:
             m = self._next32() * n
         return m >> 32
-
-
-def single_anomaly(m: int, anomaly_node: int) -> BeliefVector:
-    """The ground truth over m nodes with one anomaly, as a packed vector.
-
-    It is the vector of a robot that knows every node for certain: bit
-    anomaly_node of T, and every other bit below m of F. The caller checks
-    that anomaly_node is one of the m nodes.
-    """
-    bit = 1 << anomaly_node
-    return bit, ((1 << m) - 1) ^ bit
 
 
 @dataclass(slots=True)
@@ -351,18 +337,6 @@ def sample_ticks(dt: float, ticks: int) -> Iterator[int]:
         s += 1
 
 
-def sense(truth: BeliefVector, node: int, noise_p: float, rng: RngStream) -> bool:
-    """Read the node's bit of the packed truth through a symmetric noisy channel.
-
-    Returns whether the node is anomalous with probability 1 - noise_p, else
-    its negation; consumes exactly one draw per call.
-    """
-    value = truth[0] >> node & 1 == 1
-    if rng.random() < noise_p:
-        return not value
-    return value
-
-
 def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
     """Farthest a robot moves in the plane in one tick on map g.
 
@@ -376,17 +350,3 @@ def max_step(g: PatrolGraph, speed: float, dt: float) -> float:
     """
     stretch = max(1.0, max(g.euclidean(a, b) / d for a, b, d in g.edges))
     return (speed * dt + _ARRIVAL_SLACK) * stretch
-
-
-def visit(
-    prior: BeliefVector,
-    tracker: IdlenessTracker,
-    truth: BeliefVector,
-    node: int,
-    t: float,
-    noise_p: float,
-    rng: RngStream,
-) -> BeliefVector:
-    """Handle an arrival at node at time t: sense and reset idleness; returns the updated vector."""
-    tracker.last_visit[node] = t
-    return measurement_update(prior, node, sense(truth, node, noise_p, rng))

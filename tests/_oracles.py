@@ -366,10 +366,12 @@ def brute_consensus_replay(m: int, n_robots: int, truth: Sequence[bool], events,
     """Replay belief events from all-uncertain; return (t_full, tp, fp_nodes, misinformed).
 
     events, in execution order, are ("visit", t, robot, node, belief) for a
-    robot's new belief about one node and ("comm", t, i, j) for an exchange,
-    with beliefs in half-units. Fusion is clamp(a + b - 1, 0, 2). After every
-    event the whole state is checked again: how many robots hold exactly the
-    truth, and whether any certain belief contradicts it.
+    robot's new belief about one node, ("sense", t, robot, node, reading) for
+    a boolean reading fused into it, and ("comm", t, i, j) for an exchange,
+    with beliefs in half-units. Fusion is clamp(a + b - 1, 0, 2), and a
+    reading fuses as a certain belief. After every event the whole state is
+    checked again: how many robots hold exactly the truth, and whether any
+    certain belief contradicts it.
     """
     want = [2 if v else 0 for v in truth]
     vectors = [[1] * m for _ in range(n_robots)]
@@ -378,6 +380,8 @@ def brute_consensus_replay(m: int, n_robots: int, truth: Sequence[bool], events,
     for kind, t, a, b, *rest in events:
         if kind == "visit":
             vectors[a][b] = rest[0]
+        elif kind == "sense":
+            vectors[a][b] = min(max(vectors[a][b] + (2 if rest[0] else 0) - 1, 0), 2)
         else:
             fused = [min(max(x + y - 1, 0), 2) for x, y in zip(vectors[a], vectors[b])]
             vectors[a] = fused
@@ -390,3 +394,96 @@ def brute_consensus_replay(m: int, n_robots: int, truth: Sequence[bool], events,
     tp = any(truth) and all(holders[v] >= required for v in range(m) if truth[v])
     fp_nodes = tuple(v for v in range(m) if holders[v] >= required and not truth[v])
     return t_full, tp, fp_nodes, misinformed
+
+
+# ---------------------------------------------------------------------------
+# the two-step belief layer: the fleet's vectors fused by fuse_pairs, and a
+# consensus tracker fed the (i, j, fused) triples of the exchanges that
+# changed a vector. The package's ConsensusTracker does both in one loop.
+# ---------------------------------------------------------------------------
+
+
+def fuse_packed(u, v):
+    """Fuse two packed (T, F) vectors node by node, as clamp(a + b - 1, 0, 2)."""
+    return (u[0] & ~v[1]) | (v[0] & ~u[1]), (u[1] & ~v[0]) | (v[1] & ~u[0])
+
+
+def fuse_pairs(vectors, pairs):
+    """Let each robot pair (i, j) exchange, in order; returns the (i, j, fused) that changed.
+
+    Both robots take the fusion, and later pairs see it. Robots that already
+    hold equal vectors keep them, and their exchange has no triple.
+    """
+    changed = []
+    for i, j in pairs:
+        u, v = vectors[i], vectors[j]
+        if u != v:
+            fused = vectors[i] = vectors[j] = fuse_packed(u, v)
+            changed.append((i, j, fused))
+    return changed
+
+
+def fuse_every_pair(tracker, t, pairs):
+    """The package tracker's `exchanged` with no equality check: every pair fuses.
+
+    Both robots of each pair take the fusion, and both exact flags are set
+    again, so an exchange between robots that already agree is fused too.
+    """
+    vectors, truth = tracker.vectors, tracker._truth
+    for i, j in pairs:
+        fused = vectors[i] = vectors[j] = fuse_packed(vectors[i], vectors[j])
+        tracker._set_exact(t, i, fused == truth)
+        tracker._set_exact(t, j, fused == truth)
+
+
+class TwoStepConsensus:
+    """The fleet's vectors in a list, and a tracker replaying what changed them.
+
+    `sensed` folds a reading into a robot's vector and hands the tracker the
+    new vector; `exchanged` fuses a tick's pairs with fuse_pairs and hands
+    the tracker the triples. The tracker keeps one exact flag per robot and
+    the number of exact robots, and is told only of vectors that changed.
+    """
+
+    def __init__(self, truth, n_robots, quorum):
+        self.required = max(1, math.ceil(round(quorum * n_robots, 9)))
+        self.t_full = None
+        self.misinformed = False
+        self.vectors = [(0, 0)] * n_robots
+        self.truth = truth
+        self.m = (truth[0] | truth[1]).bit_length()
+        self.is_exact = [False] * n_robots
+
+    def _set_exact(self, t, robot, exact):
+        if exact == self.is_exact[robot]:
+            return
+        self.is_exact[robot] = exact
+        if exact and self.t_full is None and sum(self.is_exact) >= self.required:
+            self.t_full = t
+
+    def sensed(self, t, robot, node, reading):
+        bit = 1 << node
+        held = self.vectors[robot] = fuse_packed(
+            self.vectors[robot], (bit, 0) if reading else (0, bit)
+        )
+        wrong = held[0] & self.truth[1] | held[1] & self.truth[0]
+        if wrong >> node & 1:
+            self.misinformed = True
+        self._set_exact(t, robot, held == self.truth)
+        return held
+
+    def exchanged(self, t, pairs):
+        for i, j, fused in fuse_pairs(self.vectors, pairs):
+            self._set_exact(t, i, fused == self.truth)
+            self._set_exact(t, j, fused == self.truth)
+
+    def report(self):
+        """(t_full, tp, fp_nodes) on the vectors held now."""
+        holders = [sum(t >> v & 1 for t, _ in self.vectors) for v in range(self.m)]
+        anomalies = [v for v in range(self.m) if self.truth[0] >> v & 1]
+        tp = bool(anomalies) and all(holders[v] >= self.required for v in anomalies)
+        fp = tuple(
+            v for v in range(self.m)
+            if holders[v] >= self.required and not self.truth[0] >> v & 1
+        )
+        return self.t_full, tp, fp

@@ -2,13 +2,14 @@
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fuse_lists, list_digest, pack, unpack
-from swarmpatrol import beliefs, harness
-from swarmpatrol.beliefs import digest, format_belief, fuse_pairs, fuse_vectors, measurement_update
-from swarmpatrol.world import IdlenessTracker, RngStream, visit
+from _oracles import fuse_lists, list_digest, pack, pack_truth, unpack
+from swarmpatrol import harness, metrics
+from swarmpatrol.beliefs import digest, format_belief, fuse_vectors, measurement_update
+from swarmpatrol.metrics import ConsensusTracker
 
 # half-units of truth: certain-false, uncertain, certain-true
 F, U, T = 0, 1, 2
@@ -152,37 +153,55 @@ def test_measurement_update_confirming_reading_keeps():
 def test_new_belief_vector_all_uncertain(default_graph, monkeypatch):
     # a robot starts out uncertain about every node: the first visit of each
     # robot of a run senses into the all-uncertain vector
-    firsts = {}  # sense stream -> the prior of its robot's first visit
+    firsts = {}  # robot -> the vector it held before its first reading
+    sensed = ConsensusTracker.sensed
 
-    def recorded(prior, tracker, truth, node, t, noise_p, rng):
-        firsts.setdefault(id(rng), prior)
-        return visit(prior, tracker, truth, node, t, noise_p, rng)
+    def recorded(self, t, robot, node, reading):
+        firsts.setdefault(robot, self.vectors[robot])
+        return sensed(self, t, robot, node, reading)
 
-    monkeypatch.setattr(harness, "visit", recorded)
+    monkeypatch.setattr(ConsensusTracker, "sensed", recorded)
     cfg = harness.ExperimentConfig(n_robots=3, duration=5.0)
     harness.run_one(cfg, default_graph, harness.StrategyKind.CR, 0.2, 0)
-    assert list(firsts.values()) == [(0, 0)] * 3
+    assert firsts == {robot: (0, 0) for robot in range(3)}
     m = default_graph.node_count
     assert unpack((0, 0), m) == [U] * m
     assert [format_belief((0, 0), v) for v in range(m)] == ["0.5"] * m
 
 
-def _visit_false_reading(vectors, robot, node):
-    # a noiseless visit to a node of the all-normal world reads false; returns the new belief
-    truth = pack([F, F, F])
-    rng = RngStream(0, "sense", robot)
-    vectors[robot] = visit(vectors[robot], IdlenessTracker(3), truth, node, 0.0, 0.0, rng)
-    return unpack(vectors[robot], 3)[node]
+def _fleet(lists, truth=None, quorum=1.0):
+    """A ConsensusTracker whose robots hold the half-unit lists, read node by node.
+
+    The truth defaults to every node normal; each robot reads each certain
+    node of its list once, at time 0, from the all-uncertain start.
+    """
+    m = len(lists[0])
+    tracker = ConsensusTracker(pack_truth(truth or [False] * m), len(lists), quorum)
+    for robot, values in enumerate(lists):
+        for node, b in enumerate(values):
+            if b != U:
+                tracker.sensed(0.0, robot, node, b == T)
+    assert [unpack(v, m) for v in tracker.vectors] == lists
+    return tracker
+
+
+def _fusions(monkeypatch):
+    """The vectors each later fusion of a tracker's exchanges makes, in order."""
+    made = []
+    fuse = metrics.fuse_vectors
+    monkeypatch.setattr(metrics, "fuse_vectors", lambda u, v: made.append(fuse(u, v)) or made[-1])
+    return made
 
 
 def test_fuse_pairs_fuses_both_ways_without_aliasing():
-    vectors = [pack([T, F, U]), pack([U, T, U])]
-    [(_, _, fused)] = fuse_pairs(vectors, [(0, 1)])
-    assert fused is vectors[0]
+    tracker = _fleet([[T, F, U], [U, T, U]])
+    tracker.exchanged(1.0, [(0, 1)])
+    vectors = tracker.vectors
+    fused = vectors[1]
+    assert vectors[0] is fused
     assert vectors[0] == pack([T, U, U])
-    assert vectors[1] == pack([T, U, U])
     # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(vectors, 0, 0) == U
+    assert tracker.sensed(2.0, 0, 0, False) == pack([U, U, U])
     assert vectors[0] == pack([U, U, U])
     assert unpack(vectors[1], 3)[0] == T
     assert vectors[1] == fused == pack([T, U, U])
@@ -190,27 +209,26 @@ def test_fuse_pairs_fuses_both_ways_without_aliasing():
 
 def test_fuse_pairs_between_agreeing_robots_skips_fusion(monkeypatch):
     # fusing a vector with itself gives it back, so robots that already agree
-    # keep their own vectors, and the exchange changed nothing: no triple
-    calls = []
-    fuse = beliefs.fuse_vectors
-    monkeypatch.setattr(beliefs, "fuse_vectors", lambda u, v: calls.append(1) or fuse(u, v))
-    bi, bj = pack([T, F, U]), pack([T, F, U])
-    vectors = [bi, bj]
-    assert fuse_pairs(vectors, [(0, 1)]) == []
+    # keep their own vectors, and the exchange changes nothing
+    tracker = _fleet([[T, F, U], [T, F, U]])
+    calls = _fusions(monkeypatch)
+    bi, bj = vectors = tracker.vectors
+    tracker.exchanged(1.0, [(0, 1)])
     assert calls == []
     assert vectors[0] is bi and vectors[1] is bj
     # a later visit by one robot leaves the other's vector as it was
-    assert _visit_false_reading(vectors, 1, 2) == F
+    assert tracker.sensed(2.0, 1, 2, False) == pack([T, F, F])
     assert vectors[0] == pack([T, F, U])
-    assert vectors[1] == pack([T, F, F])
-    vectors[1] = pack([U, F, U])
-    assert fuse_pairs(vectors, iter([(0, 1)])) == [(0, 1, pack([T, F, U]))]
-    assert calls == [1]
+    tracker.sensed(3.0, 1, 0, False)
+    assert vectors[1] == pack([U, F, F])
+    tracker.exchanged(4.0, iter([(0, 1)]))
+    assert calls == [pack([T, F, F])]
+    assert vectors == [pack([T, F, F])] * 2
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_fuse_pairs_triples_carry_each_exchange_own_vector(data):
+def test_exchanged_matches_list_fusion_in_pair_order(data):
     # every pair exchanges, in ascending order, each one seeing the fusions
     # before it; small vectors often agree
     n = data.draw(st.integers(2, 5))
@@ -218,45 +236,52 @@ def test_fuse_pairs_triples_carry_each_exchange_own_vector(data):
     lists = data.draw(
         st.lists(st.lists(st.sampled_from([F, U, T]), min_size=m, max_size=m), min_size=n, max_size=n)
     )
-    vectors = [pack(v) for v in lists]
     held = [list(v) for v in lists]
     want = []
     for i in range(n):
         for j in range(i + 1, n):
-            # an exchange between equal lists changes nothing and has no triple
+            # an exchange between equal lists changes nothing and fuses nothing
             if held[i] == held[j]:
                 continue
             fused = fuse_lists(held[i], held[j])
             held[i], held[j] = fused, list(fused)
-            want.append((i, j, fused))
+            want.append(fused)
+    tracker = _fleet(lists)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    done = fuse_pairs(vectors, pairs)
-    assert [(i, j, unpack(fused, m)) for i, j, fused in done] == want
-    assert [unpack(v, m) for v in vectors] == held
+    with pytest.MonkeyPatch.context() as patch:
+        made = _fusions(patch)
+        tracker.exchanged(1.0, pairs)
+    assert [unpack(fused, m) for fused in made] == want
+    assert [unpack(v, m) for v in tracker.vectors] == held
     # a later visit by robot 0 leaves every other robot's vector as it was
-    rng = RngStream(0, "sense", 0)
-    vectors[0] = visit(vectors[0], IdlenessTracker(m), pack([F] * m), 0, 0.0, 0.0, rng)
-    assert [unpack(v, m) for v in vectors[1:]] == held[1:]
+    tracker.sensed(2.0, 0, 0, False)
+    assert [unpack(v, m) for v in tracker.vectors[1:]] == held[1:]
 
 
-def test_fuse_pairs_chains_fusion_through_pair_order():
+def test_fuse_pairs_chains_fusion_through_pair_order(monkeypatch):
     # pair order (0,1), (0,2), (1,2): robot 2 learns robot 0's certainty
     # in the same tick, relayed via the second exchange, so (1,2) meets two
-    # robots that already hold [T] and changes nothing
-    vectors = [pack([T]), pack([U]), pack([U])]
-    done = fuse_pairs(vectors, [(0, 1), (0, 2), (1, 2)])
-    assert done == [(0, 1, pack([T])), (0, 2, pack([T]))]
-    assert vectors == [pack([T])] * 3
+    # robots that already hold [T] and changes nothing; the third robot to
+    # know the anomaly completes the quorum of three at that exchange
+    tracker = _fleet([[T], [U], [U]], truth=[True])
+    made = _fusions(monkeypatch)
+    tracker.exchanged(1.0, [(0, 1), (0, 2), (1, 2)])
+    assert made == [pack([T]), pack([T])]
+    assert tracker.vectors == [pack([T])] * 3
+    assert tracker.t_full == 1.0
 
 
-def test_fuse_pairs_reports_each_exchange_own_fused_vector():
-    # (0,1) fuses [T] with [U] to [T]; (0,2) then meets robot 2's contrary
-    # [F] and both fall back to [U]. The first triple keeps the [T] that
-    # (0,1) produced, though robot 0 ends the tick holding [U].
-    vectors = [pack([T]), pack([U]), pack([F])]
-    done = fuse_pairs(vectors, [(0, 1), (0, 2), (1, 2)])
-    assert done == [(0, 1, pack([T])), (0, 2, pack([U])), (1, 2, pack([T]))]
-    assert vectors == [pack([U]), pack([T]), pack([T])]
+def test_exchanged_fuses_each_pair_with_what_earlier_pairs_left(monkeypatch):
+    # (0,1) fuses [T] with [U] to [T], which completes the quorum of two;
+    # (0,2) then meets robot 2's contrary [F] and both fall back to [U], and
+    # (1,2) fuses robot 1's [T] with that [U]. The quorum was reached at the
+    # first exchange, though robot 0 ends the tick holding [U].
+    tracker = _fleet([[T], [U], [F]], truth=[True], quorum=0.5)
+    made = _fusions(monkeypatch)
+    tracker.exchanged(1.0, [(0, 1), (0, 2), (1, 2)])
+    assert made == [pack([T]), pack([U]), pack([T])]
+    assert tracker.vectors == [pack([U]), pack([T]), pack([T])]
+    assert tracker.t_full == 1.0
 
 
 def test_format_belief():

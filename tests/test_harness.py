@@ -21,11 +21,12 @@ from _oracles import (
     brute_consensus_replay,
     dtap_auction,
     eligible_pairs,
+    fuse_every_pair,
     per_tick_dtap_class,
     per_tick_robot_class,
 )
 import swarmpatrol
-from swarmpatrol import beliefs, harness
+from swarmpatrol import harness, metrics
 from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
 from swarmpatrol.graph import PatrolGraph, parse_map
@@ -44,6 +45,7 @@ from swarmpatrol.harness import (
     summarize,
     write_runs_csv,
 )
+from swarmpatrol.metrics import ConsensusTracker
 from swarmpatrol.strategies import DTAP, StrategyKind, travel_distances
 from swarmpatrol.world import RobotState
 
@@ -151,6 +153,7 @@ def test_config_strategies_all(tmp_path):
         "noises = 1.5",
         "reps = 0",
         "duration = -5",
+        "robots = 8\nrobots = 3",
     ],
 )
 def test_config_from_file_rejects_bad_input(tmp_path, line):
@@ -158,6 +161,22 @@ def test_config_from_file_rejects_bad_input(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("seed = 1\nbogus = 1\n", "2: unknown config key 'bogus'"),
+        ("robots = 8\n# again\nrobots = 3\n", "3: config key 'robots' repeats line 1"),
+        ("cbls_alpha = 0.3\ncbls_alpha = 0.3\n", "2: config key 'cbls_alpha' repeats line 1"),
+    ],
+)
+def test_config_from_file_errors_name_path_and_line(tmp_path, text, where):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_file(path)
+    assert str(info.value) == f"{path}:{where}"
 
 
 def test_fleet_size_and_reps_are_bounded(tmp_path):
@@ -378,15 +397,6 @@ def _brute_tick_comms(robots, state, k):
     return done
 
 
-def _fuse_every_pair(vectors, pairs):
-    """fuse_pairs with no equality check: every exchange fuses and has its triple."""
-    done = []
-    for i, j in pairs:
-        fused = vectors[i] = vectors[j] = fuse_vectors(vectors[i], vectors[j])
-        done.append((i, j, fused))
-    return done
-
-
 def _rescaled(g, factors):
     """g with edge number e's length multiplied by factors[e % len(factors)]."""
     edges = [(a, b, d * factors[e % len(factors)]) for e, (a, b, d) in enumerate(g.edges)]
@@ -495,8 +505,8 @@ def test_scheduled_comms_match_brute_force_scan(
     )
     scheduled = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "a") for kind in StrategyKind]
     monkeypatch.setattr(harness, "tick_comms", _brute_tick_comms)
-    # a triple that changed nothing leaves every robot's exact flag as it was
-    monkeypatch.setattr(harness, "fuse_pairs", _fuse_every_pair)
+    # fusing robots that already agree leaves every vector and exact flag as it was
+    monkeypatch.setattr(ConsensusTracker, "exchanged", fuse_every_pair)
     brute = [run_one(cfg, g, kind, 0.2, 0, out_dir=tmp_path / "b") for kind in StrategyKind]
     # robots that barely move stay together, so DTAP awards nothing to turn round for
     assert reversals or cfg.speed * cfg.dt < 1e-100
@@ -583,24 +593,23 @@ def test_dense_runs_fuse_only_the_exchanges_whose_vectors_differ(default_graph, 
     # draws the seed changes move no sync count. They do move how many
     # exchanges meet robots that still disagree, and only those fuse
     fusions, syncs, exchanges, differing = [], [], [], []
-    fuse, sync, fuse_all = beliefs.fuse_vectors, RobotState.sync, harness.fuse_pairs
-    monkeypatch.setattr(beliefs, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
+    fuse, sync, exchanged = metrics.fuse_vectors, RobotState.sync, ConsensusTracker.exchanged
+    monkeypatch.setattr(metrics, "fuse_vectors", lambda u, v: fusions.append(1) or fuse(u, v))
     monkeypatch.setattr(RobotState, "sync", lambda r, k: syncs.append(1) or sync(r, k))
 
-    def replayed(vectors, pairs):
+    def replayed(tracker, t, pairs):
         # replay the tick's exchanges, in order, on the vectors held before it
         pairs = list(pairs)
-        held = list(vectors)
-        done = fuse_all(vectors, pairs)
+        held = list(tracker.vectors)
+        exchanged(tracker, t, pairs)
         for i, j in pairs:
             exchanges.append(1)
             if held[i] != held[j]:
                 differing.append(1)
                 held[i] = held[j] = fuse_vectors(held[i], held[j])
-        assert held == vectors
-        return done
+        assert held == tracker.vectors
 
-    monkeypatch.setattr(harness, "fuse_pairs", replayed)
+    monkeypatch.setattr(ConsensusTracker, "exchanged", replayed)
     cfg = replace(
         ExperimentConfig(),
         duration=30.0,
@@ -997,6 +1006,26 @@ def test_cli_reports_os_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("anomaly = 99", "anomaly_node 99"),
+        ("start_node = 40", "start_node 40"),
+        ("speed = 1000", "shortest edge"),
+    ],
+)
+def test_cli_config_that_misfits_the_map_leaves_no_output_directory(
+    tmp_path, capsys, line, names
+):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"duration = 10\nreps = 1\nstrategies = cr\nnoises = 0\n{line}\n")
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+    assert not out.exists()
+
+
 def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("duration = 60\nreps = 2\nstrategies = cr\nnoises = 0\n")
@@ -1035,6 +1064,7 @@ def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monke
         ("duration = 0\ndt = 5e-324", "1/dt"),
         ("robots = 1025", "n_robots must be in 1..1024"),
         ("reps = 1000000000", "reps must be in 1..10000"),
+        ("robots = 8\nrobots = 3", "exp.cfg:6: config key 'robots' repeats line 5"),
     ],
 )
 def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
@@ -1050,8 +1080,11 @@ def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):
         "node 0 0 0\nnode 1 1e308 0\nnode 2 -1e308 0\nedge 0 1\nedge 0 2\n"
     )
     cfg_path = tmp_path / "exp.cfg"
+    # the case's lines follow the base lines of the keys they do not set
+    base = {"duration": "10", "reps": "1", "strategies": "cr", "noises": "0"}
+    given = {line.partition("=")[0].strip() for line in lines.splitlines()}
     cfg_path.write_text(
-        "duration = 10\nreps = 1\nstrategies = cr\nnoises = 0\n"
+        "".join(f"{key} = {value}\n" for key, value in base.items() if key not in given)
         + lines.format(tmp=tmp_path) + "\n"
     )
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2

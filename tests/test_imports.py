@@ -124,13 +124,15 @@ def test_imported_modules_resolves_relative_imports_and_function_bodies():
     ]
 
 
-@pytest.mark.parametrize("name", ["comms", "strategies"])
+@pytest.mark.parametrize("name", ["world", "comms", "strategies"])
 def test_radio_and_policies_import_nothing_from_beliefs(name):
-    # which pairs exchange and where robots go come from poses alone, so a
-    # run's motion and exchange schedule do not depend on its sensing draws
+    # how robots move, which pairs exchange and where robots go come from
+    # poses alone, so a run's motion and exchange schedule do not depend on
+    # its sensing draws
     source = (ROOT / "src" / "swarmpatrol" / f"{name}.py").read_text()
     modules = [module for _, module, _ in imported_modules(source, "swarmpatrol")]
-    assert "swarmpatrol.world" in modules
+    # each imports the map or the robots, so the walk does find package imports
+    assert {"swarmpatrol.graph", "swarmpatrol.world"} & set(modules)
     assert [m for m in modules if m.split(".")[:2] == ["swarmpatrol", "beliefs"]] == []
 
 

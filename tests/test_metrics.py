@@ -14,13 +14,13 @@ from _oracles import (
     brute_f_score,
     brute_system_error,
     contact_weights,
+    TwoStepConsensus,
     eigenvalues_by_charpoly,
+    fuse_every_pair,
     fuse_lists,
     pack,
     pack_truth,
-    unpack,
 )
-from swarmpatrol.beliefs import fuse_pairs, fuse_vectors
 from swarmpatrol.metrics import (
     _NUMPY_JACOBI_MIN,
     CommGraph,
@@ -343,7 +343,8 @@ def test_required_quorum_values():
 def test_tiny_quorum_is_not_reached_by_uncertain_robots():
     truth = [False, True, False]
     tracker = ConsensusTracker(pack_truth(truth), 8, 1e-11)
-    report = tracker.report([(0, 0)] * 8)
+    report = tracker.report()
+    assert tracker.vectors == [(0, 0)] * 8
     assert tracker.required == 1
     assert report.t_full_consensus is None
     assert not report.tp_consensus
@@ -356,36 +357,32 @@ def test_required_quorum_rejects_bad_fraction():
             required_quorum(8, q)
 
 
-def _track(m, n_robots, truth, events, quorum, skip_agreeing=False):
+def _track(m, n_robots, truth, events, quorum, skip_agreeing=True):
     """Feed a ConsensusTracker the way run_one does; return (report, misinformed, required).
 
-    events are ("visit", t, robot, node, belief) and ("comm", t, i, j), as
+    events are ("sense", t, robot, node, reading) and ("comm", t, i, j), as
     the brute-force replay reads them. With skip_agreeing, each exchange is
-    fused by fuse_pairs, which reports no triple for one between robots that
-    hold equal vectors; otherwise every exchange is fed its fused vector.
+    the tracker's own, which skips robots that hold equal vectors; otherwise
+    every exchange fuses and sets both exact flags again.
     """
     tracker = ConsensusTracker(pack_truth(truth), n_robots, quorum)
-    vectors = [(0, 0)] * n_robots
     for kind, t, a, b, *rest in events:
-        if kind == "visit":
-            values = unpack(vectors[a], m)
-            values[b] = rest[0]
-            vectors[a] = pack(values)
-            tracker.visited(t, a, b, vectors[a])
+        if kind == "sense":
+            assert tracker.sensed(t, a, b, rest[0]) is tracker.vectors[a]
         elif skip_agreeing:
-            tracker.exchanged(t, fuse_pairs(vectors, [(a, b)]))
+            tracker.exchanged(t, [(a, b)])
         else:
-            fused = vectors[a] = vectors[b] = fuse_vectors(vectors[a], vectors[b])
-            tracker.exchanged(t, [(a, b, fused)])
-    return tracker.report(vectors), tracker.misinformed, tracker.required
+            fuse_every_pair(tracker, t, [(a, b)])
+    assert all(t & f == 0 and (t | f) >> m == 0 for t, f in tracker.vectors)
+    return tracker.report(), tracker.misinformed, tracker.required
 
 
 def _seed_events():
     # robot 0 learns the whole truth, then gossip spreads it to 1 and 2
     return [
-        ("visit", 1.0, 0, 1, 2),
-        ("visit", 2.0, 0, 0, 0),
-        ("visit", 3.0, 0, 2, 0),
+        ("sense", 1.0, 0, 1, True),
+        ("sense", 2.0, 0, 0, False),
+        ("sense", 3.0, 0, 2, False),
         ("comm", 4.0, 0, 1),
         ("comm", 5.0, 1, 2),
     ]
@@ -412,7 +409,7 @@ def test_consensus_time_respects_quorum_size():
 
 def test_consensus_never_reached_is_none():
     truth = [False, True, False]
-    events = [("visit", 1.0, 0, 1, 2)]
+    events = [("sense", 1.0, 0, 1, True)]
     report, _, _ = _track(3, 3, truth, events, 1.0)
     assert report.t_full_consensus is None
     assert report.tp_consensus is False
@@ -420,7 +417,7 @@ def test_consensus_never_reached_is_none():
 
 def test_false_positive_consensus_detected():
     truth = [False, True, False]
-    events = [("visit", float(r + 1), r, 0, 2) for r in range(3)]
+    events = [("sense", float(r + 1), r, 0, True) for r in range(3)]
     report, misinformed, _ = _track(3, 3, truth, events, 0.85)
     assert report.fp_consensus_nodes == (0,)
     assert report.fp_consensus_count == 1
@@ -431,7 +428,7 @@ def test_false_positive_consensus_detected():
 def test_misinformation_spreads_through_exchange():
     truth = [False, True, False]
     # a false reading at the anomaly, then gossiped onward
-    events = [("visit", 1.0, 0, 1, 0), ("comm", 2.0, 0, 1)]
+    events = [("sense", 1.0, 0, 1, False), ("comm", 2.0, 0, 1)]
     assert _track(3, 3, truth, events, 1.0)[1] is True
 
 
@@ -439,7 +436,7 @@ def test_uncertainty_is_not_misinformation():
     truth = [False, True, False]
     # correct readings and an exchange leave plenty of uncertain entries,
     # none of which count as misinformation
-    events = [("visit", 1.0, 0, 0, 0), ("visit", 2.0, 1, 1, 2), ("comm", 3.0, 0, 1)]
+    events = [("sense", 1.0, 0, 0, False), ("sense", 2.0, 1, 1, True), ("comm", 3.0, 0, 1)]
     assert _track(3, 2, truth, events, 1.0)[1] is False
     assert _track(3, 2, truth, [], 1.0)[1] is False
 
@@ -458,7 +455,7 @@ def _belief_event_streams(draw):
         if draw(st.booleans()):
             robot = draw(st.integers(0, n_robots - 1))
             node = draw(st.integers(0, m - 1))
-            events.append(("visit", t, robot, node, draw(st.integers(0, 2))))
+            events.append(("sense", t, robot, node, draw(st.booleans())))
         else:
             i = draw(st.integers(0, n_robots - 2))
             j = draw(st.integers(i + 1, n_robots - 1))
@@ -475,10 +472,10 @@ _QUORUM_LOST_IN_TICK = (
     [False, True],
     2,
     [
-        ("visit", 1.0, 0, 0, 0),
-        ("visit", 1.0, 0, 1, 2),
-        ("visit", 1.0, 2, 0, 2),
-        ("visit", 1.0, 2, 1, 2),
+        ("sense", 1.0, 0, 0, False),
+        ("sense", 1.0, 0, 1, True),
+        ("sense", 1.0, 2, 0, True),
+        ("sense", 1.0, 2, 1, True),
         ("comm", 2.0, 0, 1),
         ("comm", 2.0, 0, 2),
     ],
@@ -509,8 +506,8 @@ _AGREEING_BEFORE_QUORUM = (
     [False, True],
     3,
     [
-        ("visit", 1.0, 0, 0, 0),
-        ("visit", 1.0, 0, 1, 2),
+        ("sense", 1.0, 0, 0, False),
+        ("sense", 1.0, 0, 1, True),
         ("comm", 1.5, 0, 1),
         ("comm", 2.0, 0, 1),
         ("comm", 2.5, 1, 2),
@@ -525,11 +522,11 @@ _AGREEING_BEFORE_QUORUM = (
 @given(case=_belief_event_streams())
 def test_tracker_skipping_agreeing_exchanges_matches_every_fusion_fed(case):
     # an exchange between robots that hold equal vectors changes neither, so
-    # a tracker that skips it ends where one fed its fused vector does
+    # a tracker that skips it ends where one that fuses it does
     m, n_robots, truth, required, events = case
     quorum = required / n_robots
-    skipped = _track(m, n_robots, truth, events, quorum, skip_agreeing=True)
-    assert skipped == _track(m, n_robots, truth, events, quorum)
+    skipped = _track(m, n_robots, truth, events, quorum)
+    assert skipped == _track(m, n_robots, truth, events, quorum, skip_agreeing=False)
     if case is _AGREEING_BEFORE_QUORUM:
         assert skipped[0].t_full_consensus == 2.5
 
@@ -551,22 +548,100 @@ def test_tracker_flags_match_list_oracle(m, data):
     truth = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
     want = [2 if v else 0 for v in truth]
     values = data.draw(_near_truth(truth))
-    node = data.draw(st.integers(0, m - 1))
-    # one robot, quorum of one: the visit completes it exactly when the
-    # vector equals the truth, and misinforms when the node's belief is
-    # certain and wrong
+    # one robot, quorum of one, that reads each certain node of values from
+    # the all-uncertain start: only the last reading can complete the
+    # quorum, exactly when the vector equals the truth, and a reading
+    # misinforms when it leaves its node's belief certain and wrong
     tracker = ConsensusTracker(pack_truth(truth), 1, 1.0)
-    tracker.visited(1.0, 0, node, pack(values))
-    assert (tracker.t_full is not None) == (values == want)
-    assert tracker.misinformed == (values[node] not in (1, want[node]))
+    certain = [v for v in range(m) if values[v] != 1]
+    for step, v in enumerate(certain, start=1):
+        held = tracker.sensed(float(step), 0, v, values[v] == 2)
+        assert tracker.misinformed == any(values[u] != want[u] for u in certain[:step])
+    assert tracker.vectors == [pack(values)]
+    assert tracker.t_full == (float(len(certain)) if values == want else None)
+    if certain:
+        assert held == pack(values)
     # two robots, quorum of two: an exchange completes it exactly when the
-    # fused vector equals the truth
+    # fused vector equals the truth, and misinforms no one
     other = data.draw(_near_truth(truth))
     tracker = ConsensusTracker(pack_truth(truth), 2, 1.0)
-    fused = fuse_vectors(pack(values), pack(other))
-    tracker.exchanged(2.0, [(0, 1, fused)])
+    for robot, held in enumerate((values, other)):
+        for v in range(m):
+            if held[v] != 1:
+                tracker.sensed(1.0, robot, v, held[v] == 2)
+    misinformed = tracker.misinformed
+    tracker.exchanged(2.0, [(0, 1)])
+    assert tracker.vectors == [pack(fuse_lists(values, other))] * 2
     assert (tracker.t_full is not None) == (fuse_lists(values, other) == want)
-    assert tracker.misinformed is False
+    assert tracker.misinformed is misinformed
+
+
+@st.composite
+def _tick_streams(draw):
+    """A fleet, a truth, a quorum and a run of ticks: one robot senses, or pairs exchange.
+
+    Small vectors and few robots make agreeing robots common, and a tick's
+    pairs may share robots, so fusion chains through them.
+    """
+    m = draw(st.integers(1, 3))
+    n_robots = draw(st.integers(1, 5))
+    truth = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    quorum = draw(st.sampled_from((1e-11, 0.3, 0.5, 0.85, 1.0)))
+    pairs = [(i, j) for i in range(n_robots) for j in range(i + 1, n_robots)]
+    events = []
+    for k in range(1, draw(st.integers(0, 30)) + 1):
+        if not pairs or draw(st.booleans()):
+            robot = draw(st.integers(0, n_robots - 1))
+            node = draw(st.integers(0, m - 1))
+            events.append(("sense", float(k), robot, node, draw(st.booleans())))
+        else:
+            tick = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+            events.append(("comm", float(k), tick))
+    return m, n_robots, truth, quorum, events
+
+
+# two robots read the anomaly, then the tick's pairs (0, 1), (0, 2), (1, 2)
+# relay it to robot 2 in the second exchange, and the third meets robots
+# that already agree; with quorum 1e-11 the first reading completes it
+_CHAINED_AGREEING = (
+    1,
+    3,
+    [True],
+    1e-11,
+    [
+        ("sense", 1.0, 0, 0, True),
+        ("sense", 2.0, 1, 0, True),
+        ("comm", 3.0, [(0, 1), (0, 2), (1, 2)]),
+        ("comm", 4.0, [(1, 2), (0, 2)]),
+    ],
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=_CHAINED_AGREEING)
+@given(case=_tick_streams())
+def test_tracker_matches_two_step_reference(case):
+    # the tracker fuses a tick's pairs and updates its flags in one loop;
+    # the reference fuses them with fuse_pairs, then replays the triples
+    m, n_robots, truth, quorum, events = case
+    tracker = ConsensusTracker(pack_truth(truth), n_robots, quorum)
+    ref = TwoStepConsensus(pack_truth(truth), n_robots, quorum)
+    assert tracker.required == ref.required
+    for kind, t, *args in events:
+        if kind == "sense":
+            assert tracker.sensed(t, *args) == ref.sensed(t, *args)
+        else:
+            # run_one hands the tick's pairs over as an iterator
+            tracker.exchanged(t, iter(args[0]))
+            ref.exchanged(t, args[0])
+        assert tracker.vectors == ref.vectors
+        assert (tracker.t_full, tracker.misinformed) == (ref.t_full, ref.misinformed)
+    report = tracker.report()
+    got = (report.t_full_consensus, report.tp_consensus, report.fp_consensus_nodes)
+    assert got == ref.report()
+    if case is _CHAINED_AGREEING:
+        assert tracker.t_full == 1.0
+        assert tracker.vectors == [pack([2])] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""World state: seeded RNG streams, motion along edges, sensing, idleness."""
+"""World state: seeded RNG streams, motion along edges, idleness, and sensing at a visit."""
 
 import math
 
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from _oracles import pack, per_tick_robot_class, unpack
 from swarmpatrol import world
+from swarmpatrol.beliefs import sense, single_anomaly
 from swarmpatrol.graph import PatrolGraph, parse_map
+from swarmpatrol.metrics import ConsensusTracker
 from swarmpatrol.strategies import retarget
 from swarmpatrol.world import (
     IdlenessTracker,
@@ -17,9 +19,6 @@ from swarmpatrol.world import (
     RobotState,
     max_step,
     sample_ticks,
-    sense,
-    single_anomaly,
-    visit,
 )
 
 F, U, T = 0, 1, 2  # half-units of truth
@@ -404,21 +403,24 @@ def test_graph_idleness_mean():
 # ---------------------------------------------------------------------------
 
 
-def test_visit_updates_belief_and_idleness():
+def test_sensed_updates_and_returns_the_robots_belief():
     w = single_anomaly(3, 1)
-    tr = IdlenessTracker(3)
+    tracker = ConsensusTracker(w, 1, 1.0)
     rng = RngStream(3, "sense", 0)
-    held = visit((0, 0), tr, w, 1, 7.0, 0.0, rng)
+    held = tracker.sensed(7.0, 0, 1, sense(w, 1, 0.0, rng))
     assert unpack(held, 3)[1] == T
-    assert 7.0 - tr.last_visit[1] == 0.0
-    assert visit(held, tr, w, 0, 7.0, 0.0, rng) == pack([F, T, U])
+    assert tracker.vectors == [held]
+    assert tracker.sensed(7.0, 0, 0, sense(w, 0, 0.0, rng)) == pack([F, T, U])
+    assert tracker.vectors == [pack([F, T, U])]
 
 
 def test_visit_contrary_reading_softens_belief():
     w = single_anomaly(3, 1)
-    tr = IdlenessTracker(3)
+    tracker = ConsensusTracker(w, 1, 1.0)
+    tracker.sensed(0.0, 0, 1, False)  # misled
+    assert tracker.vectors == [pack([U, F, U])]
     rng = RngStream(3, "sense", 0)
-    held = visit(pack([U, F, U]), tr, w, 1, 0.0, 0.0, rng)  # previously misled
+    held = tracker.sensed(1.0, 0, 1, sense(w, 1, 0.0, rng))
     assert unpack(held, 3)[1] == U  # true reading against false prior
 
 
@@ -426,12 +428,13 @@ def test_visit_by_one_robot_leaves_another_unchanged():
     # robots start with equal vectors, and an exchange leaves both holding
     # the same one; a visit replaces the visiting robot's vector only
     w = single_anomaly(3, 1)
-    tr = IdlenessTracker(3)
-    vectors = [(0, 0)] * 2
+    tracker = ConsensusTracker(w, 2, 1.0)
+    vectors = tracker.vectors
     rng = RngStream(3, "sense", 0)
-    vectors[0] = visit(vectors[0], tr, w, 1, 1.0, 0.0, rng)
+    tracker.sensed(1.0, 0, 1, sense(w, 1, 0.0, rng))
     assert vectors[1] == pack([U, U, U])
-    vectors[1] = vectors[0]
-    vectors[0] = visit(vectors[0], tr, w, 0, 2.0, 0.0, rng)
+    tracker.exchanged(1.0, [(0, 1)])
+    assert vectors[0] is vectors[1]
+    tracker.sensed(2.0, 0, 0, sense(w, 0, 0.0, rng))
     assert vectors[0] == pack([F, T, U])
     assert vectors[1] == pack([U, T, U])
