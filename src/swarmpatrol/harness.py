@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .beliefs import digest, format_belief, sense, single_anomaly
 from .comms import CommState, tick_comms
@@ -49,6 +49,8 @@ __all__ = [
     "load_map",
     "run_one",
     "run_matrix",
+    "MotionTrace",
+    "TRACE_CAP",
     "summarize",
     "write_runs_csv",
     "read_runs_csv",
@@ -151,8 +153,9 @@ class ExperimentConfig:
         for p in self.noise_levels:
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"noise level must be in [0, 1], got {p}")
-        # -0.0 is 0.0, but its repr would give it other cell seeds and log names
-        object.__setattr__(self, "noise_levels", tuple(abs(p) for p in self.noise_levels))
+        # -0.0 and 0 equal 0.0, but their reprs would give them other cell
+        # seeds than the float noise their records carry
+        object.__setattr__(self, "noise_levels", tuple(float(abs(p)) for p in self.noise_levels))
         if not (1 <= self.reps <= MAX_REPS):
             raise ConfigError(f"reps must be in 1..{MAX_REPS}, got {self.reps}")
         if not self.strategies:
@@ -356,38 +359,146 @@ def _check_map(cfg: ExperimentConfig, g: PatrolGraph) -> None:
         )
 
 
-def run_one(
+# Most entries a MotionTrace holds: each goal change and arrival is one, and
+# so is each exchanged pair. A 3600 s run of 8 robots on the bundled map
+# records 7,000 to 11,000, at about 90 bytes each. Past the cap recording
+# stops, so a trace never holds much over 12 MB, however large the fleet or
+# short the cooldown, and the strategy's other cells run in full.
+TRACE_CAP = 1 << 17
+
+# The motion loop hands its events on in batches of about this many entries
+# (events plus pair ids). The consumer never steers the motion, so when it
+# sees an event changes nothing, and with a radio that exchanges on every
+# tick, one call a tick made a run about 12% slower.
+_FEED_BATCH = 1024
+
+# the kinds of event a trace holds
+_GOAL, _VISIT, _COMM = range(3)
+
+
+class _Motion(NamedTuple):
+    """What a run measures from motion alone, whatever its sensing draws."""
+
+    avg_graph_idleness: float
+    lambda2: float
+    exchanges: tuple[tuple[int, int, int], ...]
+
+
+class MotionTrace:
+    """One run's motion as its beliefs see it, recorded once and replayed by other cells.
+
+    events lists, in execution order, the goal changes (_GOAL, t, robot,
+    node), the arrivals (_VISIT, t, robot, node) and each tick's exchanges
+    (_COMM, t, ids, None), ids being the pair ids that exchanged, in the
+    order they ran; pairs[p] is the robot pair (i, j) of pair id p.
+
+    run_one records into a new trace while it simulates, and keeps the
+    trace only if the run drew nothing from its strategy streams: then the
+    cell seed never steered the motion, so every cell of the same config,
+    map and strategy moves the same way. A kept trace has motion set, and
+    run_one replays it in place of simulating. A run that draws, or passes
+    TRACE_CAP entries, drops the events and keeps nothing.
+    """
+
+    __slots__ = ("events", "size", "pairs", "motion", "source")
+
+    def __init__(self) -> None:
+        self.events: Optional[list[tuple]] = []
+        self.size = 0  # events plus exchanged pair ids recorded
+        self.pairs: list[tuple[int, int]] = []
+        self.motion: Optional[_Motion] = None
+        self.source: tuple = ()  # the (cfg, g, kind) of a kept trace
+
+    def record(self, events: list[tuple], entries: int) -> bool:
+        """Append events, which hold `entries` events and pair ids; past the cap, drop all.
+
+        Returns whether the trace is still recording.
+        """
+        self.size += entries
+        if self.size > TRACE_CAP:
+            self.events = None
+            return False
+        self.events += events
+        return True
+
+
+class _CellBeliefs:
+    """One cell's sensing, fusion and log lines: the one consumer of a run's events.
+
+    The motion loop feeds it its events as it goes, and a replay feeds it a
+    trace's. It senses each arrival on the cell's own sense streams, fuses
+    each tick's exchanges on its ConsensusTracker and, when logging, renders
+    each event's log line.
+    """
+
+    __slots__ = ("truth", "noise", "rngs", "consensus", "lines", "_m")
+
+    def __init__(
+        self, cfg: ExperimentConfig, g: PatrolGraph, run_seed: int, noise: float, logged: bool
+    ):
+        n = cfg.n_robots
+        self._m = g.node_count
+        self.truth = single_anomaly(self._m, cfg.anomaly_node)
+        self.noise = noise
+        self.rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
+        self.consensus = ConsensusTracker(self.truth, n, cfg.quorum)
+        self.lines: Optional[list[str]] = [] if logged else None
+
+    def feed(self, events: Iterable[tuple], pairs: Sequence[tuple[int, int]]) -> None:
+        """Apply MotionTrace events in execution order; pairs[p] is pair id p's (i, j)."""
+        truth, noise, rngs, m = self.truth, self.noise, self.rngs, self._m
+        consensus, lines = self.consensus, self.lines
+        for kind, t, a, b in events:
+            if kind == _VISIT:
+                held = consensus.sensed(t, a, b, sense(truth, b, noise, rngs[a]))
+                if lines is not None:
+                    belief = format_belief(held, b)
+                    lines.append(f"{t:.3f} visit robot={a} node={b} belief={belief}")
+            elif kind == _COMM:
+                consensus.exchanged(t, map(pairs.__getitem__, a))
+                if lines is not None:
+                    # every exchange of the tick has run, so the digest is end-of-tick state
+                    vectors = consensus.vectors
+                    for p in a:
+                        i, j = pairs[p]
+                        d = digest(vectors[i], m)
+                        lines.append(f"{t:.3f} comm robot={i} peer={j} beliefs={d}")
+            elif lines is not None:
+                lines.append(f"{t:.3f} goal robot={a} node={b}")
+
+
+def _simulate(
     cfg: ExperimentConfig,
     g: PatrolGraph,
     kind: StrategyKind,
-    noise: float,
-    rep: int,
-    out_dir: Optional[Path] = None,
-) -> RunRecord:
-    """Simulate one run and reduce it to a RunRecord.
+    run_seed: int,
+    feed: Callable[[list[tuple], Sequence[tuple[int, int]]], None],
+    trace: Optional[MotionTrace],
+) -> _Motion:
+    """Move one run's fleet, handing its events to feed, with the pairs, as it goes.
 
-    When out_dir is given, the per-event log is written there as
-    <strategy>_<noise>_r<rep>.log with byte-stable lines.
+    With a trace that is neither kept nor dropped, the events are recorded
+    into it too, and it is kept or dropped at the end (see MotionTrace).
     """
-    _check_map(cfg, g)
-    run_seed = cell_seed(cfg.master_seed, kind.value, noise, rep)
     m = g.node_count
     n = cfg.n_robots
     step = cfg.speed * cfg.dt
-    truth = single_anomaly(m, cfg.anomaly_node)
     tracker = IdlenessTracker(m)
     motion = max_step(g, cfg.speed, cfg.dt)
     policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
     robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
-    sense_rngs = [RngStream(run_seed, "sense", i) for i in range(n)]
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
-    consensus = ConsensusTracker(truth, n, cfg.quorum)
-    log_lines: Optional[list[str]] = [] if out_dir is not None else None
+    # the cell seed reaches the motion through these streams alone
+    undrawn = [(r._state, r._spare) for r in strat_rngs]
+    recording = trace is not None and trace.events is not None
 
     dt = cfg.dt
     ticks = int(round(cfg.duration / dt))
     last_visit = tracker.last_visit
+    pairs = comm.pairs
+    events: list[tuple] = []  # not yet fed, in execution order
+    pending_ids = 0  # pair ids in events
     # each robot sits in the bucket of its due tick; a heap holds the keys
     moves: dict[int, list[int]] = {1: list(range(n))}
     move_ticks = [1]
@@ -401,6 +512,14 @@ def run_one(
         while next_sample < before:
             tracker.sample(next_sample * dt)
             next_sample = next(samples, math.inf)
+
+    def flush() -> None:
+        nonlocal recording, pending_ids
+        feed(events, pairs)
+        if recording:
+            recording = trace.record(events, len(events) + pending_ids)
+        events.clear()
+        pending_ids = 0
 
     def schedule(r: RobotState) -> None:
         bucket = moves.get(r.due)
@@ -426,8 +545,7 @@ def run_one(
                 if r.due != due:
                     moves[due].remove(rid)
                     schedule(r)
-                if log_lines is not None:
-                    log_lines.append(f"{t:.3f} goal robot={rid} node={v}")
+                events.append((_GOAL, t, rid, v))
         if move_ticks[0] == k:
             heappop(move_ticks)
             take_samples(k)
@@ -441,55 +559,89 @@ def run_one(
                     continue
                 idleness_before = t - last_visit[arrived]
                 last_visit[arrived] = t
-                reading = sense(truth, arrived, noise, sense_rngs[rid])
-                held = consensus.sensed(t, rid, arrived, reading)
-                if log_lines is not None:
-                    b = format_belief(held, arrived)
-                    log_lines.append(f"{t:.3f} visit robot={rid} node={arrived} belief={b}")
+                events.append((_VISIT, t, rid, arrived))
                 policy.visited(rid, arrived, idleness_before)
                 if arrived == r.goal:
                     goal = decide_next(policy, rid, arrived, t, last_visit, strat_rngs[rid])
                     r.goal = goal
                     r.path = g.shortest_path(arrived, goal)[0][1:]
-                    if log_lines is not None:
-                        log_lines.append(f"{t:.3f} goal robot={rid} node={goal}")
+                    events.append((_GOAL, t, rid, goal))
         exchanged = tick_comms(robots, comm, k)
         if exchanged:
-            pairs = comm.pairs
-            consensus.exchanged(t, map(pairs.__getitem__, exchanged))
-            if log_lines is not None:
-                # every exchange of the tick has run, so the digest is end-of-tick state
-                for p in exchanged:
-                    i, j = pairs[p]
-                    d = digest(consensus.vectors[i], m)
-                    log_lines.append(f"{t:.3f} comm robot={i} peer={j} beliefs={d}")
+            events.append((_COMM, t, exchanged, None))
+            pending_ids += len(exchanged)
+        if len(events) + pending_ids >= _FEED_BATCH:
+            flush()
+    flush()
     take_samples(math.inf)
 
-    counts = classify(consensus.vectors, truth)
-    report = consensus.report()
-    lam2 = algebraic_connectivity(CommGraph.from_exchanges(n, comm.pairs, comm.exchanges))
+    result = _Motion(
+        avg_graph_idleness=tracker.average(),
+        lambda2=algebraic_connectivity(CommGraph.from_exchanges(n, pairs, comm.exchanges)),
+        exchanges=tuple((i, j, count) for (i, j), count in zip(pairs, comm.exchanges) if count),
+    )
+    if recording and [(r._state, r._spare) for r in strat_rngs] == undrawn:
+        trace.pairs, trace.motion, trace.source = pairs, result, (cfg, g, kind)
+    elif trace is not None:
+        trace.events = None
+    return result
+
+
+def run_one(
+    cfg: ExperimentConfig,
+    g: PatrolGraph,
+    kind: StrategyKind,
+    noise: float,
+    rep: int,
+    out_dir: Optional[Path] = None,
+    trace: Optional[MotionTrace] = None,
+) -> RunRecord:
+    """Simulate one run and reduce it to a RunRecord.
+
+    When out_dir is given, the per-event log is written there as
+    <strategy>_<noise>_r<rep>.log with byte-stable lines.
+
+    Given a new MotionTrace, the run records its motion into it, and keeps
+    it if the run drew nothing from its strategy streams. Given a kept trace
+    of the same cfg, g and kind, the run replays it in place of simulating:
+    only the sensing draws of this cell's seed, the fusions and the log
+    lines are computed. Either way the record and the log equal those of a
+    run with no trace.
+    """
+    _check_map(cfg, g)
+    run_seed = cell_seed(cfg.master_seed, kind.value, noise, rep)
+    cell = _CellBeliefs(cfg, g, run_seed, noise, logged=out_dir is not None)
+    if trace is not None and trace.motion is not None:
+        if trace.source != (cfg, g, kind):
+            raise ValueError("a trace replays only the config, map and strategy it was recorded on")
+        cell.feed(trace.events, trace.pairs)
+        motion = trace.motion
+    else:
+        motion = _simulate(cfg, g, kind, run_seed, cell.feed, trace)
+
+    counts = classify(cell.consensus.vectors, cell.truth)
+    report = cell.consensus.report()
     record = RunRecord(
         strategy=kind.value,
         noise=float(noise),
         seed=run_seed,
-        avg_graph_idleness=tracker.average(),
+        avg_graph_idleness=motion.avg_graph_idleness,
         final_error=float(system_error(counts)),
         f_score=round(float(f_score(counts)), 4),
-        lambda2=lam2,
+        lambda2=motion.lambda2,
         t_consensus=report.t_full_consensus,
         tp_consensus=report.tp_consensus,
         fp_consensus_count=report.fp_consensus_count,
         rep=rep,
-        misinformed=consensus.misinformed,
-        exchanges=tuple(
-            (i, j, count) for (i, j), count in zip(comm.pairs, comm.exchanges) if count
-        ),
+        misinformed=cell.consensus.misinformed,
+        exchanges=motion.exchanges,
     )
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         name = f"{kind.value}_{_noise_token(noise)}_r{rep}.log"
-        (out_dir / name).write_text("\n".join(log_lines) + ("\n" if log_lines else ""))
+        lines = cell.lines
+        (out_dir / name).write_text("\n".join(lines) + ("\n" if lines else ""))
     return record
 
 
@@ -505,6 +657,11 @@ def run_matrix(
     replicates ascending; the per-run CSV rows follow it, so repeated
     executions of the same config are byte-identical. With out_dir, writes
     runs.csv, summary.csv and social_edges.csv there, beside the run logs.
+
+    Every cell goes through run_one. A strategy with more than one cell
+    hands its first cell a new MotionTrace; if the run keeps it, the
+    strategy's other cells replay it instead of simulating the same motion
+    again (see MotionTrace). One strategy's trace is held at a time.
     """
     if g is None:
         g = load_map(cfg)
@@ -522,9 +679,14 @@ def run_matrix(
         # an unusable output path fails here, not after the first cell
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    per_strategy = len(cfg.noise_levels) * cfg.reps
     records: list[RunRecord] = []
     for idx, (kind, noise, rep) in enumerate(cells):
-        records.append(run_one(cfg, g, kind, noise, rep, out_dir=out_dir))
+        if idx % per_strategy == 0:
+            trace = MotionTrace() if per_strategy > 1 else None
+        records.append(run_one(cfg, g, kind, noise, rep, out_dir=out_dir, trace=trace))
+        if trace is not None and trace.motion is None:
+            trace = None  # the run drew from a strategy stream, or passed the cap
         if progress:
             print(f"[{idx + 1}/{len(cells)}] {kind.value} noise={noise} rep={rep}", flush=True)
     summaries = summarize(records)

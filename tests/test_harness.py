@@ -29,7 +29,7 @@ import swarmpatrol
 from swarmpatrol import harness, metrics
 from swarmpatrol.beliefs import fuse_vectors
 from swarmpatrol.cli import main as cli_main
-from swarmpatrol.graph import PatrolGraph, parse_map
+from swarmpatrol.graph import PatrolGraph, generate_default_map, parse_map
 from swarmpatrol.harness import (
     MAX_REPS,
     MAX_ROBOTS,
@@ -684,6 +684,126 @@ def test_idleness_samples_taken_late_equal_samples_taken_on_their_tick(
 
 
 # ---------------------------------------------------------------------------
+# motion traces: a draw-free strategy's motion simulated once per matrix
+# ---------------------------------------------------------------------------
+
+# the strategies whose decisions draw from the strategy streams
+_DRAWING = {StrategyKind.RAND, StrategyKind.CBLS}
+
+
+@contextlib.contextmanager
+def _counted_runs():
+    """Count run_one calls and full motion simulations (a CommState each), by strategy."""
+    runs, sims = {}, {}
+    run, comm_state = harness.run_one, harness.CommState
+    current = []
+
+    def counted_run(cfg, g, kind, *args, **kwargs):
+        runs[kind] = runs.get(kind, 0) + 1
+        current[:] = [kind]
+        return run(cfg, g, kind, *args, **kwargs)
+
+    class Counted(comm_state):
+        def __init__(self, *args):
+            sims[current[0]] = sims.get(current[0], 0) + 1
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_one", counted_run)
+        mp.setattr(harness, "CommState", Counted)
+        yield runs, sims
+
+
+def _logs(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.suffix == ".log"}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    overrides=st.sampled_from([
+        dict(n_robots=4, duration=60.0),
+        dict(n_robots=3, duration=90.0, comm_range=math.inf),
+        dict(n_robots=5, duration=40.0, comm_range=70.0, comm_timeout=0.0),
+        dict(n_robots=6, duration=45.0, comm_timeout=7.25, dt=1 / 3),
+    ]),
+    noises=st.lists(st.sampled_from([0.0, 0.05, 0.2]), min_size=1, max_size=3, unique=True),
+    reps=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    epsilon=st.sampled_from([0.0, 0.1]),
+)
+def test_replayed_cells_equal_fresh_runs(
+    tmp_path_factory, default_graph, overrides, noises, reps, seed, epsilon
+):
+    cfg = replace(
+        ExperimentConfig(),
+        **overrides,
+        noise_levels=tuple(noises),
+        reps=reps,
+        master_seed=seed,
+        params=replace(ExperimentConfig().params, cbls_epsilon=epsilon),
+    )
+    out = tmp_path_factory.mktemp("replay")
+    with _counted_runs() as (runs, sims):
+        records, _ = run_matrix(cfg, out_dir=out / "matrix", g=default_graph)
+    fresh = [
+        run_one(cfg, default_graph, StrategyKind(r.strategy), r.noise, r.rep, out_dir=out / "one")
+        for r in records
+    ]
+    assert records == fresh
+    assert _logs(out / "matrix") == _logs(out / "one")
+    cells = len(noises) * reps
+    assert runs == {kind: cells for kind in StrategyKind}
+    # every run decides on tick 1, so RAND and CBLS (even at epsilon 0) draw in each
+    assert sims == {kind: cells if kind in _DRAWING else 1 for kind in StrategyKind}
+
+
+def test_trace_past_the_cap_runs_every_cell_in_full(tmp_path, default_graph, monkeypatch):
+    cfg = replace(
+        ExperimentConfig(),
+        duration=60.0,
+        noise_levels=(0.0, 0.2),
+        strategies=(StrategyKind.CR, StrategyKind.DTAP, StrategyKind.RAND),
+        reps=2,
+    )
+    sizes = {}
+    for kind in cfg.strategies:
+        trace = harness.MotionTrace()
+        run_one(cfg, default_graph, kind, 0.0, 0, trace=trace)
+        sizes[kind] = trace.size
+    assert sizes[StrategyKind.CR] != sizes[StrategyKind.DTAP]
+    with _counted_runs() as (_, sims):
+        want, _ = run_matrix(cfg, out_dir=tmp_path / "free", g=default_graph)
+    assert sims == {StrategyKind.CR: 1, StrategyKind.DTAP: 1, StrategyKind.RAND: 4}
+    want_files = {p.name: p.read_bytes() for p in (tmp_path / "free").iterdir()}
+    for cap in (3, sizes[StrategyKind.CR], sizes[StrategyKind.DTAP] - 1):
+        monkeypatch.setattr(harness, "TRACE_CAP", cap)
+        with _counted_runs() as (_, sims):
+            got, _ = run_matrix(cfg, out_dir=tmp_path / f"cap{cap}", g=default_graph)
+        assert got == want
+        assert {p.name: p.read_bytes() for p in (tmp_path / f"cap{cap}").iterdir()} == want_files
+        # a trace exactly at the cap is kept; one entry past it runs each cell in full
+        assert sims == {
+            kind: 1 if sizes[kind] <= cap and kind not in _DRAWING else 4
+            for kind in cfg.strategies
+        }
+
+
+def test_a_trace_replays_only_the_run_it_was_recorded_on(default_graph):
+    cfg = replace(ExperimentConfig(), duration=30.0)
+    trace = harness.MotionTrace()
+    rec = run_one(cfg, default_graph, StrategyKind.CR, 0.0, 0, trace=trace)
+    assert trace.motion is not None
+    assert run_one(cfg, default_graph, StrategyKind.CR, 0.0, 0, trace=trace) == rec
+    for other in (
+        (replace(cfg, duration=20.0), default_graph, StrategyKind.CR),
+        (cfg, default_graph, StrategyKind.HCR),
+        (cfg, generate_default_map(0), StrategyKind.CR),
+    ):
+        with pytest.raises(ValueError, match="replays only"):
+            run_one(*other, 0.0, 1, trace=trace)
+
+
+# ---------------------------------------------------------------------------
 # matrix, summaries, CSV round-trips
 # ---------------------------------------------------------------------------
 
@@ -695,6 +815,19 @@ def micro_matrix(tmp_path_factory):
     cfg = _micro_cfg(noise_levels=(0.0, 0.1))
     records, summaries = run_matrix(cfg, out_dir=out, g=g)
     return cfg, out, records, summaries
+
+
+def test_integer_noise_levels_run_as_their_floats(default_graph):
+    # an int level once seeded its cells from repr(0), while its records said 0.0
+    cfg = replace(
+        ExperimentConfig(), duration=30.0, strategies=(StrategyKind.CR, StrategyKind.RAND), reps=2
+    )
+    assert [repr(p) for p in replace(cfg, noise_levels=(0, 1)).noise_levels] == ["0.0", "1.0"]
+    ints, _ = run_matrix(replace(cfg, noise_levels=(0, 1)), g=default_graph)
+    floats, _ = run_matrix(replace(cfg, noise_levels=(0.0, 1.0)), g=default_graph)
+    assert ints == floats
+    for rec in ints:
+        assert rec.seed == cell_seed(cfg.master_seed, rec.strategy, rec.noise, rec.rep)
 
 
 def test_run_matrix_canonical_order(micro_matrix):
