@@ -328,6 +328,39 @@ def list_digest(values: Sequence[int]) -> str:
     return "".join("0u1"[b] for b in values)
 
 
+def line_rendered_cell_class(harness):
+    """A subclass of harness._CellBeliefs whose feed renders each log line whole.
+
+    Each line is one f-string over its event, with the belief and the
+    end-of-tick digest read from the vectors by unpack; nothing is kept
+    between lines, batches or cells. It ignores any motion text it is given
+    and returns none, so a run that uses it renders every line itself.
+    """
+
+    class LineRenderedCell(harness._CellBeliefs):
+        def feed(self, events, pairs, text=None):
+            consensus, lines, m = self.consensus, self.lines, self._m
+            for kind, t, a, b in events:
+                if kind == harness._VISIT:
+                    reading = harness.sense(self.truth, b, self.noise, self.rngs[a])
+                    held = unpack(consensus.sensed(t, a, b, reading), m)[b]
+                    if lines is not None:
+                        belief = ("0", "0.5", "1")[held]
+                        lines.append(f"{t:.3f} visit robot={a} node={b} belief={belief}")
+                elif kind == harness._COMM:
+                    consensus.exchanged(t, [pairs[p] for p in a])
+                    if lines is not None:
+                        for p in a:
+                            i, j = pairs[p]
+                            d = list_digest(unpack(consensus.vectors[i], m))
+                            lines.append(f"{t:.3f} comm robot={i} peer={j} beliefs={d}")
+                elif lines is not None:
+                    lines.append(f"{t:.3f} goal robot={a} node={b}")
+            return None
+
+    return LineRenderedCell
+
+
 def brute_system_error(vectors: Sequence[Sequence[int]], truth: Sequence[bool]) -> Fraction:
     """Mean |belief - truth| on the unit scale, summed entry by entry."""
     total = Fraction(0)

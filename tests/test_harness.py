@@ -13,7 +13,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -22,6 +22,7 @@ from _oracles import (
     dtap_auction,
     eligible_pairs,
     fuse_every_pair,
+    line_rendered_cell_class,
     per_tick_dtap_class,
     per_tick_robot_class,
 )
@@ -801,6 +802,128 @@ def test_a_trace_replays_only_the_run_it_was_recorded_on(default_graph):
     ):
         with pytest.raises(ValueError, match="replays only"):
             run_one(*other, 0.0, 1, trace=trace)
+
+
+# a 4-node ring: its digests are 4 characters long, the default map's 40
+RING4 = "node 0 0 0\nnode 1 2 0\nnode 2 2 2\nnode 3 0 2\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n"
+
+# the configs of test_replayed_cells_equal_fresh_runs whose radio is busiest
+_LOG_ORACLE_CONFIGS = [
+    dict(n_robots=3, duration=90.0, comm_range=math.inf),
+    dict(n_robots=5, duration=40.0, comm_range=70.0, comm_timeout=0.0),
+    dict(n_robots=6, duration=45.0, comm_timeout=7.25, dt=1 / 3),
+]
+
+
+def _oracle_logs(cfg, g, cells, out_dir):
+    """The logs of fresh runs of cells (kind, noise, rep), every line rendered whole."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_CellBeliefs", line_rendered_cell_class(harness))
+        for kind, noise, rep in cells:
+            run_one(cfg, g, kind, noise, rep, out_dir=out_dir)
+    return _logs(out_dir)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    overrides=st.sampled_from(_LOG_ORACLE_CONFIGS),
+    ring=st.booleans(),
+    noises=st.lists(st.sampled_from([0.0, 0.05, 0.2]), min_size=1, max_size=3, unique=True),
+    reps=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    batch=st.sampled_from([1, 7, harness._FEED_BATCH]),
+)
+# both maps in every session, so text a cell kept from another map would show
+@example(_LOG_ORACLE_CONFIGS[0], False, [0.0, 0.2], 2, 0, 7)
+@example(_LOG_ORACLE_CONFIGS[1], True, [0.0, 0.2], 2, 0, 7)
+def test_logs_equal_the_line_rendered_oracle(
+    tmp_path_factory, default_graph, overrides, ring, noises, reps, seed, batch
+):
+    g = parse_map(RING4) if ring else default_graph
+    cfg = replace(
+        ExperimentConfig(), **overrides, noise_levels=tuple(noises), reps=reps, master_seed=seed
+    )
+    if ring:
+        cfg = replace(cfg, anomaly_node=2)
+    out = tmp_path_factory.mktemp("logtext")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_FEED_BATCH", batch)
+        records, _ = run_matrix(cfg, out_dir=out / "matrix", g=g)
+        cells = [(StrategyKind(r.strategy), r.noise, r.rep) for r in records]
+        for kind, noise, rep in cells:
+            run_one(cfg, g, kind, noise, rep, out_dir=out / "one")
+        want = _oracle_logs(cfg, g, cells, out / "oracle")
+    assert StrategyKind.DTAP in cfg.strategies
+    assert len(want) == len(records)
+    assert _logs(out / "matrix") == want
+    assert _logs(out / "one") == want
+
+
+@pytest.mark.parametrize("overrides", _LOG_ORACLE_CONFIGS)
+@pytest.mark.parametrize("kind", [StrategyKind.DTAP, StrategyKind.CR])
+def test_a_trace_renders_its_motion_text_at_most_once(
+    tmp_path, default_graph, monkeypatch, overrides, kind
+):
+    cfg = replace(ExperimentConfig(), **overrides)
+    cells = [(kind, noise, rep) for noise in (0.0, 0.2) for rep in (0, 1)]
+    want = _oracle_logs(cfg, default_graph, cells, tmp_path / "oracle")
+    fresh = [run_one(cfg, default_graph, *cell) for cell in cells]
+    rendered = []
+    motion_text = harness._motion_text
+
+    def counted(events, *args):
+        rendered.append(len(events))
+        return motion_text(events, *args)
+
+    monkeypatch.setattr(harness, "_motion_text", counted)
+
+    # recorded without logs: the first logged replay renders the text and keeps it
+    trace = harness.MotionTrace()
+    assert run_one(cfg, default_graph, *cells[0], trace=trace) == fresh[0]
+    assert trace.motion is not None and trace.text is None and rendered == []
+    got = [run_one(cfg, default_graph, *cell, out_dir=tmp_path / "a", trace=trace) for cell in cells]
+    assert got == fresh
+    assert rendered == [len(trace.events)]
+    assert _logs(tmp_path / "a") == want
+
+    # recorded with logs: no replay renders again, and one without logs gives the same record
+    rendered.clear()
+    trace = harness.MotionTrace()
+    got = [run_one(cfg, default_graph, *cells[0], out_dir=tmp_path / "b", trace=trace)]
+    assert sum(rendered) == len(trace.events)
+    assert len(trace.text) == sum(len(e[2]) if e[0] == harness._COMM else 1 for e in trace.events)
+    rendered.clear()
+    got += [run_one(cfg, default_graph, *cell, out_dir=tmp_path / "b", trace=trace) for cell in cells[1:]]
+    assert got == fresh
+    assert [run_one(cfg, default_graph, *cell, trace=trace) for cell in cells] == fresh
+    assert rendered == []
+    assert _logs(tmp_path / "b") == want
+
+    # a trace exactly at the cap keeps its text; one entry past it keeps neither
+    matrix_cfg = replace(cfg, strategies=(kind,), noise_levels=(0.0, 0.2), reps=2)
+    for cap, kept in ((trace.size, True), (trace.size - 1, False)):
+        monkeypatch.setattr(harness, "TRACE_CAP", cap)
+        capped = harness.MotionTrace()
+        run_one(cfg, default_graph, *cells[0], out_dir=tmp_path / "c", trace=capped)
+        assert (capped.motion is not None, capped.text is not None) == (kept, kept)
+        run_matrix(matrix_cfg, out_dir=tmp_path / f"cap{cap}", g=default_graph)
+        assert _logs(tmp_path / f"cap{cap}") == want
+
+
+def test_run_one_seeds_logs_and_records_a_level_as_its_float(tmp_path, default_graph):
+    cfg = replace(ExperimentConfig(), duration=5.0)
+    want = run_one(cfg, default_graph, StrategyKind.CR, 0.0, 0, out_dir=tmp_path / "float")
+    assert want.seed == cell_seed(cfg.master_seed, "CR", 0.0, 0)
+    for noise in (0, -0.0, False):
+        out = tmp_path / repr(noise)
+        got = run_one(cfg, default_graph, StrategyKind.CR, noise, 0, out_dir=out)
+        assert got == want and repr(got.noise) == "0.0"
+        assert _logs(out) == _logs(tmp_path / "float")
+        assert [p.name for p in out.iterdir()] == ["CR_0p0_r0.log"]
+    # abs makes -0.0 zero; it must not turn an invalid level into a valid one
+    for noise in (-0.2, -1e-300, 1.5, math.nan):
+        with pytest.raises(ConfigError, match="noise level must be in"):
+            run_one(cfg, default_graph, StrategyKind.CR, noise, 0)
 
 
 # ---------------------------------------------------------------------------
