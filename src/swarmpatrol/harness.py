@@ -106,6 +106,17 @@ MAX_ROBOTS = 1024
 MAX_REPS = 10_000
 
 
+def _noise_level(p: float) -> float:
+    """Check a noise level is in [0, 1] and return it as the float its cell runs at.
+
+    -0.0 and 0 equal 0.0, but their reprs would give them other cell seeds
+    and log names than the float noise their records carry.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise ConfigError(f"noise level must be in [0, 1], got {p}")
+    return float(abs(p))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment matrix."""
@@ -150,12 +161,7 @@ class ExperimentConfig:
             raise ConfigError(f"comm_timeout must be >= 0, got {self.comm_timeout}")
         if not (0.0 < self.quorum <= 1.0):
             raise ConfigError(f"quorum must be in (0, 1], got {self.quorum}")
-        for p in self.noise_levels:
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"noise level must be in [0, 1], got {p}")
-        # -0.0 and 0 equal 0.0, but their reprs would give them other cell
-        # seeds than the float noise their records carry
-        object.__setattr__(self, "noise_levels", tuple(float(abs(p)) for p in self.noise_levels))
+        object.__setattr__(self, "noise_levels", tuple(map(_noise_level, self.noise_levels)))
         if not (1 <= self.reps <= MAX_REPS):
             raise ConfigError(f"reps must be in 1..{MAX_REPS}, got {self.reps}")
         if not self.strategies:
@@ -361,10 +367,9 @@ def _check_map(cfg: ExperimentConfig, g: PatrolGraph) -> None:
 
 # Most entries a MotionTrace holds: each goal change and arrival is one, and
 # so is each exchanged pair. A 3600 s run of 8 robots on the bundled map
-# records 7,000 to 11,000, at about 95 bytes each, or 150 to 190 once the
-# trace holds its motion text (about 90 bytes a log line). Past the cap
-# recording stops, so a trace never holds much over 25 MB, however large the
-# fleet or short the cooldown, and the strategy's other cells run in full.
+# records 7,000 to 11,000, at about 95 bytes each. Past the cap recording
+# stops, so a trace never holds much over 12 MB, however large the fleet or
+# short the cooldown, and the strategy's other cells run in full.
 TRACE_CAP = 1 << 17
 
 # The motion loop hands its events on in batches of about this many entries
@@ -391,70 +396,36 @@ class MotionTrace:
     events lists, in execution order, the goal changes (_GOAL, t, robot,
     node), the arrivals (_VISIT, t, robot, node) and each tick's exchanges
     (_COMM, t, ids, None), ids being the pair ids that exchanged, in the
-    order they ran; pairs[p] is the robot pair (i, j) of pair id p. text is
-    the events' motion text (see _motion_text), or None until a cell that
-    logs has rendered it: the recording cell, if it logs, or else the first
-    replay that does.
+    order they ran; pairs[p] is the robot pair (i, j) of pair id p.
 
     run_one records into a new trace while it simulates, and keeps the
     trace only if the run drew nothing from its strategy streams: then the
     cell seed never steered the motion, so every cell of the same config,
     map and strategy moves the same way. A kept trace has motion set, and
     run_one replays it in place of simulating. A run that draws, or passes
-    TRACE_CAP entries, drops the events and the text and keeps nothing.
+    TRACE_CAP entries, drops the events and keeps nothing.
     """
 
-    __slots__ = ("events", "text", "size", "pairs", "motion", "source")
+    __slots__ = ("events", "size", "pairs", "motion", "source")
 
     def __init__(self) -> None:
         self.events: Optional[list[tuple]] = []
-        self.text: Optional[list[str]] = []
         self.size = 0  # events plus exchanged pair ids recorded
         self.pairs: list[tuple[int, int]] = []
         self.motion: Optional[_Motion] = None
         self.source: tuple = ()  # the (cfg, g, kind) of a kept trace
 
-    def record(self, events: list[tuple], entries: int, text: Optional[list[str]]) -> bool:
-        """Append events, which hold `entries` events and pair ids, and their motion text.
+    def record(self, events: list[tuple], entries: int) -> bool:
+        """Append events, which hold `entries` events and pair ids; past the cap, drop all.
 
-        text is None when the recording cell does not log. Past the cap,
-        drop everything. Returns whether the trace is still recording.
+        Returns whether the trace is still recording.
         """
         self.size += entries
         if self.size > TRACE_CAP:
-            self.events = self.text = None
+            self.events = None
             return False
         self.events += events
-        if text is None:
-            self.text = None
-        else:
-            self.text += text
         return True
-
-
-def _motion_text(events: Iterable[tuple], pairs: Sequence[tuple[int, int]]) -> list[str]:
-    """Render the motion text of events: their log lines, each up to its belief text.
-
-    A goal line is whole, a visit line ends in 'belief=' and each exchanged
-    pair's comm line in 'beliefs='; the cell adds the rest. None of it
-    depends on the cell. Each time is formatted once: events come in time
-    order, and a batch of them never splits a tick.
-    """
-    text: list[str] = []
-    add = text.append
-    last = None
-    for kind, t, a, b in events:
-        if t != last:
-            last, ts = t, f"{t:.3f}"
-        if kind == _VISIT:
-            add(f"{ts} visit robot={a} node={b} belief=")
-        elif kind == _COMM:
-            for p in a:
-                i, j = pairs[p]
-                add(f"{ts} comm robot={i} peer={j} beliefs=")
-        else:
-            add(f"{ts} goal robot={a} node={b}")
-    return text
 
 
 class _CellBeliefs:
@@ -462,8 +433,8 @@ class _CellBeliefs:
 
     The motion loop feeds it its events as it goes, and a replay feeds it a
     trace's. It senses each arrival on the cell's own sense streams, fuses
-    each tick's exchanges on its ConsensusTracker and, when logging, adds
-    its belief text to each line of the events' motion text.
+    each tick's exchanges on its ConsensusTracker and, when logging, renders
+    each event's log line.
     """
 
     __slots__ = ("truth", "noise", "rngs", "consensus", "lines", "_m", "_digests")
@@ -480,42 +451,34 @@ class _CellBeliefs:
         self.lines: Optional[list[str]] = [] if logged else None
         self._digests: dict[tuple[int, int], str] = {}  # digest of each vector logged
 
-    def feed(
-        self,
-        events: Iterable[tuple],
-        pairs: Sequence[tuple[int, int]],
-        text: Optional[list[str]] = None,
-    ) -> Optional[list[str]]:
-        """Apply MotionTrace events in execution order; pairs[p] is pair id p's (i, j).
-
-        When logging, text is the events' motion text, rendered here if not
-        given. Returns it, or None when the cell does not log.
-        """
+    def feed(self, events: Iterable[tuple], pairs: Sequence[tuple[int, int]]) -> None:
+        """Apply MotionTrace events in execution order; pairs[p] is pair id p's (i, j)."""
         truth, noise, rngs, m = self.truth, self.noise, self.rngs, self._m
         consensus, lines, digests = self.consensus, self.lines, self._digests
-        if lines is not None:
-            if text is None:
-                text = _motion_text(events, pairs)
-            line = iter(text).__next__
+        last = None
         for kind, t, a, b in events:
+            if lines is not None and t != last:
+                # events come in time order, so each time is formatted once a batch
+                last, ts = t, f"{t:.3f}"
             if kind == _VISIT:
                 held = consensus.sensed(t, a, b, sense(truth, b, noise, rngs[a]))
                 if lines is not None:
-                    lines.append(line() + format_belief(held, b))
+                    belief = format_belief(held, b)
+                    lines.append(f"{ts} visit robot={a} node={b} belief={belief}")
             elif kind == _COMM:
                 consensus.exchanged(t, map(pairs.__getitem__, a))
                 if lines is not None:
                     # every exchange of the tick has run, so the digest is end-of-tick state
                     vectors = consensus.vectors
                     for p in a:
-                        v = vectors[pairs[p][0]]
+                        i, j = pairs[p]
+                        v = vectors[i]
                         d = digests.get(v)
                         if d is None:
                             d = digests[v] = digest(v, m)
-                        lines.append(line() + d)
+                        lines.append(f"{ts} comm robot={i} peer={j} beliefs={d}")
             elif lines is not None:
-                lines.append(line())
-        return None if lines is None else text
+                lines.append(f"{ts} goal robot={a} node={b}")
 
 
 def _simulate(
@@ -523,14 +486,13 @@ def _simulate(
     g: PatrolGraph,
     kind: StrategyKind,
     run_seed: int,
-    feed: Callable[[list[tuple], Sequence[tuple[int, int]]], Optional[list[str]]],
+    feed: Callable[[list[tuple], Sequence[tuple[int, int]]], None],
     trace: Optional[MotionTrace],
 ) -> _Motion:
     """Move one run's fleet, handing its events to feed, with the pairs, as it goes.
 
     With a trace that is neither kept nor dropped, the events are recorded
-    into it too, with the motion text feed returns for them, and the trace
-    is kept or dropped at the end (see MotionTrace).
+    into it too, and it is kept or dropped at the end (see MotionTrace).
     """
     m = g.node_count
     n = cfg.n_robots
@@ -567,9 +529,9 @@ def _simulate(
 
     def flush() -> None:
         nonlocal recording, pending_ids
-        text = feed(events, pairs)
+        feed(events, pairs)
         if recording:
-            recording = trace.record(events, len(events) + pending_ids, text)
+            recording = trace.record(events, len(events) + pending_ids)
         events.clear()
         pending_ids = 0
 
@@ -635,7 +597,7 @@ def _simulate(
     if recording and [(r._state, r._spare) for r in strat_rngs] == undrawn:
         trace.pairs, trace.motion, trace.source = pairs, result, (cfg, g, kind)
     elif trace is not None:
-        trace.events = trace.text = None
+        trace.events = None
     return result
 
 
@@ -657,23 +619,17 @@ def run_one(
     it if the run drew nothing from its strategy streams. Given a kept trace
     of the same cfg, g and kind, the run replays it in place of simulating:
     only the sensing draws of this cell's seed, the fusions and the log
-    lines' belief text are computed, and the trace keeps the motion text the
-    first logged cell renders. Either way the record and the log equal those
-    of a run with no trace.
+    lines are computed. Either way the record and the log equal those of a
+    run with no trace.
     """
     _check_map(cfg, g)
-    if not 0.0 <= noise <= 1.0:
-        raise ConfigError(f"noise level must be in [0, 1], got {noise}")
-    # -0.0 is 0.0: one cell, one seed and one log name
-    noise = float(abs(noise))
+    noise = _noise_level(noise)
     run_seed = cell_seed(cfg.master_seed, kind.value, noise, rep)
     cell = _CellBeliefs(cfg, g, run_seed, noise, logged=out_dir is not None)
     if trace is not None and trace.motion is not None:
         if trace.source != (cfg, g, kind):
             raise ValueError("a trace replays only the config, map and strategy it was recorded on")
-        text = cell.feed(trace.events, trace.pairs, trace.text)
-        if text is not None:
-            trace.text = text
+        cell.feed(trace.events, trace.pairs)
         motion = trace.motion
     else:
         motion = _simulate(cfg, g, kind, run_seed, cell.feed, trace)

@@ -333,12 +333,11 @@ def line_rendered_cell_class(harness):
 
     Each line is one f-string over its event, with the belief and the
     end-of-tick digest read from the vectors by unpack; nothing is kept
-    between lines, batches or cells. It ignores any motion text it is given
-    and returns none, so a run that uses it renders every line itself.
+    between lines, batches or cells.
     """
 
     class LineRenderedCell(harness._CellBeliefs):
-        def feed(self, events, pairs, text=None):
+        def feed(self, events, pairs):
             consensus, lines, m = self.consensus, self.lines, self._m
             for kind, t, a, b in events:
                 if kind == harness._VISIT:
@@ -356,7 +355,6 @@ def line_rendered_cell_class(harness):
                             lines.append(f"{t:.3f} comm robot={i} peer={j} beliefs={d}")
                 elif lines is not None:
                     lines.append(f"{t:.3f} goal robot={a} node={b}")
-            return None
 
     return LineRenderedCell
 

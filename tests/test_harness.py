@@ -861,51 +861,37 @@ def test_logs_equal_the_line_rendered_oracle(
 
 @pytest.mark.parametrize("overrides", _LOG_ORACLE_CONFIGS)
 @pytest.mark.parametrize("kind", [StrategyKind.DTAP, StrategyKind.CR])
-def test_a_trace_renders_its_motion_text_at_most_once(
+def test_replayed_logs_equal_the_oracle_however_the_trace_was_recorded(
     tmp_path, default_graph, monkeypatch, overrides, kind
 ):
     cfg = replace(ExperimentConfig(), **overrides)
     cells = [(kind, noise, rep) for noise in (0.0, 0.2) for rep in (0, 1)]
     want = _oracle_logs(cfg, default_graph, cells, tmp_path / "oracle")
     fresh = [run_one(cfg, default_graph, *cell) for cell in cells]
-    rendered = []
-    motion_text = harness._motion_text
 
-    def counted(events, *args):
-        rendered.append(len(events))
-        return motion_text(events, *args)
-
-    monkeypatch.setattr(harness, "_motion_text", counted)
-
-    # recorded without logs: the first logged replay renders the text and keeps it
+    # recorded without logs, replayed with them
     trace = harness.MotionTrace()
     assert run_one(cfg, default_graph, *cells[0], trace=trace) == fresh[0]
-    assert trace.motion is not None and trace.text is None and rendered == []
+    assert trace.motion is not None
     got = [run_one(cfg, default_graph, *cell, out_dir=tmp_path / "a", trace=trace) for cell in cells]
     assert got == fresh
-    assert rendered == [len(trace.events)]
     assert _logs(tmp_path / "a") == want
 
-    # recorded with logs: no replay renders again, and one without logs gives the same record
-    rendered.clear()
+    # recorded with logs, replayed without them
     trace = harness.MotionTrace()
-    got = [run_one(cfg, default_graph, *cells[0], out_dir=tmp_path / "b", trace=trace)]
-    assert sum(rendered) == len(trace.events)
-    assert len(trace.text) == sum(len(e[2]) if e[0] == harness._COMM else 1 for e in trace.events)
-    rendered.clear()
-    got += [run_one(cfg, default_graph, *cell, out_dir=tmp_path / "b", trace=trace) for cell in cells[1:]]
-    assert got == fresh
+    assert run_one(cfg, default_graph, *cells[0], out_dir=tmp_path / "b", trace=trace) == fresh[0]
+    assert trace.motion is not None
     assert [run_one(cfg, default_graph, *cell, trace=trace) for cell in cells] == fresh
-    assert rendered == []
-    assert _logs(tmp_path / "b") == want
+    first = f"{kind.value}_0p0_r0.log"
+    assert _logs(tmp_path / "b") == {first: want[first]}
 
-    # a trace exactly at the cap keeps its text; one entry past it keeps neither
+    # a trace exactly at the cap is kept; one entry past it is dropped
     matrix_cfg = replace(cfg, strategies=(kind,), noise_levels=(0.0, 0.2), reps=2)
     for cap, kept in ((trace.size, True), (trace.size - 1, False)):
         monkeypatch.setattr(harness, "TRACE_CAP", cap)
         capped = harness.MotionTrace()
         run_one(cfg, default_graph, *cells[0], out_dir=tmp_path / "c", trace=capped)
-        assert (capped.motion is not None, capped.text is not None) == (kept, kept)
+        assert (capped.motion is not None) == kept
         run_matrix(matrix_cfg, out_dir=tmp_path / f"cap{cap}", g=default_graph)
         assert _logs(tmp_path / f"cap{cap}") == want
 
