@@ -39,7 +39,7 @@ from .metrics import (
     pearson,
     system_error,
 )
-from .strategies import StrategyKind, StrategyParams
+from .strategies import StrategyKind
 from .world import IdlenessTracker, RngStream, RobotState
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "pearson",
     "system_error",
     "StrategyKind",
-    "StrategyParams",
     "IdlenessTracker",
     "RngStream",
     "RobotState",

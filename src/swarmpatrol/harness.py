@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
@@ -29,7 +29,7 @@ from .metrics import (
     pearson,
     system_error,
 )
-from .strategies import POLICIES, StrategyKind, StrategyParams, decide_next, retarget
+from .strategies import POLICIES, StrategyKind, check_settings, decide_next, retarget
 from .world import (
     IdlenessTracker,
     RngStream,
@@ -136,7 +136,11 @@ class ExperimentConfig:
     strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
     reps: int = 20
     master_seed: int = 0
-    params: StrategyParams = field(default_factory=StrategyParams)
+    # the policies' tunables, which strategies.check_settings checks
+    cbls_alpha: float = 0.3
+    cbls_epsilon: float = 0.2
+    dtap_period_s: float = 20.0
+    task_distance_weight: float = 7.0
 
     def __post_init__(self):
         if self.map_file is not None and self.map_seed is not None:
@@ -176,17 +180,10 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"duplicate {label} {value}")
-        if StrategyKind.DTAP in self.strategies:
-            period_ticks = self.params.dtap_period_s / self.dt
-            if math.isinf(period_ticks):
-                raise ConfigError(
-                    f"dtap_period {self.params.dtap_period_s} is too many ticks of dt {self.dt}"
-                )
-            if round(period_ticks) == 0:
-                raise ConfigError(
-                    f"dtap_period {self.params.dtap_period_s} is under half a tick of "
-                    f"dt {self.dt}, so DTAP would never hold an auction"
-                )
+        try:
+            check_settings(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -197,7 +194,6 @@ class ExperimentConfig:
         separated; strategies also accepts 'all'.
         """
         kwargs: dict = {}
-        params_kwargs: dict = {}
         seen: dict[str, int] = {}  # key -> the line it was given on
         try:
             text = Path(path).read_text()
@@ -217,16 +213,14 @@ class ExperimentConfig:
             if key in seen:
                 raise ConfigError(f"{path}:{line_no}: config key {key!r} repeats line {seen[key]}")
             seen[key] = line_no
-            name, parse, is_param = _CONFIG_KEYS[key]
+            name, parse = _CONFIG_KEYS[key]
             try:
-                (params_kwargs if is_param else kwargs)[name] = parse(value)
+                kwargs[name] = parse(value)
             except ConfigError:
                 raise
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
         try:
-            if params_kwargs:
-                kwargs["params"] = StrategyParams(**params_kwargs)
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
@@ -251,27 +245,27 @@ def _parse_floats(value: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in value.split(",") if tok.strip())
 
 
-# config key -> (field it sets, value parser, whether a StrategyParams field)
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
-    "map": ("map_file", str, False),
-    "map_seed": ("map_seed", int, False),
-    "robots": ("n_robots", int, False),
-    "speed": ("speed", float, False),
-    "dt": ("dt", float, False),
-    "duration": ("duration", float, False),
-    "comm_range": ("comm_range", float, False),
-    "comm_timeout": ("comm_timeout", float, False),
-    "anomaly": ("anomaly_node", int, False),
-    "quorum": ("quorum", float, False),
-    "start_node": ("start_node", int, False),
-    "noises": ("noise_levels", _parse_floats, False),
-    "strategies": ("strategies", _parse_strategies, False),
-    "reps": ("reps", int, False),
-    "seed": ("master_seed", int, False),
-    "cbls_alpha": ("cbls_alpha", float, True),
-    "cbls_epsilon": ("cbls_epsilon", float, True),
-    "dtap_period": ("dtap_period_s", float, True),
-    "task_weight": ("task_distance_weight", float, True),
+# config key -> (field it sets, value parser)
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "map": ("map_file", str),
+    "map_seed": ("map_seed", int),
+    "robots": ("n_robots", int),
+    "speed": ("speed", float),
+    "dt": ("dt", float),
+    "duration": ("duration", float),
+    "comm_range": ("comm_range", float),
+    "comm_timeout": ("comm_timeout", float),
+    "anomaly": ("anomaly_node", int),
+    "quorum": ("quorum", float),
+    "start_node": ("start_node", int),
+    "noises": ("noise_levels", _parse_floats),
+    "strategies": ("strategies", _parse_strategies),
+    "reps": ("reps", int),
+    "seed": ("master_seed", int),
+    "cbls_alpha": ("cbls_alpha", float),
+    "cbls_epsilon": ("cbls_epsilon", float),
+    "dtap_period": ("dtap_period_s", float),
+    "task_weight": ("task_distance_weight", float),
 }
 
 
@@ -498,10 +492,9 @@ def _simulate(
     n = cfg.n_robots
     step = cfg.speed * cfg.dt
     tracker = IdlenessTracker(m)
-    motion = max_step(g, cfg.speed, cfg.dt)
-    policy = POLICIES[kind](g, n, cfg.params, cfg.comm_range, cfg.dt, motion)
+    policy = POLICIES[kind](g, cfg)
     robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
-    comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, motion)
+    comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, max_step(g, cfg.speed, cfg.dt))
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     # the cell seed reaches the motion through these streams alone
     undrawn = [(r._state, r._spare) for r in strat_rngs]
@@ -890,6 +883,9 @@ def _correlation_row(noise: float, records: Sequence[RunRecord]) -> list:
     else:
         try:
             r_val, p_val = pearson(xs, ys)
+        except ValueError:
+            # distinct values whose squared deviations underflow to zero
+            note = "degenerate variance"
         except OverflowError:
             note = "sums overflow the float range"
     return [noise, len(points), r_val, p_val, note]

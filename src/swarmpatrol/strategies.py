@@ -16,19 +16,18 @@ robot's beliefs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .comms import closing_ticks
 from .graph import PatrolGraph, Route, build_cyclic_route
-from .world import RngStream, RobotState
+from .world import RngStream, RobotState, max_step
 
 __all__ = [
     "StrategyKind",
-    "StrategyParams",
     "Policy",
     "POLICIES",
+    "check_settings",
     "decide_next",
     "nearest_peer_sq",
     "retarget",
@@ -51,33 +50,6 @@ class StrategyKind(Enum):
     SEBS = "SEBS"
 
 
-@dataclass(frozen=True)
-class StrategyParams:
-    """Tunables shared by the learning and auction policies."""
-
-    cbls_alpha: float = 0.3
-    cbls_epsilon: float = 0.2
-    dtap_period_s: float = 20.0
-    task_distance_weight: float = 7.0
-
-    def __post_init__(self):
-        if not (0.0 < self.cbls_alpha <= 1.0):
-            raise ValueError(f"cbls_alpha must be in (0, 1], got {self.cbls_alpha}")
-        if not (0.0 <= self.cbls_epsilon <= 1.0):
-            raise ValueError(f"cbls_epsilon must be in [0, 1], got {self.cbls_epsilon}")
-        if not (0.0 < self.dtap_period_s < math.inf):
-            raise ValueError(
-                f"dtap_period_s must be positive and finite, got {self.dtap_period_s}"
-            )
-        # an infinite weight makes every task worth -inf, so DTAG would fall
-        # back to CR on every decision
-        if not (0.0 < self.task_distance_weight < math.inf):
-            raise ValueError(
-                f"task_distance_weight must be positive and finite, "
-                f"got {self.task_distance_weight}"
-            )
-
-
 def _argmax(scored: Iterable[tuple[int, float]]) -> int:
     """Node of the first highest score, or -1 when nothing is scored."""
     best_v = -1
@@ -94,19 +66,14 @@ class Policy:
 
     Also the interface of every policy: a subclass overrides `decide` and, if
     it needs them, `visited`, `tick` and `next_tick`, and keeps its own state.
+    cfg is the run's ExperimentConfig, or anything with the fields a policy
+    reads: n_robots, the tunables of CBLS, DTAG and DTAP, and for DTAP's
+    auction comm_range, speed and dt.
     """
 
-    def __init__(
-        self,
-        g: PatrolGraph,
-        n_robots: int,
-        params: StrategyParams,
-        comm_range: float,
-        dt: float,
-        max_step: float,
-    ):
+    def __init__(self, g: PatrolGraph, cfg):
         self.g = g
-        self.params = params
+        self.cfg = cfg
 
     def decide(
         self, robot_id: int, node: int, t: float, last_visit: Sequence[float], rng: RngStream
@@ -145,48 +112,42 @@ class RAND(Policy):
         return nbrs[rng.index(len(nbrs))][0]
 
 
+def _idle_and_near(candidates: Sequence[tuple[int, float, float]]) -> int:
+    """Node of the best (node, idleness, distance): half relative idleness, half closeness."""
+    max_idl = max(idl for _, idl, _ in candidates)
+    max_d = max(d for _, _, d in candidates)
+    return _argmax(
+        (v, 0.5 * (idl / max_idl if max_idl > 0.0 else 1.0) + 0.5 * (1.0 - d / max_d))
+        for v, idl, d in candidates
+    )
+
+
 class HCR(Policy):
     """Neighbors scored half on relative idleness, half on closeness."""
 
     def decide(self, robot_id, node, t, last_visit, rng):
-        nbrs = self.g.neighbors(node)
-        idleness = [t - last_visit[v] for v, _ in nbrs]
-        max_idl = max(idleness)
-        max_d = max(d for _, d in nbrs)
-        return _argmax(
-            (v, 0.5 * (idl / max_idl if max_idl > 0.0 else 1.0) + 0.5 * (1.0 - d / max_d))
-            for (v, d), idl in zip(nbrs, idleness)
-        )
+        return _idle_and_near([(v, t - last_visit[v], d) for v, d in self.g.neighbors(node)])
 
 
 class HPCC(Policy):
     """HCR's scoring widened to every node, over shortest-path distances."""
 
     def decide(self, robot_id, node, t, last_visit, rng):
-        idleness = [t - lv for lv in last_visit]
         dist = self.g.distances(node)
-        candidates = [v for v in range(self.g.node_count) if v != node]
-        max_idl = max(idleness[v] for v in candidates)
-        max_d = max(dist[v] for v in candidates)
-        return _argmax(
-            (
-                v,
-                0.5 * (idleness[v] / max_idl if max_idl > 0.0 else 1.0)
-                + 0.5 * (1.0 - dist[v] / max_d),
-            )
-            for v in candidates
+        return _idle_and_near(
+            [(v, t - last_visit[v], dist[v]) for v in range(self.g.node_count) if v != node]
         )
 
 
 class CGG(Policy):
     """Walk one fixed cyclic route, robots entering it evenly spaced."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
-        super().__init__(g, n_robots, params, comm_range, dt, max_step)
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
         self.route = build_cyclic_route(g)
-        self.entry_index = _entry_indices(self.route, g, n_robots)
+        self.entry_index = _entry_indices(self.route, g, cfg.n_robots)
         # position on the route; None until the robot first reaches its entry
-        self.route_idx: list[Optional[int]] = [None] * n_robots
+        self.route_idx: list[Optional[int]] = [None] * cfg.n_robots
 
     def decide(self, robot_id, node, t, last_visit, rng):
         nodes = self.route.nodes
@@ -245,10 +206,10 @@ class GBS(Policy):
 class SEBS(GBS):
     """GBS halved once per other robot that announced the same goal."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
-        super().__init__(g, n_robots, params, comm_range, dt, max_step)
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
         # each robot's announced goal; None before its first decision
-        self.intentions: list[Optional[int]] = [None] * n_robots
+        self.intentions: list[Optional[int]] = [None] * cfg.n_robots
         # how many robots announced each node
         self.announced = [0] * g.node_count
 
@@ -277,18 +238,18 @@ class CBLS(SEBS):
     at each node (`learned`); a decision scores max(idleness, learned).
     """
 
-    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
-        super().__init__(g, n_robots, params, comm_range, dt, max_step)
-        self.learned = [[0.0] * g.node_count for _ in range(n_robots)]
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
+        self.learned = [[0.0] * g.node_count for _ in range(cfg.n_robots)]
 
     def visited(self, robot_id, node, idleness_before):
         learned = self.learned[robot_id]
-        a = self.params.cbls_alpha
+        a = self.cfg.cbls_alpha
         learned[node] = (1.0 - a) * learned[node] + a * idleness_before
 
     def decide(self, robot_id, node, t, last_visit, rng):
         # the epsilon coin is the first draw of every decision
-        if rng.random() < self.params.cbls_epsilon:
+        if rng.random() < self.cfg.cbls_epsilon:
             nbrs = self.g.neighbors(node)
             choice = nbrs[rng.index(len(nbrs))][0]
             self._intend(robot_id, choice)
@@ -304,10 +265,10 @@ class CBLS(SEBS):
 class _ClaimPolicy(Policy):
     """A claim table: `claims` maps node -> robot, `claim[r]` is robot r's node."""
 
-    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
-        super().__init__(g, n_robots, params, comm_range, dt, max_step)
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
         self.claims: dict[int, int] = {}
-        self.claim: list[Optional[int]] = [None] * n_robots
+        self.claim: list[Optional[int]] = [None] * cfg.n_robots
 
     def _release(self, robot_id: int, node: int) -> bool:
         """Drop the robot's claim if it has just reached the claimed node; True if it did."""
@@ -324,7 +285,7 @@ class DTAG(_ClaimPolicy):
     def decide(self, robot_id, node, t, last_visit, rng):
         self._release(robot_id, node)
         claims = self.claims
-        w = self.params.task_distance_weight
+        w = self.cfg.task_distance_weight
         dist = self.g.distances(node)
         best_v = _argmax(
             (v, t - last_visit[v] - w * dist[v])
@@ -366,11 +327,11 @@ class DTAP(_ClaimPolicy):
     frees a claim makes the hook due on the next tick.
     """
 
-    def __init__(self, g, n_robots, params, comm_range, dt, max_step):
-        super().__init__(g, n_robots, params, comm_range, dt, max_step)
-        self.comm_range = comm_range
-        self.period_ticks = int(round(params.dtap_period_s / dt))
-        self.max_step = max_step
+    def __init__(self, g, cfg):
+        super().__init__(g, cfg)
+        self.comm_range = cfg.comm_range
+        self.period_ticks = _period_ticks(cfg)
+        self.max_step = max_step(g, cfg.speed, cfg.dt)
         self._due = 0  # next auction tick while a robot is claimless; 0 for the next tick
 
     def decide(self, robot_id, node, t, last_visit, rng):
@@ -413,7 +374,7 @@ class DTAP(_ClaimPolicy):
         bidders = [r for r in robots if claim[r.id] is None]
         rounds = [[r for r in bidders if connected[r.id]]] if group_round else []
         rounds += [[r] for r in bidders if not connected[r.id]]
-        w = self.params.task_distance_weight
+        w = self.cfg.task_distance_weight
         # each bidding robot's travel distance to every node
         travel = {r.id: travel_distances(r, self.g) for group in rounds for r in group}
         awards: list[tuple[int, int]] = []
@@ -465,6 +426,40 @@ POLICIES: dict[StrategyKind, type[Policy]] = {
     StrategyKind.RAND: RAND,
     StrategyKind.SEBS: SEBS,
 }
+
+
+def _period_ticks(cfg) -> int:
+    """DTAP's auction period in whole ticks; ValueError if it is infinite or rounds to 0."""
+    ticks = cfg.dtap_period_s / cfg.dt
+    if math.isinf(ticks):
+        raise ValueError(f"dtap_period {cfg.dtap_period_s} is too many ticks of dt {cfg.dt}")
+    if round(ticks) == 0:
+        raise ValueError(
+            f"dtap_period {cfg.dtap_period_s} is under half a tick of "
+            f"dt {cfg.dt}, so DTAP would never hold an auction"
+        )
+    return round(ticks)
+
+
+def check_settings(cfg) -> None:
+    """Raise ValueError unless cfg's policy tunables are in range for its strategies.
+
+    cfg is an ExperimentConfig whose other fields are already checked.
+    """
+    if not (0.0 < cfg.cbls_alpha <= 1.0):
+        raise ValueError(f"cbls_alpha must be in (0, 1], got {cfg.cbls_alpha}")
+    if not (0.0 <= cfg.cbls_epsilon <= 1.0):
+        raise ValueError(f"cbls_epsilon must be in [0, 1], got {cfg.cbls_epsilon}")
+    if not (0.0 < cfg.dtap_period_s < math.inf):
+        raise ValueError(f"dtap_period_s must be positive and finite, got {cfg.dtap_period_s}")
+    # an infinite weight makes every task worth -inf, so DTAG would fall
+    # back to CR on every decision
+    if not (0.0 < cfg.task_distance_weight < math.inf):
+        raise ValueError(
+            f"task_distance_weight must be positive and finite, got {cfg.task_distance_weight}"
+        )
+    if StrategyKind.DTAP in cfg.strategies:
+        _period_ticks(cfg)
 
 
 def decide_next(

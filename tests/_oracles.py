@@ -161,7 +161,7 @@ def per_tick_dtap_class(dtap_class, auction):
                 self.claims,
                 self.claim,
                 self.comm_range,
-                self.params,
+                self.cfg,
                 k % self.period_ticks == 0,
                 nearest_sq(robots),
             )

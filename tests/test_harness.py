@@ -131,10 +131,10 @@ def test_config_from_file_full(tmp_path):
     assert cfg.reps == 3
     assert cfg.master_seed == 99
     assert cfg.map_seed == 4
-    assert cfg.params.cbls_alpha == 0.5
-    assert cfg.params.cbls_epsilon == 0.1
-    assert cfg.params.dtap_period_s == 15.0
-    assert cfg.params.task_distance_weight == 3.5
+    assert cfg.cbls_alpha == 0.5
+    assert cfg.cbls_epsilon == 0.1
+    assert cfg.dtap_period_s == 15.0
+    assert cfg.task_distance_weight == 3.5
 
 
 def test_config_strategies_all(tmp_path):
@@ -741,7 +741,7 @@ def test_replayed_cells_equal_fresh_runs(
         noise_levels=tuple(noises),
         reps=reps,
         master_seed=seed,
-        params=replace(ExperimentConfig().params, cbls_epsilon=epsilon),
+        cbls_epsilon=epsilon,
     )
     out = tmp_path_factory.mktemp("replay")
     with _counted_runs() as (runs, sims):
@@ -1229,6 +1229,21 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         assert capsys.readouterr().err == ""
     corr = (tmp_path / "correlations.csv").read_text().splitlines()
     assert corr[1] == "0.0,3,,,sums overflow the float range"
+
+
+def test_cli_analyze_notes_variance_that_underflows(tmp_path, capsys):
+    # the lambda2 values differ, so the pre-check passes, but their squared
+    # deviations underflow to 0.0 and pearson finds no variance
+    header = ",".join(RUN_COLUMNS) + "\n"
+    rows = [
+        f"CR,0.0,{k},1,0,1,{lam},{t},1,0"
+        for k, (lam, t) in enumerate([("1e-320", 5.0), ("2e-320", 6.0), ("3e-320", 7.0)])
+    ]
+    (tmp_path / "runs.csv").write_text(header + "\n".join(rows) + "\n")
+    assert cli_main(["analyze", "--runs", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    corr = (tmp_path / "correlations.csv").read_text().splitlines()
+    assert corr == ["noise,n_points,pearson_r,p_value,note", "0.0,3,,,degenerate variance"]
 
 
 def test_cli_reports_os_errors(tmp_path, capsys):

@@ -136,6 +136,15 @@ def test_radio_and_policies_import_nothing_from_beliefs(name):
     assert [m for m in modules if m.split(".")[:2] == ["swarmpatrol", "beliefs"]] == []
 
 
+def test_policies_import_nothing_from_the_harness():
+    # a policy reads its settings off the config it is handed, and the
+    # harness imports the policies, never the other way round
+    source = (ROOT / "src" / "swarmpatrol" / "strategies.py").read_text()
+    modules = [module for _, module, _ in imported_modules(source, "swarmpatrol")]
+    assert "swarmpatrol.world" in modules
+    assert [m for m in modules if m.split(".")[:2] == ["swarmpatrol", "harness"]] == []
+
+
 # Imports the package, runs a default-map matrix of every strategy with its
 # files, analyzes it, and runs the CLI's simulate, summarize and analyze, in a
 # fresh interpreter; prints whether numpy was imported along the way.

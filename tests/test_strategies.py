@@ -2,6 +2,7 @@
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from _oracles import dtap_auction, per_tick_dtap_class, shortest_distance, travel_distance
 from swarmpatrol.graph import PatrolGraph, parse_map
+from swarmpatrol.harness import ConfigError, ExperimentConfig
 from swarmpatrol.strategies import (
     POLICIES,
     StrategyKind,
-    StrategyParams,
     decide_next,
     nearest_peer_sq,
     retarget,
@@ -49,10 +50,13 @@ def _ring(n: int = 6) -> PatrolGraph:
     return parse_map(coords + edges)
 
 
-def _policy(kind, g, n_robots=2, params=None, comm_range=5.0, dt=0.1):
-    # robots move at 1 m/s, as the tests' robots with a stride of dt do
-    step = max_step(g, 1.0, dt)
-    return POLICIES[kind](g, n_robots, params or StrategyParams(), comm_range, dt, step)
+def _cfg(n_robots=2, **settings) -> ExperimentConfig:
+    # robots move at 1 m/s and dt is 0.1 s, as the tests' robots with a stride of 0.1 do
+    return ExperimentConfig(n_robots=n_robots, **settings)
+
+
+def _policy(kind, g, n_robots=2, **settings):
+    return POLICIES[kind](g, _cfg(n_robots, **settings))
 
 
 def _decide(policy, *, robot_id=0, node=0, idleness=None, rng=None) -> int:
@@ -80,18 +84,18 @@ def _choose(kind, g, **kwargs) -> int:
 
 
 def test_params_validate():
-    with pytest.raises(ValueError):
-        StrategyParams(cbls_alpha=0.0)
-    with pytest.raises(ValueError):
-        StrategyParams(cbls_epsilon=1.5)
-    with pytest.raises(ValueError):
-        StrategyParams(dtap_period_s=0.0)
-    with pytest.raises(ValueError):
-        StrategyParams(dtap_period_s=math.inf)
-    with pytest.raises(ValueError):
-        StrategyParams(task_distance_weight=-1.0)
-    with pytest.raises(ValueError):
-        StrategyParams(task_distance_weight=math.inf)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(cbls_alpha=0.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(cbls_epsilon=1.5)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dtap_period_s=0.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dtap_period_s=math.inf)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(task_distance_weight=-1.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(task_distance_weight=math.inf)
 
 
 def test_policy_initial_state():
@@ -215,7 +219,7 @@ def test_sebs_halves_score_per_peer_intention():
 
 def test_cbls_learned_estimate_is_a_floor():
     g = _star()
-    cbls = _policy(K.CBLS, g, 1, StrategyParams(cbls_epsilon=0.0))
+    cbls = _policy(K.CBLS, g, 1, cbls_epsilon=0.0)
     idleness = [0.0, 4.0, 8.0, 0.0]
     assert _decide(cbls, idleness=idleness) == 2  # plain idleness wins
     cbls.learned[0][1] = 9.0
@@ -225,7 +229,7 @@ def test_cbls_learned_estimate_is_a_floor():
 
 def test_cbls_respects_peer_intentions():
     g = _star()
-    cbls = _policy(K.CBLS, g, 2, StrategyParams(cbls_epsilon=0.0))
+    cbls = _policy(K.CBLS, g, 2, cbls_epsilon=0.0)
     assert _decide(cbls, robot_id=1, idleness=[0.0, 8.0, 0.0, 0.0]) == 1  # robot 1 announces 1
     assert _decide(cbls, robot_id=0, idleness=[0.0, 8.0, 5.0, 0.0]) == 2  # 8/2 < 5
     assert cbls.intentions == [2, 1]
@@ -242,7 +246,7 @@ def test_announced_counts_equal_a_recount(kind, data):
     g = _ring(6)
     n = data.draw(st.integers(1, 5))
     epsilon = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
-    policy = _policy(kind, g, n, StrategyParams(cbls_epsilon=epsilon))
+    policy = _policy(kind, g, n, cbls_epsilon=epsilon)
     rngs = [RngStream(data.draw(st.integers(0, 99)), "strategy", r) for r in range(n)]
     for _ in range(data.draw(st.integers(1, 30))):
         robot_id = data.draw(st.integers(0, n - 1))
@@ -256,7 +260,7 @@ def test_announced_counts_equal_a_recount(kind, data):
 
 def test_cbls_full_exploration_is_seeded_and_announced():
     g = _star()
-    cbls = _policy(K.CBLS, g, 1, StrategyParams(cbls_epsilon=1.0))
+    cbls = _policy(K.CBLS, g, 1, cbls_epsilon=1.0)
     picks1 = [_decide(cbls, rng=RngStream(4, "strategy"))]
     picks2 = [_decide(cbls, rng=RngStream(4, "strategy"))]
     assert picks1 == picks2
@@ -265,7 +269,7 @@ def test_cbls_full_exploration_is_seeded_and_announced():
 
 
 def test_cbls_visited_moving_average():
-    cbls = _policy(K.CBLS, _path(), 2, StrategyParams(cbls_alpha=0.3))
+    cbls = _policy(K.CBLS, _path(), 2, cbls_alpha=0.3)
     cbls.visited(0, 2, 10.0)
     assert cbls.learned[0][2] == pytest.approx(3.0)
     cbls.visited(0, 2, 20.0)
@@ -301,9 +305,9 @@ def test_dtag_claims_weighted_best_node():
 def test_dtag_weight_trades_idleness_for_distance():
     g = _path()
     idleness = [0.0, 10.0, 12.0]
-    light = _policy(K.DTAG, g, 1, StrategyParams(task_distance_weight=1.0))
+    light = _policy(K.DTAG, g, 1, task_distance_weight=1.0)
     assert _decide(light, idleness=idleness) == 2  # 12 - 2 > 10 - 1
-    heavy = _policy(K.DTAG, g, 1, StrategyParams(task_distance_weight=7.0))
+    heavy = _policy(K.DTAG, g, 1, task_distance_weight=7.0)
     assert _decide(heavy, idleness=idleness) == 1  # 12 - 14 < 10 - 7
 
 
@@ -538,7 +542,7 @@ def _drifting_apart(dtap_class):
     # node 0 on tick 1 along a 10 m edge at 0.1 m a tick, out of the 5 m range
     # about 50 ticks later, long before the group round on tick 200
     g = _path(spacing=10.0)
-    dtap = dtap_class(g, 2, StrategyParams(), 5.0, 0.1, max_step(g, 1.0, 0.1))
+    dtap = dtap_class(g, _cfg())
     robots = [RobotState.at_node(i, g, 0, stride=0.1) for i in range(2)]
     robots[0].goal = 1
     robots[0].path = [1]
@@ -716,9 +720,18 @@ def _auction_states(draw):
 @given(case=_auction_states())
 def test_dtap_tick_awards_as_the_two_loop_auction(case):
     g, robots, comm_range, period, k, claims, last_visit, weight = case
-    params = StrategyParams(dtap_period_s=float(period), task_distance_weight=weight)
+    # a range of 0, which ExperimentConfig rejects, is drawn too, so the
+    # policies get a plain namespace with the fields they read
+    cfg = SimpleNamespace(
+        n_robots=len(robots),
+        comm_range=comm_range,
+        speed=1.0,
+        dt=1.0,
+        dtap_period_s=float(period),
+        task_distance_weight=weight,
+    )
     dtap, ref = [
-        cls(g, len(robots), params, comm_range, 1.0, max_step(g, 1.0, 1.0))
+        cls(g, cfg)
         for cls in (POLICIES[K.DTAP], per_tick_dtap_class(POLICIES[K.DTAP], TWO_LOOP_AUCTION))
     ]
     for policy in (dtap, ref):
@@ -761,4 +774,4 @@ def test_decide_next_rejects_an_invalid_goal():
             return node
 
     with pytest.raises(AssertionError, match="Stay chose invalid goal 1 from node 1"):
-        _decide(Stay(_star(), 1, StrategyParams(), 5.0, 0.1, 0.1), node=1)
+        _decide(Stay(_star(), _cfg(1)), node=1)
