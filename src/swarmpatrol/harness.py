@@ -32,6 +32,7 @@ from .metrics import (
 from .strategies import POLICIES, StrategyKind, check_settings, decide_next, retarget
 from .world import (
     IdlenessTracker,
+    MotionTables,
     RngStream,
     RobotState,
     label_seed,
@@ -493,7 +494,8 @@ def _simulate(
     step = cfg.speed * cfg.dt
     tracker = IdlenessTracker(m)
     policy = POLICIES[kind](g, cfg)
-    robots = [RobotState.at_node(i, g, cfg.start_node, step) for i in range(n)]
+    tables = MotionTables(g, step)  # the fleet's shared edge plans, dropped with the run
+    robots = [RobotState.at_node(i, g, cfg.start_node, step, tables) for i in range(n)]
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, max_step(g, cfg.speed, cfg.dt))
     strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
     # the cell seed reaches the motion through these streams alone

@@ -11,6 +11,7 @@ from the t distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -469,7 +470,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
     Requires at least 3 points and non-degenerate variance in both inputs.
     The p-value comes from the exact t transform r * sqrt(df / (1 - r^2))
-    with df = n - 2. Sums outside the float range raise OverflowError.
+    with df = n - 2. The scale is sqrt(sxx * syy), or, when that product
+    underflows though sxx and syy are both normal floats, sqrt(sxx) *
+    sqrt(syy). Sums outside the float range raise OverflowError, as does a
+    product that overflows or underflows with a subnormal factor (such a
+    sum of squares has already lost precision).
     """
     n = len(xs)
     if n != len(ys):
@@ -484,6 +489,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise ValueError("zero variance input")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     scale = math.sqrt(sxx * syy)
+    if scale == 0.0 and sxx >= sys.float_info.min and syy >= sys.float_info.min:
+        # the product of two normal spreads underflowed; their roots do not
+        scale = math.sqrt(sxx) * math.sqrt(syy)
     if not (0.0 < scale < math.inf and math.isfinite(sxy)):
         raise OverflowError("sums outside the float range")
     r = sxy / scale

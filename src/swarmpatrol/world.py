@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 from .graph import PatrolGraph
 
 __all__ = [
+    "MotionTables",
     "RngStream",
     "RobotState",
     "IdlenessTracker",
@@ -28,8 +29,9 @@ __all__ = [
 
 _ARRIVAL_SLACK = 1e-9  # meters; absorbs float drift in accumulated offsets
 
-# Most ticks one plan covers; a longer crossing is planned on from the last
-# of them, so a tiny stride on a long edge never builds a huge table.
+# Most ticks one offset table covers, the run's shared table included; a
+# longer crossing is planned on from the last of them, so a tiny stride on a
+# long edge never builds a huge table.
 _PLAN_TICKS = 4096
 
 
@@ -162,6 +164,56 @@ class RngStream:
         return m >> 32
 
 
+def _plan_ticks(left: float, stride: float) -> int:
+    """Ticks an offset table covers for a robot `left` meters short of arriving.
+
+    A table covers the ticks up to the one that reaches the node, and at
+    most _PLAN_TICKS of them.
+    """
+    if left <= 0.0:
+        return 1
+    if left < stride * (_PLAN_TICKS - 1):
+        return math.ceil(left / stride) + 1
+    # a long crossing, or a stride that underflowed to 0 or nearly so
+    return _PLAN_TICKS
+
+
+class MotionTables:
+    """The edge plans that one run's robots share: one map, one stride.
+
+    Every robot that leaves a node starts its edge at offset 0.0, so its
+    end-of-tick offsets are a prefix of one running float sum, `offsets`
+    (0.0, stride, stride + stride, ...). That table is built once, as long
+    as the map's longest edge needs and capped at _PLAN_TICKS + 1 entries.
+    `edge(a, b)` gives a directed edge's plan, worked out on its first use:
+    the edge, its start, its unit vector, its length and its crossing, the
+    index in `offsets` of the tick a robot entering it is due again. Robots
+    only read the tables, and nothing keeps them past the run.
+    """
+
+    __slots__ = ("g", "stride", "offsets", "_edges")
+
+    def __init__(self, g: PatrolGraph, stride: float):
+        self.g = g
+        self.stride = stride
+        ticks = max((_plan_ticks(d - _ARRIVAL_SLACK, stride) for _, _, d in g.edges), default=1)
+        self.offsets = list(accumulate(repeat(stride, ticks), initial=0.0))
+        self._edges: dict[tuple[int, int], tuple] = {}
+
+    def edge(self, a: int, b: int) -> tuple:
+        """((a, b), start x, start y, unit x, unit y, length, crossing) of the edge from a to b."""
+        plan = self._edges.get((a, b))
+        if plan is None:
+            g = self.g
+            length = g.edge_length(a, b)
+            (xa, ya), (xb, yb) = g.coords[a], g.coords[b]
+            arrive_at = length - _ARRIVAL_SLACK
+            crossing = bisect_left(self.offsets, arrive_at, 1, _plan_ticks(arrive_at, self.stride))
+            plan = (a, b), xa, ya, (xb - xa) / length, (yb - ya) / length, length, crossing
+            self._edges[a, b] = plan
+        return plan
+
+
 @dataclass(slots=True)
 class RobotState:
     """Pose, goal and path of one robot.
@@ -171,12 +223,15 @@ class RobotState:
     moves it `stride` meters along its edge, but it is handled only on the
     tick `due`: the next tick at a node (it departs, or at its goal makes an
     identity arrival), its arrival tick on an edge. In between, sync reads
-    its pose off the plan made when it entered the edge or turned round:
-    `_offs[i]` is its offset at the end of tick `_base + i`, the same running
-    float sum offset + stride + stride + ... that stepping tick by tick
-    makes, so every pose is bit-identical to it. On an edge, offset, x and y
-    hold the pose of the tick last synced. The cached fields (_sx, _sy, _ux,
-    _uy, _edge_len) describe the current edge segment.
+    its pose off an offset table: `_offs[i]` is its offset at the end of
+    tick `_base + i`, the same running float sum offset + stride + stride +
+    ... that stepping tick by tick makes, so every pose is bit-identical to
+    it. A robot that leaves a node reads the run's shared table and edge
+    plan (`_tables`, see MotionTables); one that turns round mid-edge, or
+    whose crossing outlasts a table, builds a table of its own (_plan). On
+    an edge, offset, x and y hold the pose of the tick last synced. The
+    cached fields (_sx, _sy, _ux, _uy, _edge_len) describe the current edge
+    segment.
     """
 
     id: int
@@ -196,10 +251,26 @@ class RobotState:
     _edge_len: float = 0.0
     _offs: list[float] = field(default_factory=list)
     _base: int = 0
+    _tables: Optional[MotionTables] = None
 
     @classmethod
-    def at_node(cls, robot_id: int, g: PatrolGraph, node: int, stride: float) -> "RobotState":
-        """A robot at node that moves stride meters a tick, due on tick 1."""
+    def at_node(
+        cls,
+        robot_id: int,
+        g: PatrolGraph,
+        node: int,
+        stride: float,
+        tables: Optional[MotionTables] = None,
+    ) -> "RobotState":
+        """A robot at node that moves stride meters a tick, due on tick 1.
+
+        The robots of one run share one MotionTables of g and stride; a
+        robot given none builds its own.
+        """
+        if tables is None:
+            tables = MotionTables(g, stride)
+        elif tables.g is not g or tables.stride != stride:
+            raise ValueError("motion tables are for another map or stride")
         x, y = g.coords[node]
         return cls(
             id=robot_id,
@@ -208,21 +279,21 @@ class RobotState:
             y=y,
             goal=node,
             stride=stride,
+            _tables=tables,
         )
 
-    def enter_edge(self, g: PatrolGraph, nxt: int, k: int) -> None:
+    def enter_edge(self, nxt: int, k: int) -> None:
         """Leave the current node on tick k onto the edge towards nxt."""
-        a = self.node
-        assert a is not None and a != nxt
-        length = g.edge_length(a, nxt)
-        (xa, ya), (xb, yb) = g.coords[a], g.coords[nxt]
-        self.edge = (a, nxt)
+        assert self.node is not None and self.node != nxt
+        tables = self._tables
+        self.edge, self._sx, self._sy, self._ux, self._uy, self._edge_len, crossing = (
+            tables.edge(self.node, nxt)
+        )
         self.offset = 0.0
         self.node = None
-        self._sx, self._sy = xa, ya
-        self._ux, self._uy = (xb - xa) / length, (yb - ya) / length
-        self._edge_len = length
-        self._plan(k - 1)
+        self._offs = tables.offsets
+        self._base = k - 1
+        self.due = k - 1 + crossing
 
     def reverse_edge(self, g: PatrolGraph, k: int) -> None:
         """Turn around at the start of tick k; offset is re-measured from the other end."""
@@ -236,20 +307,15 @@ class RobotState:
         self._plan(k - 1)
 
     def _plan(self, base: int) -> None:
-        """Tabulate the offsets from tick `base`, whose offset is self.offset, and set due.
+        """Tabulate own offsets from tick `base`, whose offset is self.offset, and set due.
 
-        due is the first later tick whose offset reaches the edge's length
-        less the arrival slack, or the table's last tick if none does.
+        Only a robot whose offset is not 0.0 needs this: one turned round
+        mid-edge, or one whose table ran out short of the node. due is the
+        first later tick whose offset reaches the edge's length less the
+        arrival slack, or the table's last tick if none does.
         """
         arrive_at = self._edge_len - _ARRIVAL_SLACK
-        left = arrive_at - self.offset
-        if left <= 0.0:
-            ticks = 1
-        elif left < self.stride * (_PLAN_TICKS - 1):
-            ticks = math.ceil(left / self.stride) + 1
-        else:
-            # a long crossing, or a stride that underflowed to 0 or nearly so
-            ticks = _PLAN_TICKS
+        ticks = _plan_ticks(arrive_at - self.offset, self.stride)
         self._offs = list(accumulate(repeat(self.stride, ticks), initial=self.offset))
         self._base = base
         self.due = base + bisect_left(self._offs, arrive_at, 1, ticks)
@@ -275,12 +341,13 @@ class RobotState:
             if self.node == self.goal:
                 self.due = k + 1
                 return self.node
-            self.enter_edge(g, self.path[0], k)
+            self.enter_edge(self.path[0], k)
             if self.due > k:
                 return None
-        if self._offs[k - self._base] < self._edge_len - _ARRIVAL_SLACK:
-            # the plan ran out before the node: plan on from this tick
-            self.offset = self._offs[-1]
+        offset = self._offs[k - self._base]
+        if offset < self._edge_len - _ARRIVAL_SLACK:
+            # the table ran out before the node: plan on from this tick
+            self.offset = offset
             self._plan(k)
             return None
         dest = self.edge[1]

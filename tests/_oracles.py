@@ -105,6 +105,32 @@ def advance(robot, g, stride):
     return None
 
 
+def edge_plan(g, a, b, stride, plan_ticks):
+    """How a robot entering the edge a -> b at offset 0.0 plans it on its own.
+
+    Returns its start, its unit vector, the edge's length, its crossing and
+    its own offset table. The table is the running sum 0.0, 0.0 + stride,
+    ... over as many ticks as reach the edge's length less 1e-9 m, plus
+    one, or plan_ticks if that is fewer or the stride covers nothing; the
+    crossing is the first tick of the table past 0 to reach that mark, or
+    the table's last.
+    """
+    length = g.edge_length(a, b)
+    (xa, ya), (xb, yb) = g.coords[a], g.coords[b]
+    arrive_at = length - 1e-9
+    if arrive_at <= 0.0:
+        ticks = 1
+    elif arrive_at < stride * (plan_ticks - 1):
+        ticks = math.ceil(arrive_at / stride) + 1
+    else:
+        ticks = plan_ticks
+    offs = [0.0]
+    for _ in range(ticks):
+        offs.append(offs[-1] + stride)
+    crossing = next((i for i in range(1, ticks) if offs[i] >= arrive_at), ticks)
+    return (xa, ya), ((xb - xa) / length, (yb - ya) / length), length, crossing, offs
+
+
 def reverse(robot, g):
     """Turn a robot round mid-edge for advance; its offset is re-measured from the other end."""
     a, b = robot.edge

@@ -48,7 +48,7 @@ from swarmpatrol.harness import (
 )
 from swarmpatrol.metrics import ConsensusTracker
 from swarmpatrol.strategies import DTAP, StrategyKind, travel_distances
-from swarmpatrol.world import RobotState
+from swarmpatrol.world import MotionTables, RobotState
 
 # the two-loop auction DTAP once called, as the per-tick reference
 TWO_LOOP_AUCTION = partial(dtap_auction, travel_row=travel_distances)
@@ -531,6 +531,29 @@ def test_event_driven_runs_match_per_tick_stepping(
     # robots that barely move stay together, so DTAP awards nothing to turn round for
     assert reversals or cfg.speed * cfg.dt < 1e-100
     _assert_same_runs(tmp_path, events, stepped)
+
+
+@_ORACLE_CONFIGS
+def test_runs_leave_their_shared_motion_tables_as_built(
+    default_graph, monkeypatch, overrides, factors
+):
+    g, cfg = _oracle_case(default_graph, overrides, factors)
+    built = []
+
+    class Recorded(MotionTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, [x.hex() for x in self.offsets]))
+
+    monkeypatch.setattr(harness, "MotionTables", Recorded)
+    for kind in StrategyKind:
+        run_one(cfg, g, kind, 0.2, 0)
+    assert len(built) == len(StrategyKind)  # one per run, shared by its fleet
+    fresh = MotionTables(g, cfg.speed * cfg.dt)
+    for tables, offsets in built:
+        assert [x.hex() for x in tables.offsets] == offsets
+        assert tables.offsets == fresh.offsets
+        assert all(plan == fresh.edge(*edge) for edge, plan in tables._edges.items())
 
 
 @_ORACLE_CONFIGS
@@ -1244,6 +1267,28 @@ def test_cli_analyze_notes_variance_that_underflows(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     corr = (tmp_path / "correlations.csv").read_text().splitlines()
     assert corr == ["noise,n_points,pearson_r,p_value,note", "0.0,3,,,degenerate variance"]
+
+
+def test_cli_analyze_correlates_spreads_whose_product_underflows(tmp_path, capsys):
+    # each spread is a normal float, about 1e-200, but their product
+    # underflows; the correlation is that of the same data scaled by 1e100
+    header = ",".join(RUN_COLUMNS) + "\n"
+    rows = [
+        f"CR,0.0,{k},1,0,1,{lam},{t},1,0"
+        for k, (lam, t) in enumerate(
+            [("1e-100", "1e-100"), ("2e-100", "2e-100"), ("3e-100", "3.5e-100")]
+        )
+    ]
+    (tmp_path / "runs.csv").write_text(header + "\n".join(rows) + "\n")
+    assert cli_main(["analyze", "--runs", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    corr = list(csv.reader((tmp_path / "correlations.csv").open()))
+    assert corr[0] == ["noise", "n_points", "pearson_r", "p_value", "note"]
+    noise, points, r, p, note = corr[1]
+    assert (noise, points, note) == ("0.0", "3", "")
+    want_r, want_p = metrics.pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.5])
+    assert float(r) == pytest.approx(want_r, rel=1e-14)
+    assert float(p) == pytest.approx(want_p, rel=1e-12)
 
 
 def test_cli_reports_os_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Run metrics: confusion, exact error and F-score, spectrum, consensus, correlation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -696,3 +697,39 @@ def test_pearson_rejects_degenerate_input():
 def test_pearson_reports_sums_outside_the_float_range(xs, ys):
     with pytest.raises(OverflowError):
         pearson(xs, ys)
+
+
+def test_pearson_scales_normal_spreads_whose_product_underflows():
+    # sxx and syy are about 2e-200 and 3e-200, normal floats, but their
+    # product underflows to 0.0; scaled up by 1e100 the data are ordinary
+    r, p = pearson([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 3.5e-100])
+    want_r, want_p = pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.5])
+    assert r == pytest.approx(want_r, rel=1e-14)
+    assert p == pytest.approx(want_p, rel=1e-12)
+
+
+def _one_root_r(xs, ys):
+    """The correlation over sqrt(sxx * syy), clamped to [-1, 1]; None if a sum leaves the range."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    product = sxx * syy
+    if not 0.0 < product < math.inf or not math.isfinite(sxy):
+        return None
+    return max(-1.0, min(1.0, sxy / math.sqrt(product)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=12),
+    x_scale=st.sampled_from([1.0, 1e-150, 1e-100, 1e-30, 1e30, 1e100, 1e150]),
+    y_scale=st.sampled_from([1.0, 1e-150, 1e-100, 1e-30, 1e30, 1e100, 1e150]),
+)
+def test_pearson_keeps_its_bits_while_the_product_is_in_range(data, x_scale, y_scale):
+    xs = [x * x_scale for x, _ in data]
+    ys = [y * y_scale for _, y in data]
+    want = _one_root_r(xs, ys)
+    if want is not None:
+        assert pearson(xs, ys)[0].hex() == want.hex()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import pack, per_tick_robot_class, unpack
+from _oracles import edge_plan, pack, per_tick_robot_class, unpack
 from swarmpatrol import world
 from swarmpatrol.beliefs import sense, single_anomaly
 from swarmpatrol.graph import PatrolGraph, parse_map
@@ -15,6 +15,7 @@ from swarmpatrol.metrics import ConsensusTracker
 from swarmpatrol.strategies import retarget
 from swarmpatrol.world import (
     IdlenessTracker,
+    MotionTables,
     RngStream,
     RobotState,
     max_step,
@@ -336,6 +337,115 @@ def test_event_motion_matches_per_tick_oracle(case):
                 for r in (event, oracle):
                     r.goal = goal
                     r.path = g.shortest_path(got, goal)[0][1:]
+
+
+def _bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_motion_case())
+def test_motion_tables_equal_each_robot_planning_alone(case):
+    g, stride, _, _, _, _, plan_ticks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "_PLAN_TICKS", plan_ticks)
+        tables = MotionTables(g, stride)
+        longest = 0
+        for a, b, _ in g.edges:
+            for u, v in ((a, b), (b, a)):
+                start, unit, length, crossing, offs = edge_plan(g, u, v, stride, plan_ticks)
+                longest = max(longest, len(offs))
+                plan = tables.edge(u, v)
+                assert tables.edge(u, v) is plan  # worked out once
+                edge, sx, sy, ux, uy, got_length, got_crossing = plan
+                assert edge == (u, v)
+                assert _bits(sx, sy, ux, uy, got_length) == _bits(*start, *unit, length)
+                assert got_crossing == crossing
+                assert _bits(*tables.offsets[: len(offs)]) == _bits(*offs)
+                # a robot leaving u reads the same plan off the shared tables
+                r = RobotState.at_node(0, g, u, stride, tables)
+                r.enter_edge(v, 10)
+                assert (r.edge, r.node, r.due, r._base) == ((u, v), None, 9 + crossing, 9)
+                assert r._offs is tables.offsets
+                assert _bits(r.offset, r._sx, r._sy, r._ux, r._uy, r._edge_len) == _bits(
+                    0.0, *start, *unit, length
+                )
+        # the shared table holds no more than the longest edge's own table
+        assert len(tables.offsets) == longest
+
+
+def test_motion_tables_belong_to_one_map_and_stride():
+    g = _line_graph()
+    tables = MotionTables(g, 0.1)
+    assert RobotState.at_node(0, g, 0, 0.1, tables)._tables is tables
+    with pytest.raises(ValueError, match="another map or stride"):
+        RobotState.at_node(0, g, 0, 0.2, tables)
+    with pytest.raises(ValueError, match="another map or stride"):
+        RobotState.at_node(0, _line_graph(), 0, 0.1, tables)
+    # a robot given no tables builds its own
+    r, s = (RobotState.at_node(i, g, 0, 0.1) for i in range(2))
+    assert r._tables is not s._tables
+    assert r._tables.offsets == tables.offsets
+
+
+@st.composite
+def _fleet_motion_case(draw):
+    """_motion_case's map, stride and cap; a few robots; retargets that often turn one round."""
+    g, stride, _, _, ticks, _, plan_ticks = draw(_motion_case())
+    m = g.node_count
+    n = draw(st.integers(2, 5))
+    node = st.integers(0, m - 1)
+    starts = draw(st.lists(node, min_size=n, max_size=n))
+    goals = draw(st.lists(st.lists(node, min_size=1, max_size=6), min_size=n, max_size=n))
+    # None sends a robot back to the node its edge started from
+    retargets = draw(
+        st.dictionaries(
+            st.integers(2, ticks + 1),
+            st.tuples(st.integers(0, n - 1), st.none() | node),
+            max_size=16,
+        )
+    )
+    return g, stride, starts, goals, ticks, retargets, plan_ticks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fleet_motion_case())
+def test_fleet_sharing_motion_tables_matches_per_tick_oracles(case):
+    g, stride, starts, goals, ticks, retargets, plan_ticks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "_PLAN_TICKS", plan_ticks)
+        tables = MotionTables(g, stride)
+        shared = list(tables.offsets)
+        fleet = [RobotState.at_node(i, g, s, stride, tables) for i, s in enumerate(starts)]
+        oracles = [PerTickRobot.at_node(i, g, s, stride) for i, s in enumerate(starts)]
+        decisions = [0] * len(fleet)
+        for k in range(1, ticks + 1):
+            if k in retargets:
+                i, goal = retargets[k]
+                if goal is None:
+                    goal = fleet[i].node if fleet[i].edge is None else fleet[i].edge[0]
+                for r in (fleet[i], oracles[i]):
+                    retarget(r, g, goal, k)
+            for i, (event, oracle) in enumerate(zip(fleet, oracles)):
+                got = _to_tick(event, g, k)
+                want = oracle.step(g, k)
+                assert got == want, (i, k)
+                assert (event.node, event.edge, event.path) == (
+                    oracle.node, oracle.edge, oracle.path
+                ), (i, k)
+                pose = (event.x, event.y, event.offset)
+                assert pose == (oracle.x, oracle.y, oracle.offset), (i, k)
+                if got is not None and got == event.goal:
+                    own = goals[i]
+                    goal = own[decisions[i] % len(own)]
+                    decisions[i] += 1
+                    if goal == got:
+                        goal = (goal + 1) % g.node_count
+                    for r in (event, oracle):
+                        r.goal = goal
+                        r.path = g.shortest_path(got, goal)[0][1:]
+        assert all(r._tables is tables for r in fleet)
+        assert _bits(*tables.offsets) == _bits(*shared)
 
 
 # ---------------------------------------------------------------------------
