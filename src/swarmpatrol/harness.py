@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
@@ -61,37 +61,6 @@ __all__ = [
 ]
 
 ALL_STRATEGIES: tuple[StrategyKind, ...] = tuple(StrategyKind)
-
-RUN_COLUMNS = (
-    "strategy",
-    "noise",
-    "seed",
-    "avg_graph_idleness",
-    "final_error",
-    "f_score",
-    "lambda2",
-    "t_consensus",
-    "tp_consensus",
-    "fp_consensus_count",
-)
-
-SUMMARY_COLUMNS = (
-    "strategy",
-    "noise",
-    "runs",
-    "idleness_mean",
-    "idleness_std",
-    "error_mean",
-    "fscore_mean",
-    "fscore_std",
-    "consensus_rate",
-    "t_consensus_mean",
-    "tp_consensus_rate",
-    "fp_consensus_mean",
-    "lambda2_mean",
-    "lambda2_median",
-    "note",
-)
 
 SOCIAL_COLUMNS = ("strategy", "noise", "robot_i", "robot_j", "exchanges")
 
@@ -217,8 +186,6 @@ class ExperimentConfig:
             name, parse = _CONFIG_KEYS[key]
             try:
                 kwargs[name] = parse(value)
-            except ConfigError:
-                raise
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
         try:
@@ -295,6 +262,7 @@ def cell_seed(master_seed: int, strategy: str, noise: float, rep: int) -> int:
 class RunRecord:
     """Outcome of one run: the per-run CSV's columns, then what only a live run knows.
 
+    The fields without a default are runs.csv's columns, in order: RUN_COLUMNS.
     exchanges holds (i, j, count) for each robot pair i < j that exchanged
     at least once, in ascending (i, j) order.
     """
@@ -318,9 +286,12 @@ class RunRecord:
         return sum(count for _, _, count in self.exchanges)
 
 
+RUN_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.default is MISSING)
+
+
 @dataclass(frozen=True)
 class SummaryRow:
-    """Aggregate over the replicates of one (strategy, noise) cell."""
+    """Aggregate over the replicates of one (strategy, noise) cell; its fields are summary.csv's."""
 
     strategy: str
     noise: float
@@ -337,6 +308,9 @@ class SummaryRow:
     lambda2_mean: float
     lambda2_median: float
     note: str
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _noise_token(noise: float) -> str:
@@ -807,12 +781,14 @@ def write_runs_csv(path: Path, records: Sequence[RunRecord]) -> None:
 def _within(
     row: dict[str, str], column: str, high: float = math.inf, parse: Callable = float
 ) -> float:
-    """The row's number in `column`, which must be finite and lie in [0, high]."""
+    """The row's number in `column`, which must be finite, lie in [0, high] and not be -0.0."""
     x = parse(row[column])
     if not math.isfinite(x):
         raise ValueError(f"{row[column]!r} is not a finite number")
     if not 0 <= x <= high:
         raise ValueError(f"{column} {x} outside [0, {high}]")
+    if x == 0 and math.copysign(1.0, x) < 0:
+        raise ValueError(f"{column} {x} is a negative zero")
     return x
 
 
@@ -820,10 +796,10 @@ def read_runs_csv(path: Path) -> list[RunRecord]:
     """Read a runs.csv back; a value write_runs_csv never writes is a ConfigError.
 
     strategy is a StrategyKind value and seed lies in [0, 2**64 - 1], as
-    label_seed makes them. Numbers must be finite; noise, final_error and
-    f_score lie in [0, 1], avg_graph_idleness and lambda2 are at least 0,
-    t_consensus is empty or positive, tp_consensus is 0 or 1 and
-    fp_consensus_count at least 0. A row has one value per column. Bytes
+    label_seed makes them. Numbers must be finite and not -0.0; noise,
+    final_error and f_score lie in [0, 1], avg_graph_idleness and lambda2
+    are at least 0, t_consensus is empty or positive, tp_consensus is 0 or
+    1 and fp_consensus_count at least 0. A row has one value per column. Bytes
     that do not decode are read as surrogate escapes, which no column
     accepts, so they end in a ConfigError too.
     """

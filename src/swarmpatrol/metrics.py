@@ -163,14 +163,16 @@ def _float_rows(matrix: Sequence[Sequence[float]], name: str) -> list[list[float
 # numpy's time at 32 robots and 1.04x at 36, 1.23x at 40, 1.37x at 48.
 _NUMPY_JACOBI_MIN = 36
 
+_JACOBI_TOL = 1e-10
+_JACOBI_MAX_SWEEPS = 100
 
-def jacobi_eigenvalues(
-    matrix: Sequence[Sequence[float]], tol: float = 1e-10, max_sweeps: int = 100
-) -> list[float]:
+
+def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps annihilate each off-diagonal entry in turn until every |a_pq|
-    falls below tol; returns the eigenvalues in ascending order.
+    falls below _JACOBI_TOL, in at most _JACOBI_MAX_SWEEPS sweeps; returns
+    the eigenvalues in ascending order.
 
     Matrices of fewer than _NUMPY_JACOBI_MIN rows rotate lists of float
     rows; larger ones rotate a numpy array, imported only then. Both take
@@ -184,7 +186,7 @@ def jacobi_eigenvalues(
     if n == 1:
         return [a[0][0]]
     rotate = _jacobi_numpy if n >= _NUMPY_JACOBI_MIN else _jacobi_rows
-    return sorted(rotate(a, tol, max_sweeps))
+    return sorted(rotate(a))
 
 
 def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
@@ -195,15 +197,15 @@ def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
     return c, t * c
 
 
-def _jacobi_rows(a: list[list[float]], tol: float, max_sweeps: int) -> list[float]:
+def _jacobi_rows(a: list[list[float]]) -> list[float]:
     """The cyclic Jacobi sweeps on float rows a (rotated in place); the diagonal."""
     n = len(a)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) <= tol:
+                if abs(apq) <= _JACOBI_TOL:
                     continue
                 off = max(off, abs(apq))
                 c, s = _rotation(a[p][p], a[q][q], apq)
@@ -218,23 +220,23 @@ def _jacobi_rows(a: list[list[float]], tol: float, max_sweeps: int) -> list[floa
                     row[q] = y
                 rot_p[p], rot_p[q] = app, 0.0
                 rot_q[p], rot_q[q] = 0.0, aqq
-        if off <= tol:
+        if off <= _JACOBI_TOL:
             return [a[i][i] for i in range(n)]
-    raise RuntimeError(f"jacobi did not converge in {max_sweeps} sweeps")
+    raise RuntimeError(f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _jacobi_numpy(rows: list[list[float]], tol: float, max_sweeps: int) -> list[float]:
+def _jacobi_numpy(rows: list[list[float]]) -> list[float]:
     """The cyclic Jacobi sweeps of _jacobi_rows on a numpy copy of rows; the diagonal."""
     import numpy as np
 
     a = np.array(rows, dtype=float)
     n = a.shape[0]
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a.item(p, q)
-                if abs(apq) <= tol:
+                if abs(apq) <= _JACOBI_TOL:
                     continue
                 off = max(off, abs(apq))
                 c, s = _rotation(a.item(p, p), a.item(q, q), apq)
@@ -249,9 +251,9 @@ def _jacobi_numpy(rows: list[list[float]], tol: float, max_sweeps: int) -> list[
                 a[q, q] = s * rot_q[p] + c * rot_q[q]
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-        if off <= tol:
+        if off <= _JACOBI_TOL:
             return np.diag(a).tolist()
-    raise RuntimeError(f"jacobi did not converge in {max_sweeps} sweeps")
+    raise RuntimeError(f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
 def algebraic_connectivity(graph: CommGraph) -> float:

@@ -1,6 +1,6 @@
 """Ten patrol policies, one class each, behind three hooks.
 
-`harness.run_one` drives a policy without knowing which one it runs:
+`harness._simulate` drives a policy without knowing which one it runs:
 `tick`, called at the start of each tick that `next_tick` makes due, may
 move goals (only DTAP's auction does, and only it reads robots' poses),
 `visited` follows every arrival (only CBLS learns from it), and `decide`,

@@ -1026,6 +1026,9 @@ _GOOD_ROW = dict(
         dict(lambda2="-1e-3"),
         dict(t_consensus="0.0"),
         dict(t_consensus="-3.0"),
+        # write_runs_csv never writes a negative zero
+        dict(noise="-0.0"),
+        dict(lambda2="-0.0"),
         dict(strategy=""),
         dict(strategy="FOO"),
         dict(strategy="cr"),
@@ -1108,6 +1111,34 @@ def test_write_runs_csv_keeps_float_precision(tmp_path, micro_matrix):
     header = path.read_text().splitlines()[0]
     assert tuple(header.split(",")) == RUN_COLUMNS
     assert read_runs_csv(path)[0].avg_graph_idleness == records[0].avg_graph_idleness
+
+
+def test_csv_headers_are_the_published_schema(micro_matrix):
+    # the headers come from the record types, so a reordered field must fail here
+    _, out, _, _ = micro_matrix
+    assert (out / "runs.csv").read_text().splitlines()[0] == (
+        "strategy,noise,seed,avg_graph_idleness,final_error,f_score,lambda2,"
+        "t_consensus,tp_consensus,fp_consensus_count"
+    )
+    assert (out / "summary.csv").read_text().splitlines()[0] == (
+        "strategy,noise,runs,idleness_mean,idleness_std,error_mean,fscore_mean,fscore_std,"
+        "consensus_rate,t_consensus_mean,tp_consensus_rate,fp_consensus_mean,lambda2_mean,"
+        "lambda2_median,note"
+    )
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+def test_summarize_rewrites_the_summary_simulate_wrote(tmp_path, reps):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"duration = 60\nstrategies = CR, RAND, SEBS\nnoises = 0, 0.2\nreps = {reps}\n"
+    )
+    out = tmp_path / "runs"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    written = (out / "summary.csv").read_bytes()
+    (out / "summary.csv").unlink()
+    assert cli_main(["summarize", "--runs", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == written
 
 
 # ---------------------------------------------------------------------------
@@ -1367,6 +1398,8 @@ def test_cli_simulate_out_on_a_file_fails_before_any_run(tmp_path, capsys, monke
         ("robots = 1025", "n_robots must be in 1..1024"),
         ("reps = 1000000000", "reps must be in 1..10000"),
         ("robots = 8\nrobots = 3", "exp.cfg:6: config key 'robots' repeats line 5"),
+        ("strategies = foo", "exp.cfg:4: bad value for strategies: unknown strategy"),
+        ("strategies = all, CR", "exp.cfg:4: bad value for strategies: unknown strategy"),
     ],
 )
 def test_cli_rejects_invalid_config_cleanly(tmp_path, capsys, lines, names):

@@ -253,8 +253,8 @@ def _both_jacobi_loops(matrix):
     """The diagonals the list loop and the numpy loop leave, as hex strings."""
     rows = [[float(x) for x in row] for row in matrix]
     return (
-        _hexes(_jacobi_rows([row[:] for row in rows], 1e-10, 100)),
-        _hexes(_jacobi_numpy([row[:] for row in rows], 1e-10, 100)),
+        _hexes(_jacobi_rows([row[:] for row in rows])),
+        _hexes(_jacobi_numpy([row[:] for row in rows])),
     )
 
 
