@@ -367,12 +367,10 @@ class MotionTrace:
     (_COMM, t, ids, None), ids being the pair ids that exchanged, in the
     order they ran; pairs[p] is the robot pair (i, j) of pair id p.
 
-    run_one records into a new trace while it simulates, and keeps the
-    trace only if the run drew nothing from its strategy streams: then the
-    cell seed never steered the motion, so every cell of the same config,
-    map and strategy moves the same way. A kept trace has motion set, and
-    run_one replays it in place of simulating. A run that draws, or passes
-    TRACE_CAP entries, drops the events and keeps nothing.
+    A policy that does not declare `draws` never reads the cell seed, so
+    every cell of one config, map and strategy moves the same way. Its run
+    records into a new trace and keeps it unless it passes TRACE_CAP
+    entries; a kept trace has motion set, and run_one replays it.
     """
 
     __slots__ = ("events", "size", "pairs", "motion", "source")
@@ -460,8 +458,7 @@ def _simulate(
 ) -> _Motion:
     """Move one run's fleet, handing its events to feed, with the pairs, as it goes.
 
-    With a trace that is neither kept nor dropped, the events are recorded
-    into it too, and it is kept or dropped at the end (see MotionTrace).
+    A draw-free policy's run records them into a new trace too (see MotionTrace).
     """
     m = g.node_count
     n = cfg.n_robots
@@ -471,10 +468,10 @@ def _simulate(
     tables = MotionTables(g, step)  # the fleet's shared edge plans, dropped with the run
     robots = [RobotState.at_node(i, g, cfg.start_node, step, tables) for i in range(n)]
     comm = CommState(n, cfg.comm_range, cfg.comm_timeout, cfg.dt, max_step(g, cfg.speed, cfg.dt))
-    strat_rngs = [RngStream(run_seed, "strategy", i) for i in range(n)]
-    # the cell seed reaches the motion through these streams alone
-    undrawn = [(r._state, r._spare) for r in strat_rngs]
-    recording = trace is not None and trace.events is not None
+    # the cell seed reaches the motion through these streams alone; a
+    # draw-free policy gets None, so a draw it should not make raises
+    strat_rngs = [RngStream(run_seed, "strategy", i) if policy.draws else None for i in range(n)]
+    recording = trace is not None and trace.events is not None and not policy.draws
 
     dt = cfg.dt
     ticks = int(round(cfg.duration / dt))
@@ -563,10 +560,8 @@ def _simulate(
         lambda2=algebraic_connectivity(CommGraph.from_exchanges(n, pairs, comm.exchanges)),
         exchanges=tuple((i, j, count) for (i, j), count in zip(pairs, comm.exchanges) if count),
     )
-    if recording and [(r._state, r._spare) for r in strat_rngs] == undrawn:
+    if recording:
         trace.pairs, trace.motion, trace.source = pairs, result, (cfg, g, kind)
-    elif trace is not None:
-        trace.events = None
     return result
 
 
@@ -584,12 +579,11 @@ def run_one(
     When out_dir is given, the per-event log is written there as
     <strategy>_<noise>_r<rep>.log with byte-stable lines.
 
-    Given a new MotionTrace, the run records its motion into it, and keeps
-    it if the run drew nothing from its strategy streams. Given a kept trace
-    of the same cfg, g and kind, the run replays it in place of simulating:
-    only the sensing draws of this cell's seed, the fusions and the log
-    lines are computed. Either way the record and the log equal those of a
-    run with no trace.
+    Given a new MotionTrace, a draw-free policy's run records into it (see
+    MotionTrace). Given a kept trace of the same cfg, g and kind, the run
+    replays it: only the sensing draws of this cell's seed, the fusions and
+    the log lines are computed. Either way the record and the log equal a
+    run's with no trace.
     """
     _check_map(cfg, g)
     noise = _noise_level(noise)
@@ -642,10 +636,9 @@ def run_matrix(
     executions of the same config are byte-identical. With out_dir, writes
     runs.csv, summary.csv and social_edges.csv there, beside the run logs.
 
-    Every cell goes through run_one. A strategy with more than one cell
-    hands its first cell a new MotionTrace; if the run keeps it, the
-    strategy's other cells replay it instead of simulating the same motion
-    again (see MotionTrace). One strategy's trace is held at a time.
+    Every cell goes through run_one. A draw-free strategy with more than one
+    cell shares one MotionTrace among them: the first cell records it and
+    the others replay it, unless it passed TRACE_CAP.
     """
     if g is None:
         g = load_map(cfg)
@@ -667,10 +660,8 @@ def run_matrix(
     records: list[RunRecord] = []
     for idx, (kind, noise, rep) in enumerate(cells):
         if idx % per_strategy == 0:
-            trace = MotionTrace() if per_strategy > 1 else None
+            trace = MotionTrace() if per_strategy > 1 and not POLICIES[kind].draws else None
         records.append(run_one(cfg, g, kind, noise, rep, out_dir=out_dir, trace=trace))
-        if trace is not None and trace.motion is None:
-            trace = None  # the run drew from a strategy stream, or passed the cap
         if progress:
             print(f"[{idx + 1}/{len(cells)}] {kind.value} noise={noise} rep={rep}", flush=True)
     summaries = summarize(records)

@@ -473,10 +473,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     Requires at least 3 points and non-degenerate variance in both inputs.
     The p-value comes from the exact t transform r * sqrt(df / (1 - r^2))
     with df = n - 2. The scale is sqrt(sxx * syy), or, when that product
-    underflows though sxx and syy are both normal floats, sqrt(sxx) *
-    sqrt(syy). Sums outside the float range raise OverflowError, as does a
-    product that overflows or underflows with a subnormal factor (such a
-    sum of squares has already lost precision).
+    leaves the float range though sxx and syy are both finite normal floats,
+    sqrt(sxx) * sqrt(syy). Sums outside the float range raise OverflowError,
+    as does a product that underflows with a subnormal factor (such a sum of
+    squares has already lost precision).
     """
     n = len(xs)
     if n != len(ys):
@@ -491,8 +491,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise ValueError("zero variance input")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     scale = math.sqrt(sxx * syy)
-    if scale == 0.0 and sxx >= sys.float_info.min and syy >= sys.float_info.min:
-        # the product of two normal spreads underflowed; their roots do not
+    if scale in (0.0, math.inf) and sys.float_info.min <= min(sxx, syy) <= max(sxx, syy) < math.inf:
+        # the product of two normal spreads left the float range; their roots do not
         scale = math.sqrt(sxx) * math.sqrt(syy)
     if not (0.0 < scale < math.inf and math.isfinite(sxy)):
         raise OverflowError("sums outside the float range")

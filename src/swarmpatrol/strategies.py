@@ -66,17 +66,20 @@ class Policy:
 
     Also the interface of every policy: a subclass overrides `decide` and, if
     it needs them, `visited`, `tick` and `next_tick`, and keeps its own state.
-    cfg is the run's ExperimentConfig, or anything with the fields a policy
-    reads: n_robots, the tunables of CBLS, DTAG and DTAP, and for DTAP's
-    auction comm_range, speed and dt.
+    A subclass whose `decide` draws from its rng sets `draws`; any other gets
+    None. cfg is the run's ExperimentConfig, or anything with the fields a
+    policy reads: n_robots, the tunables of CBLS, DTAG and DTAP, and for
+    DTAP's auction comm_range, speed and dt.
     """
+
+    draws = False
 
     def __init__(self, g: PatrolGraph, cfg):
         self.g = g
         self.cfg = cfg
 
     def decide(
-        self, robot_id: int, node: int, t: float, last_visit: Sequence[float], rng: RngStream
+        self, robot_id: int, node: int, t: float, last_visit: Sequence[float], rng: RngStream | None
     ) -> int:
         """Next goal of robot `robot_id`, which has just reached its goal `node` at time t.
 
@@ -106,6 +109,8 @@ class Policy:
 
 class RAND(Policy):
     """A uniformly random neighbor."""
+
+    draws = True
 
     def decide(self, robot_id, node, t, last_visit, rng):
         nbrs = self.g.neighbors(node)
@@ -237,6 +242,8 @@ class CBLS(SEBS):
     Each robot keeps an exponential moving average of the idleness it found
     at each node (`learned`); a decision scores max(idleness, learned).
     """
+
+    draws = True  # the epsilon coin, even at epsilon 0
 
     def __init__(self, g, cfg):
         super().__init__(g, cfg)
@@ -468,7 +475,7 @@ def decide_next(
     node: int,
     t: float,
     last_visit: Sequence[float],
-    rng: RngStream,
+    rng: RngStream | None,
 ) -> int:
     """Pick the next goal at time t; always a valid node different from the current one."""
     goal = policy.decide(robot_id, node, t, last_visit, rng)

@@ -47,7 +47,7 @@ from swarmpatrol.harness import (
     write_runs_csv,
 )
 from swarmpatrol.metrics import ConsensusTracker
-from swarmpatrol.strategies import DTAP, StrategyKind, travel_distances
+from swarmpatrol.strategies import DTAP, POLICIES, StrategyKind, travel_distances
 from swarmpatrol.world import MotionTables, RobotState
 
 # the two-loop auction DTAP once called, as the per-tick reference
@@ -827,6 +827,51 @@ def test_a_trace_replays_only_the_run_it_was_recorded_on(default_graph):
             run_one(*other, 0.0, 1, trace=trace)
 
 
+def test_a_draw_free_policy_that_draws_raises_before_writing_a_log(tmp_path, default_graph):
+    class Drawing(POLICIES[StrategyKind.CR]):  # declares no draws
+        def decide(self, robot_id, node, t, last_visit, rng):
+            rng.random()
+            return super().decide(robot_id, node, t, last_visit, rng)
+
+    cfg = replace(ExperimentConfig(), duration=30.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(POLICIES, StrategyKind.CR, Drawing)
+        with pytest.raises(AttributeError):
+            run_one(cfg, default_graph, StrategyKind.CR, 0.0, 0, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+TWO_NODES = "node 0 0 0\nnode 1 1 0\nedge 0 1\n"
+
+
+def test_matrix_simulates_every_cell_of_a_drawing_strategy(tmp_path):
+    # each node has one neighbor, so RAND's index(1) draws nothing, yet a
+    # strategy that declares draws still simulates every cell
+    g = parse_map(TWO_NODES)
+    cfg = replace(
+        ExperimentConfig(),
+        n_robots=3,
+        duration=60.0,
+        anomaly_node=1,
+        noise_levels=(0.0, 0.2),
+        reps=3,
+        strategies=(StrategyKind.RAND, StrategyKind.CBLS, StrategyKind.CR),
+    )
+    with _counted_runs() as (_, sims):
+        records, _ = run_matrix(cfg, out_dir=tmp_path / "matrix", g=g)
+    assert sims == {StrategyKind.RAND: 6, StrategyKind.CBLS: 6, StrategyKind.CR: 1}
+    fresh = [
+        run_one(cfg, g, StrategyKind(r.strategy), r.noise, r.rep, out_dir=tmp_path / "one")
+        for r in records
+    ]
+    assert records == fresh
+    assert _logs(tmp_path / "matrix") == _logs(tmp_path / "one")
+    # run_one given a trace records nothing into it for a drawing strategy
+    trace = harness.MotionTrace()
+    assert run_one(cfg, g, StrategyKind.RAND, 0.0, 0, trace=trace) == records[0]
+    assert trace.motion is None
+
+
 # a 4-node ring: its digests are 4 characters long, the default map's 40
 RING4 = "node 0 0 0\nnode 1 2 0\nnode 2 2 2\nnode 3 0 2\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\n"
 
@@ -1521,6 +1566,35 @@ def test_negative_zero_noise_is_zero_noise(tmp_path):
     ]
     for out in outs[1:]:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+
+
+def test_simulate_progress_lists_each_cell_in_order(tmp_path, capsys):
+    (tmp_path / "tiny.map").write_text(PATH3)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"map = {tmp_path / 'tiny.map'}\nrobots = 2\nduration = 30\nanomaly = 1\n"
+        "strategies = cr, rand\nnoises = 0, 0.2\nreps = 2\n"
+    )
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(quiet)]) == 0
+    quiet_lines = capsys.readouterr().out.replace(str(quiet), str(loud)).splitlines()
+    args = ["simulate", "--config", str(cfg_path), "--out", str(loud), "--progress"]
+    assert cli_main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = [
+        (kind, noise, rep)
+        for kind in ("CR", "RAND")
+        for noise in (0.0, 0.2)
+        for rep in (0, 1)
+    ]
+    assert lines[: len(cells)] == [
+        f"[{i}/{len(cells)}] {kind} noise={noise} rep={rep}"
+        for i, (kind, noise, rep) in enumerate(cells, 1)
+    ]
+    assert lines[len(cells):] == quiet_lines
+    files = {p.name: p.read_bytes() for p in quiet.iterdir()}
+    assert len(files) == len(cells) + 3
+    assert {p.name: p.read_bytes() for p in loud.iterdir()} == files
 
 
 def test_cli_strategy_and_noise_overrides(tmp_path):

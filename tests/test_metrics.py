@@ -690,8 +690,8 @@ def test_pearson_rejects_degenerate_input():
     [
         ([1e308, -1e308, 0.0], [1.0, 2.0, 4.0]),  # a square overflows
         ([1e308, 1e308, 1e307], [1.0, 2.0, 4.0]),  # the mean is inf
-        ([1e100, 0.0, 3e100], [1e100, 2e100, 0.0]),  # sxx * syy is inf
         ([1e-160, 2e-160, 4e-160], [1e-160, 3e-160, 2e-160]),  # sxx * syy is 0
+        ([1.0, 2.0, 4.0], [1e308, -1e308, 0.0]),  # a square of ys overflows
     ],
 )
 def test_pearson_reports_sums_outside_the_float_range(xs, ys):
@@ -704,6 +704,15 @@ def test_pearson_scales_normal_spreads_whose_product_underflows():
     # product underflows to 0.0; scaled up by 1e100 the data are ordinary
     r, p = pearson([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 3.5e-100])
     want_r, want_p = pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.5])
+    assert r == pytest.approx(want_r, rel=1e-14)
+    assert p == pytest.approx(want_p, rel=1e-12)
+
+
+def test_pearson_scales_finite_spreads_whose_product_overflows():
+    # sxx and syy are about 4.7e200 and 2e200, finite, but their product
+    # overflows; scaled down by 1e100 the data are ordinary
+    r, p = pearson([1e100, 0.0, 3e100], [1e100, 2e100, 0.0])
+    want_r, want_p = pearson([1.0, 0.0, 3.0], [1.0, 2.0, 0.0])
     assert r == pytest.approx(want_r, rel=1e-14)
     assert p == pytest.approx(want_p, rel=1e-12)
 

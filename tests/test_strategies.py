@@ -775,3 +775,55 @@ def test_decide_next_rejects_an_invalid_goal():
 
     with pytest.raises(AssertionError, match="Stay chose invalid goal 1 from node 1"):
         _decide(Stay(_star(), _cfg(1)), node=1)
+
+
+# the policies whose decisions draw from their strategy streams, written out
+# rather than read from the classes' declarations
+_DRAWING = {K.RAND, K.CBLS}
+
+
+class _CountingStream(RngStream):
+    """A strategy stream that counts the calls that draw from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def index(self, n):
+        self.draws += n > 1  # index(1) draws nothing
+        return super().index(n)
+
+
+def test_the_declared_drawing_policies_are_the_expected_ones():
+    assert {kind for kind in K if POLICIES[kind].draws} == _DRAWING
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_maps_and_poses(), epsilon=st.sampled_from([0.0, 0.2]), data=st.data())
+def test_only_the_declared_policies_draw(case, epsilon, data):
+    g, robots = case
+    n = len(robots)
+    policies = {kind: _policy(kind, g, n, cbls_epsilon=epsilon) for kind in K}
+    seed = data.draw(st.integers(0, 99))
+    streams = {kind: [_CountingStream(seed, "strategy", i) for i in range(n)] for kind in _DRAWING}
+    # each robot decides at the goal its last decision chose, as in a run
+    starts = data.draw(st.lists(st.integers(0, g.node_count - 1), min_size=n, max_size=n))
+    at = {kind: list(starts) for kind in K}
+    for _ in range(data.draw(st.integers(1, 20))):
+        i = data.draw(st.integers(0, n - 1))
+        t = data.draw(st.floats(0.0, 100.0))
+        last_visit = data.draw(
+            st.lists(st.floats(-100.0, t), min_size=g.node_count, max_size=g.node_count)
+        )
+        for kind, policy in policies.items():
+            node = at[kind][i]
+            policy.visited(i, node, t - last_visit[node])
+            rng = streams[kind][i] if kind in _DRAWING else None
+            before = rng.draws if rng is not None else 0
+            at[kind][i] = decide_next(policy, i, node, t, last_visit, rng)
+            if kind is K.CBLS or (kind is K.RAND and len(g.neighbors(node)) > 1):
+                assert rng.draws > before
